@@ -11,7 +11,6 @@ through the line, and post-select near the dark port of the analyzer.
 from .analysis import (
     ArrivalEstimate,
     ScalingPoint,
-    amplification_factor,
     centroid,
     crossover,
     fit_gaussian,
@@ -21,7 +20,6 @@ from .analysis import (
 )
 from .atomic_response import (
     C_LIGHT,
-    ComplexResponse,
     MediumSpec,
     ReducedLine,
     absorption,
@@ -29,7 +27,6 @@ from .atomic_response import (
     chi_full,
     chi_lorentzian,
     chi_resonant,
-    coupling_strength,
     gamma_effective,
     group_advance,
     group_index,
@@ -38,7 +35,6 @@ from .atomic_response import (
     light_shift,
     power_broadening,
     refractive_index,
-    response_at,
     transmission,
 )
 from .config import (
@@ -50,7 +46,6 @@ from .config import (
     default_config,
     load_config,
     parse_config,
-    save_config,
     serialize_config,
 )
 from .errors import (
@@ -78,12 +73,10 @@ from .pulse_engine import (
     prepare_input,
     propagate_ideal,
     propagate_lorentzian,
-    propagate_spectral,
     write_envelope_csv,
 )
 from .weak_value import (
     PostSelectedPulse,
-    PostSelection,
     invert_transmission,
     post_select,
     total_transmission,

@@ -27,12 +27,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import least_squares
 
-from .atomic_response import ReducedLine
 from .errors import (
     FitFailureError,
     OptimizerError,
     ParameterError,
     ZeroEnergyError,
+    check_positive,
+    check_transmission,
 )
 from .pulse_engine import Envelope
 
@@ -145,30 +146,11 @@ def fit_gaussian(
     )
 
 
-def amplification_factor(measured_advance: float, line: ReducedLine) -> float:
-    """Measured advance over the bare single-pass advance t0."""
-    if not (line.t0 > 0):
-        raise ParameterError("line.t0 must be positive to define amplification")
-    return measured_advance / line.t0
-
-
 def t_atom(transmission: float, gamma_prime: float) -> float:
     """Bare-line peak advance at intensity transmission T: -ln(T)/(2 gamma')."""
-    _check_transmission(transmission)
-    _check_rate(gamma_prime)
+    check_transmission("transmission", transmission)
+    check_positive("gamma_prime", gamma_prime)
     return -math.log(transmission) / (2 * gamma_prime)
-
-
-def _check_transmission(transmission: float) -> None:
-    if not (0 < transmission <= 1) or not math.isfinite(transmission):
-        raise ParameterError(
-            f"transmission: must be in (0, 1]; got {transmission!r}"
-        )
-
-
-def _check_rate(gamma_prime: float) -> None:
-    if not (gamma_prime > 0) or not math.isfinite(gamma_prime):
-        raise ParameterError("gamma_prime: must be finite and > 0")
 
 
 def _advance_objective(theta: float, transmission: float) -> float:
@@ -207,8 +189,8 @@ def t_wva(transmission: float, gamma_prime: float) -> tuple[float, float]:
     objective is scanned on a 2000-point grid over the feasible angles and
     the best cell is refined by golden-section search to 1e-9 rad.
     """
-    _check_transmission(transmission)
-    _check_rate(gamma_prime)
+    check_transmission("transmission", transmission)
+    check_positive("gamma_prime", gamma_prime)
     if transmission == 1.0:
         return 0.0, math.pi / 4
     root = math.asin(math.sqrt(transmission))
@@ -266,7 +248,7 @@ def crossover(gamma_prime: float) -> float:
     Bisects t_wva(T) - t_atom(T) in T to 1e-5; the root is independent of
     gamma'.  Tries [1e-3, 0.5] first, widening once to [1e-4, 0.9].
     """
-    _check_rate(gamma_prime)
+    check_positive("gamma_prime", gamma_prime)
 
     def gap(t):
         return t_wva(t, gamma_prime)[0] - t_atom(t, gamma_prime)

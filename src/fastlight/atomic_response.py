@@ -41,11 +41,10 @@ All quantities are SI: angular rates in rad/s, times in s, lengths in m.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as C_LIGHT
-from scipy.constants import epsilon_0, hbar
 from scipy.signal import hilbert
 
 from .errors import (
@@ -55,6 +54,7 @@ from .errors import (
     GridResolutionError,
     NumericalDerivativeError,
     ParameterError,
+    check_positive,
 )
 
 # Lorentzian-limit operations require the probe to be far off one-photon
@@ -68,16 +68,6 @@ _KK_MIN_HALF_SPAN = 40.0
 _KK_MIN_POINTS = 4096
 _KK_TAPER_FRACTION = 0.05
 _KK_PAD_FACTOR = 4
-
-
-def coupling_strength(number_density: float, dipole_moment: float) -> float:
-    """Density-dipole coupling scalar beta = N |mu|^2 / (hbar epsilon_0).
-
-    number_density in 1/m^3, dipole_moment in C m; returns rad/s.
-    """
-    if number_density < 0:
-        raise ParameterError("number_density: must be >= 0")
-    return number_density * dipole_moment**2 / (hbar * epsilon_0)
 
 
 @dataclass(frozen=True)
@@ -106,20 +96,16 @@ class MediumSpec:
     def __post_init__(self):
         if not np.isfinite(self.beta):
             raise ParameterError("beta: must be finite")
-        if not (self.gamma > 0):
-            raise ParameterError("gamma: must be > 0")
-        if not (self.Gamma > 0):
-            raise ParameterError("Gamma: must be > 0")
+        check_positive("gamma", self.gamma)
+        check_positive("Gamma", self.Gamma)
         if not (self.omega_c_rabi >= 0):
             raise ParameterError("omega_c_rabi: must be >= 0")
         if not np.isfinite(self.Delta):
             raise ParameterError("Delta: must be finite")
         if not (self.length >= 0):
             raise ParameterError("length: must be >= 0")
-        if not (self.omega0 > 0):
-            raise ParameterError("omega0: must be > 0")
-        if not (self.c > 0):
-            raise ParameterError("c: must be > 0")
+        check_positive("omega0", self.omega0)
+        check_positive("c", self.c)
 
 
 @dataclass(frozen=True)
@@ -128,9 +114,9 @@ class ReducedLine:
 
     t0           pulse-peak advance accumulated at line centre (s), >= 0
     gamma_prime  power-broadened half-width gamma' (rad/s)
-    advance      True when the dispersive component exits *earlier* by t0
-                 (the only case this absorbing line produces; kept explicit
-                 so the sign convention travels with the numbers)
+    advance      True when the dispersive component exits *earlier* by t0,
+                 False when it exits later (a medium with beta < 0); kept
+                 explicit so the sign convention travels with the numbers
     """
 
     t0: float
@@ -140,19 +126,12 @@ class ReducedLine:
     def __post_init__(self):
         if not (self.t0 >= 0) or not np.isfinite(self.t0):
             raise ParameterError("t0: must be finite and >= 0")
-        if not (self.gamma_prime > 0) or not np.isfinite(self.gamma_prime):
-            raise ParameterError("gamma_prime: must be finite and > 0")
+        check_positive("gamma_prime", self.gamma_prime)
 
-
-@dataclass(frozen=True)
-class ComplexResponse:
-    """Point evaluation of the medium response at one detuning."""
-
-    delta_prime: float
-    chi: complex
-    n: complex
-    alpha: float
-    n_g: float = field(default=np.nan)
+    @property
+    def signed_t0(self) -> float:
+        """Arrival shift of the peak: +t0 if the line advances it, -t0 if it delays it."""
+        return self.t0 if self.advance else -self.t0
 
 
 def light_shift(spec: MediumSpec) -> float:
@@ -325,13 +304,29 @@ def transmission(line: ReducedLine) -> float:
     return float(np.exp(-2.0 * line.gamma_prime * line.t0))
 
 
-def response_at(delta_prime: float, spec: MediumSpec) -> ComplexResponse:
-    """Bundle chi, n, alpha and n_g at a single detuning from line centre."""
-    chi = chi_lorentzian(delta_prime, spec)
-    n = refractive_index(chi)
-    alpha = (spec.omega0 / spec.c) * n.imag
-    n_g = group_index(delta_prime, spec)
-    return ComplexResponse(delta_prime=float(delta_prime), chi=chi, n=n, alpha=alpha, n_g=n_g)
+def transfer_exponent(om, line: ReducedLine, include_absorption: bool = True):
+    """Exponent Phi of the line's transfer function H(Om) = exp(i Phi(Om)).
+
+    Phi = t0 gamma'^2 (s Om + i gamma') / (Om^2 + gamma'^2) at offset Om
+    (rad/s) from line centre, in the e^{+i Om t} basis, with s = +1 for an
+    advancing line and -1 for a delaying one.  Re Phi is the spectral phase,
+    Im Phi the field-loss exponent (gamma' t0 at centre, so the intensity
+    transmission there is exp(-2 gamma' t0)).  ``include_absorption=False``
+    drops the i gamma' term, leaving a pure phase filter.
+    """
+    gp = line.gamma_prime
+    sign = 1.0 if line.advance else -1.0
+    numerator = sign * om + (1j * gp if include_absorption else 0.0)
+    return line.t0 * gp**2 * numerator / (om**2 + gp**2)
+
+
+def phase_slope(om, line: ReducedLine):
+    """Group advance dRe(Phi)/dOm (s) at offset Om from line centre.
+
+    Equals ``line.signed_t0`` at centre and changes sign at |Om| = gamma'.
+    """
+    gp = line.gamma_prime
+    return line.signed_t0 * gp**2 * (gp**2 - om**2) / (om**2 + gp**2) ** 2
 
 
 def _taper_ends(values: np.ndarray, fraction: float) -> np.ndarray:

@@ -19,7 +19,8 @@ directory (--out overrides the configured one).  Output is byte-identical
 across reruns of the same configuration: fixed column orders, fixed 12-digit
 scientific formatting, no timestamps.
 
-Exit codes: 0 success, 2 invalid parameters or config, 3 numerical failure.
+Exit codes: 0 success, 2 invalid parameters or config (including an
+unusable --out or --config path), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .analysis import (
+    ArrivalEstimate,
     crossover,
     fit_gaussian,
     scaling_curve,
@@ -44,8 +47,10 @@ from .atomic_response import (
     kk_check,
     kramers_kronig_residual,
     light_shift,
+    phase_slope,
     power_broadening,
     refractive_index,
+    transfer_exponent,
     transmission,
 )
 from .config import RunConfig, default_config, load_config
@@ -94,32 +99,16 @@ def _load(args) -> RunConfig:
     return load_config(args.config) if args.config else default_config()
 
 
-def _check_dark_port(theta_deg: float) -> None:
-    if abs(theta_deg - (-45.0)) < _DARK_PORT_GUARD_DEG:
-        raise ParameterError(
-            f"analyzer angle {theta_deg:g} deg is within "
-            f"{_DARK_PORT_GUARD_DEG:g} deg of the dark port at -45 deg, where "
-            "the weak value diverges; move the angle away from -45 deg"
-        )
-
-
-def _transfer_exponent(delta_prime, line):
-    """Phi with H = exp(i Phi): Re is the spectral phase, Im the field loss."""
-    gp = line.gamma_prime
-    return line.t0 * gp**2 * (delta_prime + 1j * gp) / (delta_prime**2 + gp**2)
-
-
 def cmd_spectrum(args) -> int:
     cfg = _load(args)
     out = _out_dir(cfg, args)
     line = cfg.reduced_line()
     gp = line.gamma_prime
     delta = np.linspace(-_SPECTRUM_HALF_SPAN * gp, _SPECTRUM_HALF_SPAN * gp, cfg.spectrum_points)
-    phi = _transfer_exponent(delta, line)
-    group_adv = line.t0 * gp**2 * (gp**2 - delta**2) / (delta**2 + gp**2) ** 2
+    phi = transfer_exponent(delta, line)
 
     header = ["delta_prime_rad_per_s", "loss_exponent_field", "phase_rad", "group_advance_s"]
-    columns = [delta, phi.imag, phi.real, group_adv]
+    columns = [delta, phi.imag, phi.real, phase_slope(delta, line)]
     if cfg.mode == "physical":
         spec = cfg.medium_spec()
         chi = chi_lorentzian(delta, spec)
@@ -131,7 +120,7 @@ def cmd_spectrum(args) -> int:
     if cfg.mode == "physical":
         kk_residual = kk_check(spec, kk_grid)
     else:
-        kk_residual = kramers_kronig_residual(kk_grid, _transfer_exponent(kk_grid, line))
+        kk_residual = kramers_kronig_residual(kk_grid, transfer_exponent(kk_grid, line))
     pairs = [
         ("mode", cfg.mode),
         ("t0_s", line.t0),
@@ -151,8 +140,16 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _propagated_state(cfg: RunConfig):
-    """Common propagate/sweep front end: input state and line, both arms out."""
+def _propagated_state(cfg: RunConfig, thetas_deg):
+    """Common propagate/sweep front end: reject dark-port angles, then the
+    line, its centre transmission and the propagated two-arm state."""
+    for theta_deg in thetas_deg:
+        if abs(theta_deg - (-45.0)) < _DARK_PORT_GUARD_DEG:
+            raise ParameterError(
+                f"analyzer angle {theta_deg:g} deg is within "
+                f"{_DARK_PORT_GUARD_DEG:g} deg of the dark port at -45 deg, where "
+                "the weak value diverges; move the angle away from -45 deg"
+            )
     line = cfg.reduced_line()
     if not (line.t0 > 0):
         raise ParameterError(
@@ -170,17 +167,57 @@ def _propagated_state(cfg: RunConfig):
     return line, t_tilde, propagated
 
 
+class _Selected(NamedTuple):
+    """One analyzer angle's post-selected arrival."""
+
+    theta_deg: float
+    theta: float
+    weak_value: float
+    fit: ArrivalEstimate
+    throughput: float
+    amplification: float
+    relative_deviation: float
+
+
+def _trace_name(theta_deg: float) -> str:
+    return f"trace_postselected_theta_{theta_deg:.2f}.csv"
+
+
+def _post_select_all(propagated, line, thetas_deg, trace_dir=None):
+    """Post-select at each angle and fit the arrival of what passes.
+
+    The amplification is the fitted shift from the reference (V) arm over
+    the line's own signed shift ``line.signed_t0``, so it reads the weak
+    value for a delaying line as well as an advancing one.  With
+    ``trace_dir`` each post-selected envelope is also written there.
+    Returns the fitted reference arrival and one _Selected per angle.
+    """
+    center_v = fit_gaussian(propagated.v).center
+    results = []
+    for theta_deg in thetas_deg:
+        theta = np.deg2rad(theta_deg)
+        selected = post_select(propagated, theta)
+        if trace_dir is not None:
+            write_envelope_csv(selected.envelope, trace_dir / _trace_name(theta_deg))
+        estimate = fit_gaussian(selected.envelope)
+        a_w = weak_value(theta)
+        amplification = (center_v - estimate.center) / line.signed_t0
+        deviation = abs(amplification - a_w) / abs(a_w)
+        results.append(
+            _Selected(theta_deg, theta, a_w, estimate, selected.throughput, amplification, deviation)
+        )
+    return center_v, results
+
+
 def cmd_propagate(args) -> int:
     cfg = _load(args)
     out = _out_dir(cfg, args)
     thetas = [args.theta] if args.theta is not None else list(cfg.theta_list_deg)
-    for theta_deg in thetas:
-        _check_dark_port(theta_deg)
-    line, t_tilde, propagated = _propagated_state(cfg)
+    line, t_tilde, propagated = _propagated_state(cfg, thetas)
 
     write_envelope_csv(propagated.h, out / "trace_h.csv")
     write_envelope_csv(propagated.v, out / "trace_v.csv")
-    center_v = fit_gaussian(propagated.v).center
+    center_v, results = _post_select_all(propagated, line, thetas, trace_dir=out)
     center_h = fit_gaussian(propagated.h).center
 
     header = [
@@ -195,33 +232,24 @@ def cmd_propagate(args) -> int:
         "throughput_predicted",
         "fit_residual_rms",
     ]
-    rows = []
-    written = ["trace_h.csv", "trace_v.csv"]
-    for theta_deg in thetas:
-        theta = np.deg2rad(theta_deg)
-        selected = post_select(propagated, theta)
-        trace_name = f"trace_postselected_theta_{theta_deg:.2f}.csv"
-        write_envelope_csv(selected.envelope, out / trace_name)
-        written.append(trace_name)
-        estimate = fit_gaussian(selected.envelope)
-        advance = center_v - estimate.center
-        a_w = weak_value(theta)
-        amplification = advance / line.t0
-        rows.append(
-            (
-                theta_deg,
-                a_w,
-                center_v,
-                estimate.center,
-                advance,
-                amplification,
-                abs(amplification - a_w) / abs(a_w),
-                selected.throughput,
-                total_transmission(t_tilde, theta),
-                estimate.residual_rms,
-            )
+    rows = [
+        (
+            r.theta_deg,
+            r.weak_value,
+            center_v,
+            r.fit.center,
+            center_v - r.fit.center,
+            r.amplification,
+            r.relative_deviation,
+            r.throughput,
+            total_transmission(t_tilde, r.theta),
+            r.fit.residual_rms,
         )
+        for r in results
+    ]
     _write_rows(out / "propagate_summary.csv", header, rows)
+    written = ["trace_h.csv", "trace_v.csv"]
+    written += [_trace_name(theta_deg) for theta_deg in thetas]
     written.append("propagate_summary.csv")
     print(
         f"H advance {center_v - center_h:.6e} s over t0 {line.t0:.6e} s; "
@@ -235,11 +263,9 @@ def cmd_sweep_theta(args) -> int:
     out = _out_dir(cfg, args)
     if args.count < 2:
         raise ParameterError("--count: must be at least 2")
-    thetas = np.linspace(args.start, args.stop, args.count)
-    for theta_deg in thetas:
-        _check_dark_port(float(theta_deg))
-    line, t_tilde, propagated = _propagated_state(cfg)
-    center_v = fit_gaussian(propagated.v).center
+    thetas = [float(t) for t in np.linspace(args.start, args.stop, args.count)]
+    line, _, propagated = _propagated_state(cfg, thetas)
+    _, results = _post_select_all(propagated, line, thetas)
 
     header = [
         "theta_deg",
@@ -248,22 +274,10 @@ def cmd_sweep_theta(args) -> int:
         "relative_deviation",
         "throughput_measured",
     ]
-    rows = []
-    for theta_deg in thetas:
-        theta = np.deg2rad(float(theta_deg))
-        selected = post_select(propagated, theta)
-        estimate = fit_gaussian(selected.envelope)
-        a_w = weak_value(theta)
-        amplification = (center_v - estimate.center) / line.t0
-        rows.append(
-            (
-                float(theta_deg),
-                a_w,
-                amplification,
-                abs(amplification - a_w) / abs(a_w),
-                selected.throughput,
-            )
-        )
+    rows = [
+        (r.theta_deg, r.weak_value, r.amplification, r.relative_deviation, r.throughput)
+        for r in results
+    ]
     _write_rows(out / "sweep_theta.csv", header, rows)
     print(f"wrote {out / 'sweep_theta.csv'} ({args.count} angles)")
     return 0
@@ -382,6 +396,9 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:  # an --out or --config path that cannot be used
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -2,29 +2,27 @@
 
 Config files carry explicit units in their key names; everything is
 canonicalized on parse to microsecond-based units (time in us, angular rates
-in rad/us) and converted to SI only when core objects are built.  Alternate
-spellings accepted on input:
-
-    *_mhz                     ordinary frequency in MHz -> rad/us (x 2 pi)
-    length_cm                 -> length_m
-    wavelength_nm             -> omega0_rad_per_us (2 pi c / lambda)
-    line_center_transmission  -> gamma_prime_rad_per_us via
-                                 gamma' = -ln(T~) / (2 t0)
+in rad/us) and converted to SI only when core objects are built.
+``_ALIASES`` lists every alternate spelling accepted on input with its
+conversion to the canonical key; a key and its alternates are mutually
+exclusive.
 
 Two modes: "reduced" drives the pipeline from (t0, gamma') directly;
-"physical" derives them from the vapor parameters.  ``serialize_config``
-always emits the canonical keys, so parse(serialize(cfg)) reproduces cfg
-exactly.
+"physical" derives them from the vapor parameters.  Bounds live in the core
+objects: a config section that has a core counterpart builds it when
+constructed, so bad values fail at load time.  ``serialize_config`` always
+emits the canonical keys, so parse(serialize(cfg)) reproduces cfg exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .atomic_response import C_LIGHT, MediumSpec, ReducedLine, group_advance
-from .errors import ParameterError
+from .errors import ParameterError, check_positive, check_transmission
+from .pulse_engine import default_grid
 
 _US = 1e-6  # seconds per microsecond
 _RAD_PER_US = 1e6  # rad/s per rad/us
@@ -41,14 +39,13 @@ class LineConfig:
     gamma_prime_rad_per_us: float
 
     def __post_init__(self):
-        if not (self.t0_us >= 0) or not math.isfinite(self.t0_us):
-            raise ParameterError("line.t0_us: must be finite and >= 0")
-        if not (self.gamma_prime_rad_per_us > 0) or not math.isfinite(
-            self.gamma_prime_rad_per_us
-        ):
-            raise ParameterError(
-                "line.gamma_prime_rad_per_us: must be finite and > 0"
-            )
+        self.reduced_line()
+
+    def reduced_line(self) -> ReducedLine:
+        return ReducedLine(
+            t0=self.t0_us * _US,
+            gamma_prime=self.gamma_prime_rad_per_us * _RAD_PER_US,
+        )
 
 
 @dataclass(frozen=True)
@@ -70,10 +67,8 @@ class PulseConfig:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not (self.sigma_us > 0) or not math.isfinite(self.sigma_us):
-            raise ParameterError("pulse.sigma_us: must be finite and > 0")
-        if not (self.amplitude > 0) or not math.isfinite(self.amplitude):
-            raise ParameterError("pulse.amplitude: must be finite and > 0")
+        check_positive("sigma_us", self.sigma_us)
+        check_positive("amplitude", self.amplitude)
 
 
 @dataclass(frozen=True)
@@ -82,13 +77,7 @@ class GridConfig:
     span_sigmas: float = 32.0
 
     def __post_init__(self):
-        n = self.n_samples
-        if not isinstance(n, int) or n < 256 or (n & (n - 1)) != 0:
-            raise ParameterError(
-                "grid.n_samples: must be a power-of-two integer >= 256"
-            )
-        if not (self.span_sigmas >= 16.0):
-            raise ParameterError("grid.span_sigmas: must be >= 16")
+        default_grid(1.0, self.n_samples, self.span_sigmas)
 
 
 @dataclass(frozen=True)
@@ -133,10 +122,7 @@ class RunConfig:
         if len(self.transmission_list) == 0:
             raise ParameterError("transmission_list: must not be empty")
         for t in self.transmission_list:
-            if not (0 < t <= 1):
-                raise ParameterError(
-                    f"transmission_list: values must lie in (0, 1]; got {t}"
-                )
+            check_transmission("transmission_list", t)
         if not isinstance(self.spectrum_points, int) or self.spectrum_points < 16:
             raise ParameterError("spectrum_points: must be an integer >= 16")
         if not math.isfinite(self.relative_phase):
@@ -162,10 +148,7 @@ class RunConfig:
         """The line the pipeline propagates through, in SI units."""
         if self.mode == "physical":
             return group_advance(self.medium_spec())
-        return ReducedLine(
-            t0=self.line.t0_us * _US,
-            gamma_prime=self.line.gamma_prime_rad_per_us * _RAD_PER_US,
-        )
+        return self.line.reduced_line()
 
     def pulse_sigma_s(self) -> float:
         return self.pulse.sigma_us * _US
@@ -177,248 +160,128 @@ def default_config() -> RunConfig:
     return RunConfig(line=LineConfig(t0_us=0.28, gamma_prime_rad_per_us=gamma_prime))
 
 
-def _take(data: dict, section: str, known: set) -> None:
-    unknown = set(data) - known
-    if unknown:
-        where = f"{section}." if section else ""
-        raise ParameterError(f"{where}{sorted(unknown)[0]}: unknown key")
+def _from_mhz(mhz: float, section: dict) -> float:
+    return 2 * math.pi * mhz
 
 
-def _number(data: dict, section: str, key: str):
-    value = data[key]
-    path = f"{section}.{key}" if section else key
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParameterError(f"{path}: must be a number")
-    return float(value)
+def _from_wavelength(nm: float, section: dict) -> float:
+    if not (nm > 0):
+        raise ParameterError("medium.wavelength_nm: must be > 0")
+    return 2 * math.pi * C_LIGHT / (nm * 1e-9) / _RAD_PER_US
 
 
-def _element_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ParameterError(f"{path}: entries must be numbers")
-    return float(value)
-
-
-def _rate(data: dict, section: str, stem: str, required: bool = True):
-    """Read an angular rate given as <stem>_rad_per_us or <stem>_mhz."""
-    rad_key, mhz_key = f"{stem}_rad_per_us", f"{stem}_mhz"
-    if rad_key in data and mhz_key in data:
+def _from_line_center_transmission(t_tilde: float, section: dict) -> float:
+    """gamma' = -ln(T~) / (2 t0), with t0 already read from the section."""
+    if not (0 < t_tilde < 1):
         raise ParameterError(
-            f"{section}.{stem}: give exactly one of {rad_key} or {mhz_key}"
+            "line.line_center_transmission: must be in (0, 1) to fix gamma'"
         )
-    if rad_key in data:
-        return _number(data, section, rad_key)
-    if mhz_key in data:
-        return 2 * math.pi * _number(data, section, mhz_key)
-    if required:
-        raise ParameterError(f"{section}.{rad_key}: required (or {mhz_key})")
-    return None
-
-
-def _parse_line(data) -> LineConfig:
-    if not isinstance(data, dict):
-        raise ParameterError("line: must be an object")
-    _take(data, "line", {"t0_us", "gamma_prime_rad_per_us", "line_center_transmission"})
-    if "t0_us" not in data:
-        raise ParameterError("line.t0_us: required")
-    t0_us = _number(data, "line", "t0_us")
-    has_gp = "gamma_prime_rad_per_us" in data
-    has_tc = "line_center_transmission" in data
-    if has_gp == has_tc:
+    if not (section["t0_us"] > 0):
         raise ParameterError(
-            "line: give exactly one of gamma_prime_rad_per_us or "
+            "line.t0_us: must be > 0 when gamma' is set via "
             "line_center_transmission"
         )
-    if has_gp:
-        gp = _number(data, "line", "gamma_prime_rad_per_us")
-    else:
-        tc = _number(data, "line", "line_center_transmission")
-        if not (0 < tc < 1):
-            raise ParameterError(
-                "line.line_center_transmission: must be in (0, 1) to fix gamma'"
-            )
-        if not (t0_us > 0):
-            raise ParameterError(
-                "line.t0_us: must be > 0 when gamma' is set via "
-                "line_center_transmission"
-            )
-        gp = -math.log(tc) / (2 * t0_us)
-    return LineConfig(t0_us=t0_us, gamma_prime_rad_per_us=gp)
+    return -math.log(t_tilde) / (2 * section["t0_us"])
 
 
-def _parse_medium(data) -> MediumConfig:
+# canonical key -> {alternate spelling: converter(value, canonical values of
+# the section's earlier fields) to the canonical unit}
+_ALIASES = {
+    "beta_rad_per_us": {"beta_mhz": _from_mhz},
+    "gamma_rad_per_us": {"gamma_mhz": _from_mhz},
+    "Gamma_rad_per_us": {"Gamma_mhz": _from_mhz},
+    "omega_c_rabi_rad_per_us": {"omega_c_rabi_mhz": _from_mhz},
+    "Delta_rad_per_us": {"Delta_mhz": _from_mhz},
+    "length_m": {"length_cm": lambda cm, section: cm * 1e-2},
+    "omega0_rad_per_us": {"omega0_mhz": _from_mhz, "wavelength_nm": _from_wavelength},
+    "gamma_prime_rad_per_us": {"line_center_transmission": _from_line_center_transmission},
+}
+
+_SECTIONS = {"line": LineConfig, "medium": MediumConfig, "pulse": PulseConfig, "grid": GridConfig}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _typed(value, path: str, kind: str):
+    """Check a JSON value against a field's annotated type.
+
+    ``kind`` is the annotation as written ("float", "int", "tuple", "str"):
+    postponed annotations keep dataclass field types as strings.
+    """
+    if kind == "float":
+        if not _is_number(value):
+            raise ParameterError(f"{path}: must be a number")
+        return float(value)
+    if kind == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ParameterError(f"{path}: must be an integer")
+        return value
+    if kind == "tuple":
+        if not isinstance(value, list):
+            raise ParameterError(f"{path}: must be an array of numbers")
+        if not all(_is_number(v) for v in value):
+            raise ParameterError(f"{path}: entries must be numbers")
+        return tuple(float(v) for v in value)
+    if not isinstance(value, str) or not value:
+        raise ParameterError(f"{path}: must be a non-empty string")
+    return value
+
+
+def _parse_section(data, cls, section: str = ""):
+    """Build ``cls`` from a JSON object, resolving each field's spellings."""
     if not isinstance(data, dict):
-        raise ParameterError("medium: must be an object")
-    known = set()
-    for stem in ("beta", "gamma", "Gamma", "omega_c_rabi", "Delta", "omega0"):
-        known.update({f"{stem}_rad_per_us", f"{stem}_mhz"})
-    known.update({"length_m", "length_cm", "wavelength_nm"})
-    _take(data, "medium", known)
-    rates = {
-        stem: _rate(data, "medium", stem)
-        for stem in ("beta", "gamma", "Gamma", "omega_c_rabi", "Delta")
-    }
-    if "length_m" in data and "length_cm" in data:
-        raise ParameterError("medium: give exactly one of length_m or length_cm")
-    if "length_m" in data:
-        length_m = _number(data, "medium", "length_m")
-    elif "length_cm" in data:
-        length_m = _number(data, "medium", "length_cm") * 1e-2
-    else:
-        raise ParameterError("medium.length_m: required (or length_cm)")
-    omega0 = _rate(data, "medium", "omega0", required=False)
-    if "wavelength_nm" in data:
-        if omega0 is not None:
-            raise ParameterError(
-                "medium: give exactly one of omega0_rad_per_us/omega0_mhz or "
-                "wavelength_nm"
-            )
-        wl = _number(data, "medium", "wavelength_nm")
-        if not (wl > 0):
-            raise ParameterError("medium.wavelength_nm: must be > 0")
-        omega0 = 2 * math.pi * C_LIGHT / (wl * 1e-9) / _RAD_PER_US
-    if omega0 is None:
-        raise ParameterError(
-            "medium.omega0_rad_per_us: required (or omega0_mhz or wavelength_nm)"
-        )
-    return MediumConfig(
-        beta_rad_per_us=rates["beta"],
-        gamma_rad_per_us=rates["gamma"],
-        Gamma_rad_per_us=rates["Gamma"],
-        omega_c_rabi_rad_per_us=rates["omega_c_rabi"],
-        Delta_rad_per_us=rates["Delta"],
-        length_m=length_m,
-        omega0_rad_per_us=omega0,
-    )
+        raise ParameterError(f"{section or 'config'}: must be an object")
+    prefix = f"{section}." if section else ""
+    spellings = {f.name: (f.name, *_ALIASES.get(f.name, ())) for f in fields(cls)}
+    unknown = set(data) - {name for names in spellings.values() for name in names}
+    if unknown:
+        raise ParameterError(f"{prefix}{sorted(unknown)[0]}: unknown key")
+    values = {}
+    for f in fields(cls):
+        names = spellings[f.name]
+        given = [name for name in names if name in data]
+        if len(given) > 1:
+            raise ParameterError(f"{section}: give exactly one of {' or '.join(names)}")
+        if not given:
+            if f.default is MISSING and f.default_factory is MISSING:
+                hint = f" (give exactly one of {' or '.join(names)})" if len(names) > 1 else ""
+                raise ParameterError(f"{prefix}{f.name}: required{hint}")
+            continue
+        name = given[0]
+        if f.name in _SECTIONS:
+            values[f.name] = _parse_section(data[name], _SECTIONS[f.name], f.name)
+        else:
+            value = _typed(data[name], prefix + name, f.type)
+            convert = _ALIASES.get(f.name, {}).get(name)
+            values[f.name] = value if convert is None else convert(value, values)
+    try:
+        return cls(**values)
+    except ParameterError as exc:
+        if not section:
+            raise
+        raise ParameterError(f"{section}.{exc}") from None
 
 
 def parse_config(data) -> RunConfig:
     """Build a RunConfig from a parsed JSON object (dict)."""
-    if not isinstance(data, dict):
-        raise ParameterError("config: top level must be an object")
-    _take(
-        data,
-        "",
-        {
-            "mode",
-            "line",
-            "medium",
-            "pulse",
-            "grid",
-            "theta_list_deg",
-            "transmission_list",
-            "propagation",
-            "relative_phase",
-            "spectrum_points",
-            "output_dir",
-        },
-    )
-    mode = data.get("mode")
-    if mode is None:
-        if "medium" in data and "line" not in data:
-            mode = "physical"
-        elif "line" in data and "medium" not in data:
-            mode = "reduced"
-        else:
+    if isinstance(data, dict) and "mode" not in data:
+        if ("medium" in data) == ("line" in data):
             raise ParameterError(
                 "mode: required when neither (or both) of line/medium decide it"
             )
-    line = _parse_line(data["line"]) if "line" in data else None
-    medium = _parse_medium(data["medium"]) if "medium" in data else None
-
-    pulse = PulseConfig()
-    if "pulse" in data:
-        pdata = data["pulse"]
-        if not isinstance(pdata, dict):
-            raise ParameterError("pulse: must be an object")
-        _take(pdata, "pulse", {"sigma_us", "amplitude"})
-        pulse = PulseConfig(
-            sigma_us=_number(pdata, "pulse", "sigma_us")
-            if "sigma_us" in pdata
-            else PulseConfig.sigma_us,
-            amplitude=_number(pdata, "pulse", "amplitude")
-            if "amplitude" in pdata
-            else PulseConfig.amplitude,
-        )
-
-    grid = GridConfig()
-    if "grid" in data:
-        gdata = data["grid"]
-        if not isinstance(gdata, dict):
-            raise ParameterError("grid: must be an object")
-        _take(gdata, "grid", {"n_samples", "span_sigmas"})
-        n_samples = gdata.get("n_samples", GridConfig.n_samples)
-        if isinstance(n_samples, bool) or not isinstance(n_samples, int):
-            raise ParameterError("grid.n_samples: must be an integer")
-        grid = GridConfig(
-            n_samples=n_samples,
-            span_sigmas=_number(gdata, "grid", "span_sigmas")
-            if "span_sigmas" in gdata
-            else GridConfig.span_sigmas,
-        )
-
-    kwargs = {}
-    if "theta_list_deg" in data:
-        thetas = data["theta_list_deg"]
-        if not isinstance(thetas, list):
-            raise ParameterError("theta_list_deg: must be an array of numbers")
-        kwargs["theta_list_deg"] = tuple(
-            _element_number(th, "theta_list_deg") for th in thetas
-        )
-    if "transmission_list" in data:
-        ts = data["transmission_list"]
-        if not isinstance(ts, list):
-            raise ParameterError("transmission_list: must be an array of numbers")
-        kwargs["transmission_list"] = tuple(
-            _element_number(t, "transmission_list") for t in ts
-        )
-    if "propagation" in data:
-        kwargs["propagation"] = data["propagation"]
-    if "relative_phase" in data:
-        kwargs["relative_phase"] = _number(data, "", "relative_phase")
-    if "spectrum_points" in data:
-        sp = data["spectrum_points"]
-        if isinstance(sp, bool) or not isinstance(sp, int):
-            raise ParameterError("spectrum_points: must be an integer")
-        kwargs["spectrum_points"] = sp
-    if "output_dir" in data:
-        if not isinstance(data["output_dir"], str) or not data["output_dir"]:
-            raise ParameterError("output_dir: must be a non-empty string")
-        kwargs["output_dir"] = data["output_dir"]
-
-    return RunConfig(mode=mode, line=line, medium=medium, pulse=pulse, grid=grid, **kwargs)
+        data = {**data, "mode": "physical" if "medium" in data else "reduced"}
+    return _parse_section(data, RunConfig)
 
 
 def serialize_config(cfg: RunConfig) -> dict:
     """Canonical JSON form; parse_config(serialize_config(cfg)) == cfg."""
-    out = {"mode": cfg.mode}
-    if cfg.line is not None:
-        out["line"] = {
-            "t0_us": cfg.line.t0_us,
-            "gamma_prime_rad_per_us": cfg.line.gamma_prime_rad_per_us,
-        }
-    if cfg.medium is not None:
-        m = cfg.medium
-        out["medium"] = {
-            "beta_rad_per_us": m.beta_rad_per_us,
-            "gamma_rad_per_us": m.gamma_rad_per_us,
-            "Gamma_rad_per_us": m.Gamma_rad_per_us,
-            "omega_c_rabi_rad_per_us": m.omega_c_rabi_rad_per_us,
-            "Delta_rad_per_us": m.Delta_rad_per_us,
-            "length_m": m.length_m,
-            "omega0_rad_per_us": m.omega0_rad_per_us,
-        }
-    out["pulse"] = {"sigma_us": cfg.pulse.sigma_us, "amplitude": cfg.pulse.amplitude}
-    out["grid"] = {
-        "n_samples": cfg.grid.n_samples,
-        "span_sigmas": cfg.grid.span_sigmas,
+    return {
+        key: list(value) if isinstance(value, tuple) else value
+        for key, value in asdict(cfg).items()
+        if value is not None
     }
-    out["theta_list_deg"] = list(cfg.theta_list_deg)
-    out["transmission_list"] = list(cfg.transmission_list)
-    out["propagation"] = cfg.propagation
-    out["relative_phase"] = cfg.relative_phase
-    out["spectrum_points"] = cfg.spectrum_points
-    out["output_dir"] = cfg.output_dir
-    return out
 
 
 def load_config(path) -> RunConfig:
@@ -428,12 +291,8 @@ def load_config(path) -> RunConfig:
             data = json.load(fh)
     except FileNotFoundError:
         raise ParameterError(f"config file not found: {path}") from None
+    except UnicodeDecodeError:
+        raise ParameterError(f"config file is not UTF-8 text: {path}") from None
     except json.JSONDecodeError as exc:
         raise ParameterError(f"config file is not valid JSON: {exc}") from None
     return parse_config(data)
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(serialize_config(cfg), fh, indent=2)
-        fh.write("\n")

@@ -1,10 +1,13 @@
-"""Exception hierarchy shared by the whole package.
+"""Exception hierarchy shared by the whole package, and the bound checks
+more than one module applies.
 
 Callers mostly care about two families: bad inputs (``ParameterError``, a
 ``ValueError``) and computations that failed or left their guaranteed-accuracy
 domain at run time (``NumericalError``, a ``RuntimeError``).  The command-line
 driver maps the first family to exit code 2 and the second to exit code 3.
 """
+
+import math
 
 
 class FastlightError(Exception):
@@ -69,3 +72,15 @@ class OptimizerError(NumericalError):
 
 class ApproximationWarning(UserWarning):
     """Inputs are near the edge of an approximation's validity domain."""
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise ParameterError unless ``value`` is finite and > 0."""
+    if not (value > 0) or not math.isfinite(value):
+        raise ParameterError(f"{name}: must be finite and > 0")
+
+
+def check_transmission(name: str, value: float) -> None:
+    """Raise ParameterError unless the intensity transmission lies in (0, 1]."""
+    if not (0 < value <= 1):
+        raise ParameterError(f"{name}: must be in (0, 1]; got {value}")

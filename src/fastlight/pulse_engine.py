@@ -5,11 +5,9 @@ horizontal component passes through the absorbing line while the vertical
 component is a vacuum reference.  Propagation happens in the frequency domain.
 With envelope spectral components written in the e^{+i Om t} basis (Om is the
 baseband offset produced by the FFT), the line multiplies the H spectrum by
-
-    exp(i Phi(Om)),   Phi(Om) = t0 gamma'^2 (Om + i gamma') / (Om^2 + gamma'^2),
-
-whose phase slope at band centre equals +t0, i.e. the H pulse exits *earlier*
-by t0, and whose field attenuation at band centre is exp(-gamma' t0), i.e. an
+exp(i Phi(Om)), with Phi from ``atomic_response.transfer_exponent``: its
+phase slope at band centre equals +t0, i.e. the H pulse exits *earlier* by
+t0, and its field attenuation at band centre is exp(-gamma' t0), i.e. an
 intensity transmission exp(-2 gamma' t0).  The common vacuum transit phase is
 dropped for both components, so the V pulse is unshifted on the grid.
 
@@ -28,11 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic_response import MediumSpec, ReducedLine, group_advance, transmission
+from .atomic_response import ReducedLine, transfer_exponent, transmission
 from .errors import (
     ApproximationWarning,
     GridTooSmallError,
     ParameterError,
+    check_positive,
+    check_transmission,
 )
 
 # A synthesized or propagated pulse must stay clear of the grid ends; edge
@@ -53,12 +53,11 @@ class TimeGrid:
 
     def __post_init__(self):
         n = self.n_samples
-        if n < _MIN_SAMPLES or (n & (n - 1)) != 0:
+        if not isinstance(n, (int, np.integer)) or n < _MIN_SAMPLES or (n & (n - 1)) != 0:
             raise ParameterError(
-                f"n_samples: must be a power of two >= {_MIN_SAMPLES}; got {n}"
+                f"n_samples: must be a power-of-two integer >= {_MIN_SAMPLES}; got {n}"
             )
-        if not (self.dt > 0) or not np.isfinite(self.dt):
-            raise ParameterError("dt: must be finite and > 0")
+        check_positive("dt", self.dt)
         if not np.isfinite(self.t_start):
             raise ParameterError("t_start: must be finite")
 
@@ -73,8 +72,7 @@ class TimeGrid:
 
 def default_grid(sigma: float, n_samples: int = 4096, span_sigmas: float = 32.0) -> TimeGrid:
     """Grid centred on t = 0 spanning ``span_sigmas`` pulse widths."""
-    if not (sigma > 0):
-        raise ParameterError("sigma: must be > 0")
+    check_positive("sigma", sigma)
     if not (span_sigmas >= _MIN_SPAN_SIGMAS):
         raise ParameterError(f"span_sigmas: must be >= {_MIN_SPAN_SIGMAS:g}")
     span = span_sigmas * sigma
@@ -153,10 +151,8 @@ def make_gaussian(
     at least 16 sigma, the centre must lie in the middle half of the grid,
     and the resulting envelope must be negligible at the grid ends.
     """
-    if not (sigma > 0) or not np.isfinite(sigma):
-        raise ParameterError("sigma: must be finite and > 0")
-    if not (amplitude > 0) or not np.isfinite(amplitude):
-        raise ParameterError("amplitude: must be finite and > 0")
+    check_positive("sigma", sigma)
+    check_positive("amplitude", amplitude)
     if grid.span < _MIN_SPAN_SIGMAS * sigma:
         raise ParameterError(
             f"grid span {grid.span:.3e} s is below {_MIN_SPAN_SIGMAS:g} sigma"
@@ -189,8 +185,7 @@ def prepare_input(
     ``relative_phase`` models a static H-V optical path difference (default
     0: equal path lengths).
     """
-    if not (0 < t_tilde <= 1):
-        raise ParameterError(f"t_tilde: must be in (0, 1]; got {t_tilde}")
+    check_transmission("t_tilde", t_tilde)
     norm = np.sqrt(1.0 + t_tilde)
     h = Envelope(pulse.grid, pulse.samples / norm, pulse.carrier)
     v_samples = pulse.samples * (np.sqrt(t_tilde) / norm)
@@ -230,9 +225,8 @@ def propagate_ideal(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedPulse:
             f"{grid.span:.3e} s"
         )
     om = _baseband_frequencies(grid)
-    shift = line.t0 if line.advance else -line.t0
     t_tilde = transmission(line)
-    h_out = np.fft.ifft(np.fft.fft(pulse.h.samples) * np.exp(1j * om * shift))
+    h_out = np.fft.ifft(np.fft.fft(pulse.h.samples) * np.exp(1j * om * line.signed_t0))
     h_out = h_out * np.sqrt(t_tilde)
     _check_no_wraparound(h_out, "propagate_ideal")
     return PolarizedPulse(
@@ -247,11 +241,10 @@ def propagate_lorentzian(
 ) -> PolarizedPulse:
     """Propagate H through the full Lorentzian line transfer function.
 
-    H spectrum is multiplied by exp(i Phi(Om)) with
-    Phi = t0 gamma'^2 (s Om + i gamma')/(Om^2 + gamma'^2), s = +-1 per the
-    line's advance flag; V is untouched (common vacuum phase removed).
-    ``include_absorption=False`` drops the i gamma' numerator term, leaving a
-    pure phase filter — useful for energy-conservation checks.
+    H spectrum is multiplied by exp(i Phi(Om)), Phi from
+    ``transfer_exponent`` (which honours the line's advance flag); V is
+    untouched (common vacuum phase removed).  ``include_absorption=False``
+    leaves a pure phase filter — useful for energy-conservation checks.
 
     Warns when the pulse bandwidth exceeds 10 gamma' (the narrowband reading
     of the line parameters is then marginal; the distortion produced is
@@ -269,11 +262,7 @@ def propagate_lorentzian(
             ApproximationWarning,
             stacklevel=2,
         )
-    om = _baseband_frequencies(grid)
-    gp = line.gamma_prime
-    sign = 1.0 if line.advance else -1.0
-    numerator = sign * om + (1j * gp if include_absorption else 0.0)
-    phi = line.t0 * gp**2 * numerator / (om**2 + gp**2)
+    phi = transfer_exponent(_baseband_frequencies(grid), line, include_absorption)
     h_out = np.fft.ifft(np.fft.fft(pulse.h.samples) * np.exp(1j * phi))
     _check_no_wraparound(h_out, "propagate_lorentzian")
     return PolarizedPulse(
@@ -281,11 +270,6 @@ def propagate_lorentzian(
         v=pulse.v,
         reference_energy=pulse.reference_energy,
     )
-
-
-def propagate_spectral(pulse: PolarizedPulse, spec: MediumSpec) -> PolarizedPulse:
-    """Propagate H through the medium's line, reduced from physical parameters."""
-    return propagate_lorentzian(pulse, group_advance(spec))
 
 
 def write_envelope_csv(envelope: Envelope, path) -> None:

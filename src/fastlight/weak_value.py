@@ -27,7 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FeasibilityError, ParameterError, SingularPostSelectionError
+from .errors import (
+    FeasibilityError,
+    ParameterError,
+    SingularPostSelectionError,
+    check_transmission,
+)
 from .pulse_engine import Envelope, PolarizedPulse
 
 # |sin + cos| below this is treated as the dark port: the weak value and the
@@ -58,17 +63,6 @@ def weak_value(theta: float) -> float:
     return float(c / (s + c))
 
 
-@dataclass(frozen=True)
-class PostSelection:
-    """Analyzer angle with its weak value precomputed."""
-
-    theta: float
-    weak_value: float = 0.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "weak_value", weak_value(self.theta))
-
-
 @dataclass(frozen=True, eq=False)
 class PostSelectedPulse:
     """Envelope after the analyzer plus the measured energy throughput."""
@@ -97,8 +91,7 @@ def post_select(pulse: PolarizedPulse, theta: float) -> PostSelectedPulse:
 
 def total_transmission(t_tilde: float, theta: float) -> float:
     """Narrowband end-to-end energy throughput  2 T~ sin^2(theta+pi/4)/(1+T~)."""
-    if not (0 < t_tilde <= 1):
-        raise ParameterError(f"t_tilde: must be in (0, 1]; got {t_tilde}")
+    check_transmission("t_tilde", t_tilde)
     _check_angle(theta)
     s2 = np.sin(theta + np.pi / 4) ** 2
     return float(2 * t_tilde * s2 / (1 + t_tilde))
@@ -111,8 +104,7 @@ def invert_transmission(total: float, theta: float) -> float:
     sin^2(theta+pi/4) >= total; otherwise no T~ <= 1 reproduces the target
     and FeasibilityError is raised.
     """
-    if not (0 < total <= 1):
-        raise ParameterError(f"total: must be in (0, 1]; got {total}")
+    check_transmission("total", total)
     _check_angle(theta)
     s2 = float(np.sin(theta + np.pi / 4) ** 2)
     if total > s2:

@@ -12,7 +12,6 @@ from fastlight import (
     ReducedLine,
     TimeGrid,
     ZeroEnergyError,
-    amplification_factor,
     centroid,
     crossover,
     default_grid,
@@ -204,10 +203,3 @@ def test_crossover_frozen_and_rate_independent():
     assert c == pytest.approx(CROSSOVER_TRANSMISSION, abs=1e-5)
     assert crossover(2.0e6) == c
 
-
-def test_amplification_factor():
-    line = ReducedLine(t0=0.28e-6, gamma_prime=1.0e6)
-    assert amplification_factor(1.4e-6, line) == pytest.approx(5.0, rel=1e-12)
-    flat = ReducedLine(t0=0.0, gamma_prime=1.0e6)
-    with pytest.raises(ParameterError):
-        amplification_factor(1.0e-6, flat)

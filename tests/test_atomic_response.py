@@ -15,7 +15,6 @@ from fastlight import (
     chi_full,
     chi_lorentzian,
     chi_resonant,
-    coupling_strength,
     gamma_effective,
     group_advance,
     group_index,
@@ -24,9 +23,9 @@ from fastlight import (
     light_shift,
     power_broadening,
     refractive_index,
-    response_at,
     transmission,
 )
+from fastlight.atomic_response import phase_slope, transfer_exponent
 
 # Frozen values for the example_spec fixture (beta=1, gamma=0.01, Gamma=1,
 # Omega_c=0.2, Delta=100, omega0=1e5):
@@ -204,19 +203,27 @@ def test_negative_beta_flags_delay(demo_spec):
     assert line.t0 == group_advance(demo_spec).t0
 
 
+@pytest.mark.parametrize("advance", [True, False])
+def test_phase_slope_is_the_derivative_of_the_transfer_phase(quick_line, advance):
+    line = ReducedLine(t0=quick_line.t0, gamma_prime=quick_line.gamma_prime, advance=advance)
+    gp = line.gamma_prime
+    om = np.linspace(-3 * gp, 3 * gp, 61)
+    h = 1e-5 * gp
+    numeric = (
+        transfer_exponent(om + h, line).real - transfer_exponent(om - h, line).real
+    ) / (2 * h)
+    assert np.allclose(phase_slope(om, line), numeric, rtol=1e-6, atol=1e-9 * line.t0)
+    assert phase_slope(0.0, line) == pytest.approx(line.signed_t0, rel=1e-12)
+    # the loss does not depend on the direction of the shift
+    assert transfer_exponent(0.0, line).imag == pytest.approx(gp * line.t0, rel=1e-12)
+    assert transfer_exponent(0.0, line, include_absorption=False) == 0.0
+
+
 def test_transmission_matches_absorption_exponent(demo_spec):
     line = group_advance(demo_spec)
     direct = np.exp(-2 * absorption(demo_spec) * demo_spec.length)
     assert transmission(line) == pytest.approx(direct, rel=1e-12)
     assert transmission(line) == pytest.approx(DEMO_TRANSMISSION, rel=1e-12)
-
-
-def test_response_at_is_self_consistent(demo_spec):
-    gp = gamma_effective(demo_spec)
-    r = response_at(0.5 * gp, demo_spec)
-    assert r.n == pytest.approx(1.0 + r.chi / 2.0)
-    assert r.alpha == pytest.approx((demo_spec.omega0 / demo_spec.c) * r.n.imag)
-    assert r.n_g == pytest.approx(group_index(0.5 * gp, demo_spec))
 
 
 def test_far_detuning_hard_floor():
@@ -237,15 +244,6 @@ def test_far_detuning_soft_warning():
     )
     with pytest.warns(ApproximationWarning):
         chi_lorentzian(0.0, spec)
-
-
-def test_coupling_strength_frozen():
-    assert coupling_strength(1e16, 2.5e-29) == pytest.approx(
-        6693.528641845863, rel=1e-12
-    )
-    assert coupling_strength(0.0, 2.5e-29) == 0.0
-    with pytest.raises(ParameterError):
-        coupling_strength(-1e16, 2.5e-29)
 
 
 @pytest.mark.parametrize(

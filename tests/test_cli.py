@@ -181,18 +181,45 @@ def test_sweep_theta_tracks_weak_value(tmp_path):
         ["propagate", "--theta", "-44.995"],
         ["sweep-theta", "--start", "-46", "--stop", "-44", "--count", "3"],
         ["sweep-theta", "--count", "1"],
+        ["crossover", "--out", "{tmp}/taken"],
+        ["crossover", "--config", "{tmp}"],
+        ["crossover", "--config", "{tmp}/latin1.json"],
     ],
 )
 def test_parameter_problems_exit_2(tmp_path, capsys, argv):
     (tmp_path / "broken.json").write_text("{oops", encoding="utf-8")
+    (tmp_path / "taken").write_text("", encoding="utf-8")
+    (tmp_path / "latin1.json").write_bytes('{"output_dir": "café"}'.encode("latin-1"))
     _write_config(
         tmp_path,
         {"line": {"t0_us": -1.0, "gamma_prime_rad_per_us": 1.0}},
         name="bad_field.json",
     )
     argv = [a.format(tmp=tmp_path) for a in argv]
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
-    assert "error:" in capsys.readouterr().err
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_delaying_line_reads_the_weak_value(tmp_path):
+    # beta < 0 turns the line into a delay of t0 (test_negative_beta_flags_delay);
+    # the spectrum's phase slope and the fitted amplification follow the sign
+    cfg = _write_config(
+        tmp_path,
+        {"medium": dict(MEDIUM, beta_rad_per_us=-0.0022), "spectrum_points": 101},
+    )
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
+    spectrum = np.genfromtxt(out / "spectrum.csv", delimiter=",", names=True)
+    t0 = float(_read_kv(out / "spectrum_summary.csv")["t0_s"])
+    assert spectrum["group_advance_s"][50] == pytest.approx(-t0, rel=1e-6)
+    assert np.all(np.diff(spectrum["phase_rad"][45:56]) < 0)
+    table = np.genfromtxt(out / "propagate_summary.csv", delimiter=",", names=True)
+    assert np.all(table["advance_s"] * table["weak_value"] < 0)
+    assert np.all(table["relative_deviation"] < 0.02)
 
 
 def test_advance_beyond_grid_exits_3(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """JSON config parsing, unit alternates, and round-trip serialization."""
 
+import json
 import math
 
 import pytest
@@ -15,7 +16,6 @@ from fastlight import (
     group_advance,
     load_config,
     parse_config,
-    save_config,
     serialize_config,
     transmission,
 )
@@ -227,7 +227,7 @@ def test_serialize_round_trips_exactly():
 def test_save_and_load_round_trip(tmp_path):
     cfg = _full_reduced_config()
     path = tmp_path / "run.json"
-    save_config(cfg, path)
+    path.write_text(json.dumps(serialize_config(cfg), indent=2), encoding="utf-8")
     assert load_config(path) == cfg
 
 

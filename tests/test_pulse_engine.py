@@ -14,7 +14,6 @@ from fastlight import (
     prepare_input,
     propagate_ideal,
     propagate_lorentzian,
-    propagate_spectral,
     transmission,
     write_envelope_csv,
 )
@@ -217,17 +216,6 @@ def test_distortion_regression():
     est = centroid(out.h)
     assert -est.center / line.t0 == pytest.approx(0.6185881348, rel=1e-6)
     assert est.width / sigma == pytest.approx(0.9796275424, rel=1e-6)
-
-
-def test_propagate_spectral_uses_medium_reduction(demo_spec, quick_line):
-    sigma = 28e-6
-    grid = default_grid(sigma)
-    state = prepare_input(make_gaussian(grid, sigma, 0.0, 1.0), 0.5)
-    via_spec = propagate_spectral(state, demo_spec)
-    from fastlight import group_advance
-
-    via_line = propagate_lorentzian(state, group_advance(demo_spec))
-    assert np.array_equal(via_spec.h.samples, via_line.h.samples)
 
 
 def test_envelope_csv_round_trip(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from fastlight import (
     FeasibilityError,
     ParameterError,
-    PostSelection,
     ReducedLine,
     SingularPostSelectionError,
     centroid,
@@ -61,13 +60,6 @@ def test_weak_value_domain():
         weak_value(np.nan)
     # a hair off the dark port is legal and large
     assert abs(weak_value(-np.pi / 4 + 1e-6)) > 1e5
-
-
-def test_post_selection_dataclass():
-    sel = PostSelection(theta=-40 * DEG)
-    assert sel.weak_value == pytest.approx(6.215026151380669)
-    with pytest.raises(SingularPostSelectionError):
-        PostSelection(theta=-np.pi / 4)
 
 
 def test_post_select_at_zero_passes_h_exactly(quick_line):
