@@ -29,9 +29,8 @@ from scipy.optimize import least_squares
 
 from .errors import (
     FitFailureError,
-    OptimizerError,
+    NumericalError,
     ParameterError,
-    ZeroEnergyError,
     check_positive,
     check_transmission,
 )
@@ -65,7 +64,7 @@ def centroid(envelope: Envelope) -> ArrivalEstimate:
     dt = envelope.grid.dt
     total = float(np.trapezoid(y, dx=dt))
     if not np.isfinite(total) or total <= 0.0:
-        raise ZeroEnergyError("envelope carries no energy; no arrival to locate")
+        raise ParameterError("envelope carries no energy; no arrival to locate")
     t = envelope.times
     mean = float(np.trapezoid(t * y, dx=dt) / total)
     var = float(np.trapezoid((t - mean) ** 2 * y, dx=dt) / total)
@@ -78,17 +77,14 @@ def centroid(envelope: Envelope) -> ArrivalEstimate:
     )
 
 
-def fit_gaussian(
-    envelope: Envelope, baseline: bool = False, max_iter: int = 100
-) -> ArrivalEstimate:
+def fit_gaussian(envelope: Envelope, max_iter: int = 100) -> ArrivalEstimate:
     """Least-squares Gaussian fit to the intensity profile.
 
-    Model a exp(-(t-mu)^2/(2 w^2)) (+ constant when ``baseline``), seeded
-    from the centroid moments and solved in moment-normalized coordinates by
-    Levenberg-Marquardt with an analytic Jacobian.  Requires at least 10
-    samples above half maximum (else the grid undersamples the peak).  On
-    solver failure raises FitFailureError carrying the centroid estimate as
-    ``fallback``.
+    Model a exp(-(t-mu)^2/(2 w^2)), seeded from the centroid moments and
+    solved in moment-normalized coordinates by Levenberg-Marquardt with an
+    analytic Jacobian.  Requires at least 10 samples above half maximum (else
+    the grid undersamples the peak).  On solver failure raises FitFailureError
+    carrying the centroid estimate as ``fallback``.
     """
     seed = centroid(envelope)
     y = np.abs(envelope.samples) ** 2
@@ -104,25 +100,18 @@ def fit_gaussian(
     yn = y / ymax
 
     def residual(p):
-        a, m, s = p[0], p[1], p[2]
-        r = a * np.exp(-((tau - m) ** 2) / (2 * s * s)) - yn
-        if baseline:
-            r = r + p[3]
-        return r
+        a, m, s = p
+        return a * np.exp(-((tau - m) ** 2) / (2 * s * s)) - yn
 
     def jacobian(p):
-        a, m, s = p[0], p[1], p[2]
+        a, m, s = p
         u = tau - m
         e = np.exp(-(u**2) / (2 * s * s))
-        cols = [e, a * e * u / (s * s), a * e * u**2 / (s**3)]
-        if baseline:
-            cols.append(np.ones_like(e))
-        return np.stack(cols, axis=1)
+        return np.stack([e, a * e * u / (s * s), a * e * u**2 / (s**3)], axis=1)
 
-    x0 = [1.0, 0.0, 1.0] + ([0.0] if baseline else [])
     result = least_squares(
         residual,
-        x0,
+        [1.0, 0.0, 1.0],
         jac=jacobian,
         method="lm",
         xtol=1e-12,
@@ -136,7 +125,7 @@ def fit_gaussian(
             "centroid estimate attached as fallback",
             fallback=seed,
         )
-    a, m, s = result.x[0], result.x[1], result.x[2]
+    a, m, s = result.x
     return ArrivalEstimate(
         center=seed.center + m * seed.width,
         width=abs(s) * seed.width,
@@ -210,36 +199,10 @@ def t_wva(transmission: float, gamma_prime: float) -> tuple[float, float]:
     if value_g > best_value:
         best_theta, best_value = theta_g, value_g
     if not math.isfinite(best_value) or best_value < 0.0:
-        raise OptimizerError(
+        raise NumericalError(
             f"no feasible analyzer angle at transmission {transmission:g}"
         )
     return best_value / (2 * gamma_prime), best_theta
-
-
-@dataclass(frozen=True)
-class ScalingPoint:
-    """One row of the loss-scaling comparison at a given throughput."""
-
-    transmission: float
-    t_atom: float
-    t_wva: float
-    theta_opt: float
-
-
-def scaling_curve(transmissions, gamma_prime: float) -> list[ScalingPoint]:
-    """Evaluate both schemes' advances over a list of throughputs."""
-    points = []
-    for t in transmissions:
-        advance, theta = t_wva(t, gamma_prime)
-        points.append(
-            ScalingPoint(
-                transmission=float(t),
-                t_atom=t_atom(t, gamma_prime),
-                t_wva=advance,
-                theta_opt=theta,
-            )
-        )
-    return points
 
 
 def crossover(gamma_prime: float) -> float:
@@ -263,6 +226,6 @@ def crossover(gamma_prime: float) -> float:
                 else:
                     hi = mid
             return 0.5 * (lo + hi)
-    raise OptimizerError(
+    raise NumericalError(
         "advance gap does not change sign over transmission in [1e-4, 0.9]"
     )

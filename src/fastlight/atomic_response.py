@@ -47,15 +47,7 @@ import numpy as np
 from scipy.constants import c as C_LIGHT
 from scipy.signal import hilbert
 
-from .errors import (
-    ApproximationDomainError,
-    ApproximationWarning,
-    DegenerateParametersError,
-    GridResolutionError,
-    NumericalDerivativeError,
-    ParameterError,
-    check_positive,
-)
+from .errors import ApproximationWarning, NumericalError, ParameterError, check_positive
 
 # Lorentzian-limit operations require the probe to be far off one-photon
 # resonance; below the soft ratio they still run but warn.
@@ -152,7 +144,7 @@ def gamma_effective(spec: MediumSpec) -> float:
 def _require_far_detuned(spec: MediumSpec, what: str) -> None:
     ratio = abs(spec.Delta) / spec.Gamma
     if ratio < _HARD_DETUNING_RATIO:
-        raise ApproximationDomainError(
+        raise ParameterError(
             f"{what} requires |Delta| >= {_HARD_DETUNING_RATIO:g}*Gamma; "
             f"got |Delta|/Gamma = {ratio:.3g}"
         )
@@ -168,16 +160,15 @@ def _require_far_detuned(spec: MediumSpec, what: str) -> None:
 def chi_full(delta, spec: MediumSpec):
     """Exact steady-state susceptibility at two-photon detuning ``delta``.
 
-    Accepts a scalar or array detuning (rad/s).  Raises
-    DegenerateParametersError if the denominator falls below 1e-30 of the
-    numerator anywhere on the input.
+    Accepts a scalar or array detuning (rad/s).  Raises NumericalError if
+    the denominator falls below 1e-30 of the numerator anywhere on the input.
     """
     delta = np.asarray(delta, dtype=float)
     num = spec.beta * (delta - 1j * spec.gamma)
     den = (delta - 1j * spec.gamma) * (spec.Delta - 1j * spec.Gamma / 2) - spec.omega_c_rabi**2 / 4
     bad = np.abs(den) < 1e-30 * np.abs(num)
     if np.any(bad):
-        raise DegenerateParametersError(
+        raise NumericalError(
             "susceptibility denominator vanished (|den| < 1e-30 |num|) at "
             f"{int(np.count_nonzero(bad))} detuning(s)"
         )
@@ -240,7 +231,7 @@ def refractive_index(chi):
     """
     chi = np.asarray(chi, dtype=complex)
     if np.any(np.abs(chi) >= 0.5):
-        raise ApproximationDomainError(
+        raise ParameterError(
             "refractive_index expects |chi| < 0.5; the n = 1 + chi/2 "
             f"linearization is invalid (max |chi| = {float(np.max(np.abs(chi))):.3g})"
         )
@@ -260,7 +251,7 @@ def group_index(delta_prime, spec: MediumSpec):
     gp = gamma_effective(spec)
     h = np.maximum(1e-4 * gp, np.abs(delta_prime) * 1e-6)
     if np.any(delta_prime + h == delta_prime):
-        raise NumericalDerivativeError(
+        raise NumericalError(
             "finite-difference step underflowed (delta' + h == delta'); "
             "gamma' or delta' is out of floating-point range"
         )
@@ -360,12 +351,12 @@ def kramers_kronig_residual(delta_grid: np.ndarray, chi_values: np.ndarray) -> f
     if chi_values.size != n:
         raise ParameterError("delta_grid and chi_values must have equal length")
     if n < 16:
-        raise GridResolutionError("grid too coarse for a Hilbert-transform check")
+        raise ParameterError("grid too coarse for a Hilbert-transform check")
     steps = np.diff(delta_grid)
     if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-        raise GridResolutionError("detuning grid must be uniformly spaced")
+        raise ParameterError("detuning grid must be uniformly spaced")
     if abs(delta_grid[0] + delta_grid[-1]) > 1e-9 * abs(delta_grid[-1] - delta_grid[0]):
-        raise GridResolutionError("detuning grid must be symmetric about zero")
+        raise ParameterError("detuning grid must be symmetric about zero")
 
     im = _taper_ends(chi_values.imag, _KK_TAPER_FRACTION)
     nfft = 1 << int(np.ceil(np.log2(_KK_PAD_FACTOR * n)))
@@ -383,18 +374,18 @@ def kk_check(spec: MediumSpec, delta_prime_grid: np.ndarray) -> float:
     """KK residual of the Lorentzian line sampled on ``delta_prime_grid``.
 
     The grid must span at least 40 gamma' on each side with at least 4096
-    points (GridResolutionError otherwise); the Lorentzian tails fall off
+    points (ParameterError otherwise); the Lorentzian tails fall off
     slowly, so truncation dominates the residual and widening the span
     improves it monotonically.
     """
     grid = np.asarray(delta_prime_grid, dtype=float)
     gp = gamma_effective(spec)
     if grid.size < _KK_MIN_POINTS:
-        raise GridResolutionError(
+        raise ParameterError(
             f"KK check needs >= {_KK_MIN_POINTS} points; got {grid.size}"
         )
     if grid.size and (-grid[0] < _KK_MIN_HALF_SPAN * gp or grid[-1] < _KK_MIN_HALF_SPAN * gp):
-        raise GridResolutionError(
+        raise ParameterError(
             f"KK check needs >= {_KK_MIN_HALF_SPAN:g} gamma' of span on each side"
         )
     return kramers_kronig_residual(grid, chi_lorentzian(grid, spec))

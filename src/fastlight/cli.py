@@ -19,8 +19,8 @@ directory (--out overrides the configured one).  Output is byte-identical
 across reruns of the same configuration: fixed column orders, fixed 12-digit
 scientific formatting, no timestamps.
 
-Exit codes: 0 success, 2 invalid parameters or config (including an
-unusable --out or --config path), 3 numerical failure.
+Exit codes: 0 success, 2 invalid parameters or config (a ParameterError, or
+an unusable --out or --config path; nothing is written), 3 a NumericalError.
 """
 
 from __future__ import annotations
@@ -32,14 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import (
-    ArrivalEstimate,
-    crossover,
-    fit_gaussian,
-    scaling_curve,
-    t_atom,
-    t_wva,
-)
+from .analysis import ArrivalEstimate, crossover, fit_gaussian, t_atom, t_wva
 from .atomic_response import (
     absorption,
     chi_lorentzian,
@@ -56,11 +49,13 @@ from .atomic_response import (
 from .config import RunConfig, default_config, load_config
 from .errors import NumericalError, ParameterError
 from .pulse_engine import (
+    NUMBER_FORMAT,
     default_grid,
     make_gaussian,
     prepare_input,
     propagate_ideal,
     propagate_lorentzian,
+    write_csv,
     write_envelope_csv,
 )
 from .weak_value import post_select, total_transmission, weak_value
@@ -71,25 +66,16 @@ _KK_POINTS = 1 << 14
 _DARK_PORT_GUARD_DEG = 0.01
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
-
-
-def _write_rows(path: Path, header: list, rows: list) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-
-
 def _write_kv(path: Path, pairs: list) -> None:
-    lines = ["quantity,value"]
-    for key, value in pairs:
-        lines.append(f"{key},{value}" if isinstance(value, str) else f"{key},{_fmt(value)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    rows = [
+        (key, value if isinstance(value, str) else NUMBER_FORMAT % value) for key, value in pairs
+    ]
+    write_csv(path, ["quantity", "value"], rows, "%s,%s")
 
 
 def _out_dir(cfg: RunConfig, args) -> Path:
+    """Create the output directory; commands call this only once their inputs
+    have passed every check, so a command that exits 2 creates nothing."""
     out = Path(args.out) if args.out else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -101,7 +87,6 @@ def _load(args) -> RunConfig:
 
 def cmd_spectrum(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg, args)
     line = cfg.reduced_line()
     gp = line.gamma_prime
     delta = np.linspace(-_SPECTRUM_HALF_SPAN * gp, _SPECTRUM_HALF_SPAN * gp, cfg.spectrum_points)
@@ -110,11 +95,10 @@ def cmd_spectrum(args) -> int:
     header = ["delta_prime_rad_per_s", "loss_exponent_field", "phase_rad", "group_advance_s"]
     columns = [delta, phi.imag, phi.real, phase_slope(delta, line)]
     if cfg.mode == "physical":
-        spec = cfg.medium_spec()
+        spec = cfg.medium.medium_spec()
         chi = chi_lorentzian(delta, spec)
         header += ["chi_im", "re_n_minus_1", "group_index"]
         columns += [chi.imag, refractive_index(chi).real - 1.0, group_index(delta, spec)]
-    _write_rows(out / "spectrum.csv", header, list(zip(*columns)))
 
     kk_grid = np.linspace(-_KK_HALF_SPAN * gp, _KK_HALF_SPAN * gp, _KK_POINTS)
     if cfg.mode == "physical":
@@ -135,14 +119,16 @@ def cmd_spectrum(args) -> int:
             ("alpha_per_m", absorption(spec)),
             ("group_index_line_center", float(group_index(0.0, spec))),
         ]
+    out = _out_dir(cfg, args)
+    write_csv(out / "spectrum.csv", header, zip(*[column.tolist() for column in columns]))
     _write_kv(out / "spectrum_summary.csv", pairs)
     print(f"wrote {out / 'spectrum.csv'} and {out / 'spectrum_summary.csv'}")
     return 0
 
 
-def _propagated_state(cfg: RunConfig, thetas_deg):
-    """Common propagate/sweep front end: reject dark-port angles, then the
-    line, its centre transmission and the propagated two-arm state."""
+def _analyzer_angles(thetas_deg) -> list:
+    """Reject dark-port angles; return (degrees, radians, weak value) per angle."""
+    angles = []
     for theta_deg in thetas_deg:
         if abs(theta_deg - (-45.0)) < _DARK_PORT_GUARD_DEG:
             raise ParameterError(
@@ -150,6 +136,14 @@ def _propagated_state(cfg: RunConfig, thetas_deg):
                 f"{_DARK_PORT_GUARD_DEG:g} deg of the dark port at -45 deg, where "
                 "the weak value diverges; move the angle away from -45 deg"
             )
+        theta = np.deg2rad(theta_deg)
+        angles.append((theta_deg, theta, weak_value(theta)))
+    return angles
+
+
+def _propagated_state(cfg: RunConfig):
+    """Common propagate/sweep front end: the line, its centre transmission
+    and the propagated two-arm state."""
     line = cfg.reduced_line()
     if not (line.t0 > 0):
         raise ParameterError(
@@ -183,7 +177,7 @@ def _trace_name(theta_deg: float) -> str:
     return f"trace_postselected_theta_{theta_deg:.2f}.csv"
 
 
-def _post_select_all(propagated, line, thetas_deg, trace_dir=None):
+def _post_select_all(propagated, line, angles, trace_dir=None):
     """Post-select at each angle and fit the arrival of what passes.
 
     The amplification is the fitted shift from the reference (V) arm over
@@ -194,13 +188,11 @@ def _post_select_all(propagated, line, thetas_deg, trace_dir=None):
     """
     center_v = fit_gaussian(propagated.v).center
     results = []
-    for theta_deg in thetas_deg:
-        theta = np.deg2rad(theta_deg)
+    for theta_deg, theta, a_w in angles:
         selected = post_select(propagated, theta)
         if trace_dir is not None:
             write_envelope_csv(selected.envelope, trace_dir / _trace_name(theta_deg))
         estimate = fit_gaussian(selected.envelope)
-        a_w = weak_value(theta)
         amplification = (center_v - estimate.center) / line.signed_t0
         deviation = abs(amplification - a_w) / abs(a_w)
         results.append(
@@ -211,14 +203,16 @@ def _post_select_all(propagated, line, thetas_deg, trace_dir=None):
 
 def cmd_propagate(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg, args)
     thetas = [args.theta] if args.theta is not None else list(cfg.theta_list_deg)
-    line, t_tilde, propagated = _propagated_state(cfg, thetas)
+    angles = _analyzer_angles(thetas)
+    line, t_tilde, propagated = _propagated_state(cfg)
+    # fitted before any file is written: rejects a grid that undersamples the pulse
+    center_h = fit_gaussian(propagated.h).center
 
+    out = _out_dir(cfg, args)
     write_envelope_csv(propagated.h, out / "trace_h.csv")
     write_envelope_csv(propagated.v, out / "trace_v.csv")
-    center_v, results = _post_select_all(propagated, line, thetas, trace_dir=out)
-    center_h = fit_gaussian(propagated.h).center
+    center_v, results = _post_select_all(propagated, line, angles, trace_dir=out)
 
     header = [
         "theta_deg",
@@ -247,7 +241,7 @@ def cmd_propagate(args) -> int:
         )
         for r in results
     ]
-    _write_rows(out / "propagate_summary.csv", header, rows)
+    write_csv(out / "propagate_summary.csv", header, rows)
     written = ["trace_h.csv", "trace_v.csv"]
     written += [_trace_name(theta_deg) for theta_deg in thetas]
     written.append("propagate_summary.csv")
@@ -260,12 +254,12 @@ def cmd_propagate(args) -> int:
 
 def cmd_sweep_theta(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg, args)
     if args.count < 2:
         raise ParameterError("--count: must be at least 2")
     thetas = [float(t) for t in np.linspace(args.start, args.stop, args.count)]
-    line, _, propagated = _propagated_state(cfg, thetas)
-    _, results = _post_select_all(propagated, line, thetas)
+    angles = _analyzer_angles(thetas)
+    line, _, propagated = _propagated_state(cfg)
+    _, results = _post_select_all(propagated, line, angles)
 
     header = [
         "theta_deg",
@@ -278,16 +272,15 @@ def cmd_sweep_theta(args) -> int:
         (r.theta_deg, r.weak_value, r.amplification, r.relative_deviation, r.throughput)
         for r in results
     ]
-    _write_rows(out / "sweep_theta.csv", header, rows)
+    out = _out_dir(cfg, args)
+    write_csv(out / "sweep_theta.csv", header, rows)
     print(f"wrote {out / 'sweep_theta.csv'} ({args.count} angles)")
     return 0
 
 
 def cmd_loss_scaling(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg, args)
     gp = cfg.reduced_line().gamma_prime
-    points = scaling_curve(cfg.transmission_list, gp)
     header = [
         "transmission",
         "t_atom_norm",
@@ -296,20 +289,24 @@ def cmd_loss_scaling(args) -> int:
         "t_atom_s",
         "t_wva_s",
     ]
-    rows = [
-        (
-            p.transmission,
-            2 * gp * p.t_atom,
-            2 * gp * p.t_wva,
-            float(np.rad2deg(p.theta_opt)),
-            p.t_atom,
-            p.t_wva,
+    rows = []
+    for t in cfg.transmission_list:
+        advance_wva, theta = t_wva(t, gp)
+        advance_atom = t_atom(t, gp)
+        rows.append(
+            (
+                t,
+                2 * gp * advance_atom,
+                2 * gp * advance_wva,
+                float(np.rad2deg(theta)),
+                advance_atom,
+                advance_wva,
+            )
         )
-        for p in points
-    ]
-    _write_rows(out / "loss_scaling.csv", header, rows)
     tstar = crossover(gp)
     _, theta_star = t_wva(tstar, gp)
+    out = _out_dir(cfg, args)
+    write_csv(out / "loss_scaling.csv", header, rows)
     _write_kv(
         out / "loss_scaling_summary.csv",
         [
@@ -324,7 +321,6 @@ def cmd_loss_scaling(args) -> int:
 
 def cmd_crossover(args) -> int:
     cfg = _load(args)
-    out = _out_dir(cfg, args)
     gp = cfg.reduced_line().gamma_prime
     tstar = crossover(gp)
     advance_star, theta_star = t_wva(tstar, gp)
@@ -336,6 +332,7 @@ def cmd_crossover(args) -> int:
         ("t_atom_at_crossover_s", t_atom(tstar, gp)),
         ("gamma_prime_rad_per_s", gp),
     ]
+    out = _out_dir(cfg, args)
     _write_kv(out / "crossover.csv", pairs)
     print(f"crossover transmission: {tstar:.6f}")
     print(f"wrote {out / 'crossover.csv'}")

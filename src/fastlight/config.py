@@ -29,6 +29,7 @@ _RAD_PER_US = 1e6  # rad/s per rad/us
 
 _MODES = ("reduced", "physical")
 _PROPAGATIONS = ("spectral", "ideal")
+_MAX_SPECTRUM_POINTS = 1 << 20  # 7 float columns of 8 MiB each
 
 
 @dataclass(frozen=True)
@@ -59,6 +60,23 @@ class MediumConfig:
     Delta_rad_per_us: float
     length_m: float
     omega0_rad_per_us: float
+
+    def __post_init__(self):
+        self.medium_spec()
+
+    def medium_spec(self) -> MediumSpec:
+        return MediumSpec(
+            beta=self.beta_rad_per_us * _RAD_PER_US,
+            gamma=self.gamma_rad_per_us * _RAD_PER_US,
+            Gamma=self.Gamma_rad_per_us * _RAD_PER_US,
+            omega_c_rabi=self.omega_c_rabi_rad_per_us * _RAD_PER_US,
+            Delta=self.Delta_rad_per_us * _RAD_PER_US,
+            length=self.length_m,
+            omega0=self.omega0_rad_per_us * _RAD_PER_US,
+        )
+
+    def reduced_line(self) -> ReducedLine:
+        return group_advance(self.medium_spec())
 
 
 @dataclass(frozen=True)
@@ -123,32 +141,20 @@ class RunConfig:
             raise ParameterError("transmission_list: must not be empty")
         for t in self.transmission_list:
             check_transmission("transmission_list", t)
-        if not isinstance(self.spectrum_points, int) or self.spectrum_points < 16:
-            raise ParameterError("spectrum_points: must be an integer >= 16")
+        if not isinstance(self.spectrum_points, int) or not (
+            16 <= self.spectrum_points <= _MAX_SPECTRUM_POINTS
+        ):
+            raise ParameterError(
+                f"spectrum_points: must be an integer >= 16 and <= {_MAX_SPECTRUM_POINTS}"
+            )
         if not math.isfinite(self.relative_phase):
             raise ParameterError("relative_phase: must be finite")
         object.__setattr__(self, "theta_list_deg", tuple(self.theta_list_deg))
         object.__setattr__(self, "transmission_list", tuple(self.transmission_list))
 
-    def medium_spec(self) -> MediumSpec:
-        if self.medium is None:
-            raise ParameterError("medium: not configured (reduced mode)")
-        m = self.medium
-        return MediumSpec(
-            beta=m.beta_rad_per_us * _RAD_PER_US,
-            gamma=m.gamma_rad_per_us * _RAD_PER_US,
-            Gamma=m.Gamma_rad_per_us * _RAD_PER_US,
-            omega_c_rabi=m.omega_c_rabi_rad_per_us * _RAD_PER_US,
-            Delta=m.Delta_rad_per_us * _RAD_PER_US,
-            length=m.length_m,
-            omega0=m.omega0_rad_per_us * _RAD_PER_US,
-        )
-
     def reduced_line(self) -> ReducedLine:
         """The line the pipeline propagates through, in SI units."""
-        if self.mode == "physical":
-            return group_advance(self.medium_spec())
-        return self.line.reduced_line()
+        return (self.medium if self.mode == "physical" else self.line).reduced_line()
 
     def pulse_sigma_s(self) -> float:
         return self.pulse.sigma_us * _US

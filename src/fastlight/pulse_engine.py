@@ -29,7 +29,7 @@ import numpy as np
 from .atomic_response import ReducedLine, transfer_exponent, transmission
 from .errors import (
     ApproximationWarning,
-    GridTooSmallError,
+    NumericalError,
     ParameterError,
     check_positive,
     check_transmission,
@@ -39,13 +39,15 @@ from .errors import (
 # samples above this fraction of the peak mean wrap-around would corrupt it.
 _BOUNDARY_FRACTION = 1e-6
 _MIN_SAMPLES = 256
+_MAX_SAMPLES = 1 << 22  # 64 MiB per complex array; far beyond any useful grid
 _MIN_SPAN_SIGMAS = 16.0
 _BANDWIDTH_GUARD = 10.0  # warn when pulse bandwidth exceeds this many gamma'
+NUMBER_FORMAT = "%.12e"  # every number in every CSV file the package writes
 
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling grid: n_samples (power of two) starting at t_start."""
+    """Uniform sampling grid: n_samples (power of two, 256 to 2^22) from t_start."""
 
     n_samples: int
     dt: float
@@ -53,9 +55,11 @@ class TimeGrid:
 
     def __post_init__(self):
         n = self.n_samples
-        if not isinstance(n, (int, np.integer)) or n < _MIN_SAMPLES or (n & (n - 1)) != 0:
+        in_range = isinstance(n, (int, np.integer)) and _MIN_SAMPLES <= n <= _MAX_SAMPLES
+        if not in_range or (n & (n - 1)) != 0:
             raise ParameterError(
-                f"n_samples: must be a power-of-two integer >= {_MIN_SAMPLES}; got {n}"
+                f"n_samples: must be a power-of-two integer >= {_MIN_SAMPLES} "
+                f"and <= {_MAX_SAMPLES}; got {n}"
             )
         check_positive("dt", self.dt)
         if not np.isfinite(self.t_start):
@@ -81,11 +85,14 @@ def default_grid(sigma: float, n_samples: int = 4096, span_sigmas: float = 32.0)
 
 @dataclass(frozen=True, eq=False)
 class Envelope:
-    """Complex field envelope sampled on a TimeGrid, with carrier metadata."""
+    """Complex baseband field envelope sampled on a TimeGrid.
+
+    The optical carrier is factored out: ``samples`` is the slowly varying
+    envelope, and every spectrum of it is a baseband offset from the carrier.
+    """
 
     grid: TimeGrid
     samples: np.ndarray
-    carrier: float = 0.0
 
     def __post_init__(self):
         samples = np.array(self.samples, dtype=complex)
@@ -116,17 +123,11 @@ class PolarizedPulse:
 
     h: Envelope
     v: Envelope
-    reference_energy: float = -1.0
+    reference_energy: float
 
     def __post_init__(self):
         if self.h.grid != self.v.grid:
             raise ParameterError("h and v must share the same time grid")
-        if self.h.carrier != self.v.carrier:
-            raise ParameterError("h and v must share the same carrier")
-        if self.reference_energy < 0:
-            object.__setattr__(
-                self, "reference_energy", self.h.energy() + self.v.energy()
-            )
 
 
 def _check_no_wraparound(samples: np.ndarray, context: str) -> None:
@@ -135,15 +136,13 @@ def _check_no_wraparound(samples: np.ndarray, context: str) -> None:
         return
     edge = max(abs(samples[0]), abs(samples[-1]))
     if edge >= _BOUNDARY_FRACTION * peak:
-        raise GridTooSmallError(
+        raise NumericalError(
             f"{context}: envelope reaches the grid boundary "
             f"(|edge|/|peak| = {edge / peak:.2e}); enlarge the grid span"
         )
 
 
-def make_gaussian(
-    grid: TimeGrid, sigma: float, center: float, amplitude: float, carrier: float = 0.0
-) -> Envelope:
+def make_gaussian(grid: TimeGrid, sigma: float, center: float, amplitude: float) -> Envelope:
     """Transform-limited Gaussian envelope with intensity standard deviation sigma.
 
     samples = amplitude * exp(-(t - center)^2 / (4 sigma^2)), so the intensity
@@ -167,7 +166,7 @@ def make_gaussian(
     t = grid.times
     samples = amplitude * np.exp(-((t - center) ** 2) / (4 * sigma**2))
     _check_no_wraparound(samples, "make_gaussian")
-    env = Envelope(grid=grid, samples=samples, carrier=carrier)
+    env = Envelope(grid=grid, samples=samples)
     if not np.isfinite(env.energy()) or env.energy() <= 0:
         raise ParameterError("synthesized envelope must carry finite positive energy")
     return env
@@ -187,11 +186,11 @@ def prepare_input(
     """
     check_transmission("t_tilde", t_tilde)
     norm = np.sqrt(1.0 + t_tilde)
-    h = Envelope(pulse.grid, pulse.samples / norm, pulse.carrier)
+    h = Envelope(pulse.grid, pulse.samples / norm)
     v_samples = pulse.samples * (np.sqrt(t_tilde) / norm)
     if relative_phase != 0.0:
         v_samples = v_samples * np.exp(1j * relative_phase)
-    v = Envelope(pulse.grid, v_samples, pulse.carrier)
+    v = Envelope(pulse.grid, v_samples)
     return PolarizedPulse(h=h, v=v, reference_energy=pulse.energy())
 
 
@@ -220,7 +219,7 @@ def propagate_ideal(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedPulse:
         return pulse
     grid = pulse.h.grid
     if line.t0 > grid.span / 4:
-        raise GridTooSmallError(
+        raise NumericalError(
             f"shift t0 = {line.t0:.3e} s exceeds a quarter of the grid span "
             f"{grid.span:.3e} s"
         )
@@ -230,7 +229,7 @@ def propagate_ideal(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedPulse:
     h_out = h_out * np.sqrt(t_tilde)
     _check_no_wraparound(h_out, "propagate_ideal")
     return PolarizedPulse(
-        h=Envelope(grid, h_out, pulse.h.carrier),
+        h=Envelope(grid, h_out),
         v=pulse.v,
         reference_energy=pulse.reference_energy,
     )
@@ -248,7 +247,7 @@ def propagate_lorentzian(
 
     Warns when the pulse bandwidth exceeds 10 gamma' (the narrowband reading
     of the line parameters is then marginal; the distortion produced is
-    physical).  Raises GridTooSmallError if the output reaches the grid edge.
+    physical).  Raises NumericalError if the output reaches the grid edge.
     """
     if line.t0 == 0.0:
         return pulse
@@ -266,20 +265,31 @@ def propagate_lorentzian(
     h_out = np.fft.ifft(np.fft.fft(pulse.h.samples) * np.exp(1j * phi))
     _check_no_wraparound(h_out, "propagate_lorentzian")
     return PolarizedPulse(
-        h=Envelope(grid, h_out, pulse.h.carrier),
+        h=Envelope(grid, h_out),
         v=pulse.v,
         reference_energy=pulse.reference_energy,
     )
 
 
-def write_envelope_csv(envelope: Envelope, path) -> None:
-    """Envelope dump: columns t_seconds, re, im, intensity (12-digit sci)."""
-    t = envelope.times
-    s = envelope.samples
-    lines = ["t_seconds,re,im,intensity"]
-    for i in range(s.size):
-        lines.append(
-            f"{t[i]:.12e},{s[i].real:.12e},{s[i].imag:.12e},{abs(s[i]) ** 2:.12e}"
-        )
+def write_csv(path, header: list, rows, row_format: str | None = None) -> None:
+    """Write a CSV file: the ``header`` line, then ``row_format % row`` per row.
+
+    Rows are tuples; by default every cell is a number in NUMBER_FORMAT.
+    Lines end in "\n" on every platform, so reruns are byte-identical.
+    """
+    if row_format is None:
+        row_format = ",".join([NUMBER_FORMAT] * len(header))
+    row_format += "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        fh.writelines(row_format % row for row in rows)
+
+
+def write_envelope_csv(envelope: Envelope, path) -> None:
+    """Envelope dump: columns t_seconds, re, im, intensity."""
+    samples = envelope.samples
+    # abs() of each Python complex, not np.abs: the two round |z| apart in
+    # the last bit for a few samples, which shows in the printed intensity.
+    intensity = [abs(z) ** 2 for z in samples.tolist()]
+    rows = zip(envelope.times.tolist(), samples.real.tolist(), samples.imag.tolist(), intensity)
+    write_csv(path, ["t_seconds", "re", "im", "intensity"], rows)

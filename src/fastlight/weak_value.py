@@ -27,12 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    FeasibilityError,
-    ParameterError,
-    SingularPostSelectionError,
-    check_transmission,
-)
+from .errors import ParameterError, check_transmission
 from .pulse_engine import Envelope, PolarizedPulse
 
 # |sin + cos| below this is treated as the dark port: the weak value and the
@@ -50,13 +45,13 @@ def _check_angle(theta: float) -> None:
 def weak_value(theta: float) -> float:
     """A_w(theta) = cos(theta) / (sin(theta) + cos(theta)).
 
-    Raises SingularPostSelectionError within 1e-12 of the dark port
-    (theta = -pi/4) and ParameterError outside (-pi/2, pi/2].
+    Raises ParameterError within 1e-12 of the dark port (theta = -pi/4) and
+    outside (-pi/2, pi/2].
     """
     _check_angle(theta)
     s, c = np.sin(theta), np.cos(theta)
     if abs(s + c) <= _SINGULAR_TOLERANCE:
-        raise SingularPostSelectionError(
+        raise ParameterError(
             "theta is the dark port (analyzer orthogonal to the balanced "
             "input); the weak value diverges there"
         )
@@ -84,7 +79,7 @@ def post_select(pulse: PolarizedPulse, theta: float) -> PostSelectedPulse:
         envelope = pulse.h
     else:
         samples = np.cos(theta) * pulse.h.samples + np.sin(theta) * pulse.v.samples
-        envelope = Envelope(pulse.h.grid, samples, pulse.h.carrier)
+        envelope = Envelope(pulse.h.grid, samples)
     throughput = min(envelope.energy() / pulse.reference_energy, 1.0)
     return PostSelectedPulse(envelope=envelope, throughput=throughput)
 
@@ -96,20 +91,3 @@ def total_transmission(t_tilde: float, theta: float) -> float:
     s2 = np.sin(theta + np.pi / 4) ** 2
     return float(2 * t_tilde * s2 / (1 + t_tilde))
 
-
-def invert_transmission(total: float, theta: float) -> float:
-    """Solve  total = 2 T~ sin^2(theta+pi/4)/(1+T~)  for the line transmission T~.
-
-    T~ = total / (2 sin^2(theta+pi/4) - total).  Feasible only when
-    sin^2(theta+pi/4) >= total; otherwise no T~ <= 1 reproduces the target
-    and FeasibilityError is raised.
-    """
-    check_transmission("total", total)
-    _check_angle(theta)
-    s2 = float(np.sin(theta + np.pi / 4) ** 2)
-    if total > s2:
-        raise FeasibilityError(
-            f"requested throughput {total:g} exceeds the analyzer ceiling "
-            f"sin^2(theta+pi/4) = {s2:g}; no line transmission can reach it"
-        )
-    return total / (2 * s2 - total)

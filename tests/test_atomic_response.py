@@ -2,30 +2,30 @@ import numpy as np
 import pytest
 
 from fastlight import (
-    ApproximationDomainError,
     ApproximationWarning,
-    DegenerateParametersError,
-    GridResolutionError,
     MediumSpec,
-    NumericalDerivativeError,
+    NumericalError,
     ParameterError,
     ReducedLine,
     absorption,
+    group_advance,
+    kk_check,
+    transmission,
+)
+from fastlight.atomic_response import (
     background_susceptibility,
     chi_full,
     chi_lorentzian,
     chi_resonant,
     gamma_effective,
-    group_advance,
     group_index,
-    kk_check,
     kramers_kronig_residual,
     light_shift,
+    phase_slope,
     power_broadening,
     refractive_index,
-    transmission,
+    transfer_exponent,
 )
-from fastlight.atomic_response import phase_slope, transfer_exponent
 
 # Frozen values for the example_spec fixture (beta=1, gamma=0.01, Gamma=1,
 # Omega_c=0.2, Delta=100, omega0=1e5):
@@ -125,15 +125,15 @@ def test_chi_full_degenerate_denominator():
         beta=1e35, gamma=0.01, Gamma=1.0, omega_c_rabi=0.0, Delta=100.0,
         length=0.0, omega0=1e5,
     )
-    with pytest.raises(DegenerateParametersError):
+    with pytest.raises(NumericalError, match="denominator vanished"):
         chi_full(0.0, spec)
 
 
 def test_refractive_index_value_and_domain():
     assert refractive_index(0.02 + 0.04j) == pytest.approx(1.01 + 0.02j)
-    with pytest.raises(ApproximationDomainError):
+    with pytest.raises(ParameterError, match=r"expects \|chi\| < 0.5"):
         refractive_index(0.6)
-    with pytest.raises(ApproximationDomainError):
+    with pytest.raises(ParameterError, match=r"expects \|chi\| < 0.5"):
         refractive_index(np.array([0.01, 0.5j]))
 
 
@@ -162,7 +162,7 @@ def test_group_index_sign_flips_at_line_width(example_spec):
 
 
 def test_group_index_rejects_infinite_detuning(example_spec):
-    with pytest.raises(NumericalDerivativeError):
+    with pytest.raises(NumericalError, match="step underflowed"):
         group_index(np.inf, example_spec)
 
 
@@ -231,9 +231,9 @@ def test_far_detuning_hard_floor():
         beta=1.0, gamma=0.01, Gamma=1.0, omega_c_rabi=0.2, Delta=5.0,
         length=0.0, omega0=1e5,
     )
-    with pytest.raises(ApproximationDomainError):
+    with pytest.raises(ParameterError, match=r"chi_lorentzian requires \|Delta\| >= 10\*Gamma"):
         chi_lorentzian(0.0, spec)
-    with pytest.raises(ApproximationDomainError):
+    with pytest.raises(ParameterError, match=r"group_advance requires \|Delta\| >= 10\*Gamma"):
         group_advance(spec)
 
 
@@ -301,15 +301,15 @@ def test_kk_flags_acausal_response():
 
 def test_kk_grid_validation(demo_spec):
     gp = gamma_effective(demo_spec)
-    with pytest.raises(GridResolutionError):
+    with pytest.raises(ParameterError, match="needs >= 4096 points"):
         kk_check(demo_spec, np.linspace(-40 * gp, 40 * gp, 1024))
-    with pytest.raises(GridResolutionError):
+    with pytest.raises(ParameterError, match="needs >= 40 gamma' of span"):
         kk_check(demo_spec, np.linspace(-5 * gp, 5 * gp, 1 << 14))
     lopsided = np.linspace(-1.0, 2.0, 4096)
-    with pytest.raises(GridResolutionError):
+    with pytest.raises(ParameterError, match="symmetric about zero"):
         kramers_kronig_residual(lopsided, np.ones(4096, dtype=complex))
     warped = np.linspace(-1.0, 1.0, 4096) ** 3
-    with pytest.raises(GridResolutionError):
+    with pytest.raises(ParameterError, match="uniformly spaced"):
         kramers_kronig_residual(warped, np.ones(4096, dtype=complex))
     with pytest.raises(ParameterError):
         kramers_kronig_residual(np.linspace(-1, 1, 100), np.ones(99, dtype=complex))

@@ -184,6 +184,9 @@ def test_sweep_theta_tracks_weak_value(tmp_path):
         ["crossover", "--out", "{tmp}/taken"],
         ["crossover", "--config", "{tmp}"],
         ["crossover", "--config", "{tmp}/latin1.json"],
+        ["crossover", "--config", "{tmp}/bad_medium.json"],
+        ["propagate", "--theta", "100"],
+        ["propagate", "--config", "{tmp}/coarse.json"],
     ],
 )
 def test_parameter_problems_exit_2(tmp_path, capsys, argv):
@@ -195,12 +198,28 @@ def test_parameter_problems_exit_2(tmp_path, capsys, argv):
         {"line": {"t0_us": -1.0, "gamma_prime_rad_per_us": 1.0}},
         name="bad_field.json",
     )
+    _write_config(
+        tmp_path, {"medium": dict(MEDIUM, gamma_rad_per_us=-1.0)}, name="bad_medium.json"
+    )
+    # 2.6 samples per pulse sigma: the arrival fit finds the peak undersampled
+    _write_config(
+        tmp_path,
+        {
+            "line": {"t0_us": 0.28, "line_center_transmission": 0.5},
+            "grid": {"n_samples": 256, "span_sigmas": 100.0},
+            "propagation": "ideal",
+        },
+        name="coarse.json",
+    )
     argv = [a.format(tmp=tmp_path) for a in argv]
-    if "--out" not in argv:
+    default_out = "--out" not in argv
+    if default_out:
         argv += ["--out", str(tmp_path / "out")]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    if default_out:
+        assert not (tmp_path / "out").exists()
 
 
 def test_delaying_line_reads_the_weak_value(tmp_path):

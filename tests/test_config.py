@@ -6,12 +6,7 @@ import math
 import pytest
 
 from fastlight import (
-    C_LIGHT,
-    GridConfig,
-    LineConfig,
     ParameterError,
-    PulseConfig,
-    RunConfig,
     default_config,
     group_advance,
     load_config,
@@ -19,6 +14,8 @@ from fastlight import (
     serialize_config,
     transmission,
 )
+from fastlight.atomic_response import C_LIGHT
+from fastlight.config import GridConfig, LineConfig, PulseConfig, RunConfig
 
 _REDUCED = {"mode": "reduced", "line": {"t0_us": 0.28, "gamma_prime_rad_per_us": 1.25}}
 
@@ -69,15 +66,17 @@ def test_parse_unit_alternates_match_canonical_keys():
 def test_physical_line_comes_from_the_medium():
     cfg = parse_config({"medium": dict(_MEDIUM_ALTERNATE)})
     assert cfg.mode == "physical"
-    assert cfg.reduced_line() == group_advance(cfg.medium_spec())
-    spec = cfg.medium_spec()
+    assert cfg.reduced_line() == group_advance(cfg.medium.medium_spec())
+    spec = cfg.medium.medium_spec()
     assert spec.Gamma == 2 * math.pi * 6.0 * 1e6
     assert spec.length == 0.1
 
 
 def test_medium_spec_unavailable_in_reduced_mode():
-    with pytest.raises(ParameterError, match="not configured"):
-        default_config().medium_spec()
+    # the medium section builds the spec, and a reduced config has none
+    cfg = default_config()
+    assert cfg.medium is None
+    assert cfg.reduced_line() == cfg.line.reduced_line()
 
 
 def test_reduced_line_converts_to_si():
@@ -144,6 +143,7 @@ def _medium_without(*keys, **extra):
         (_medium_without("wavelength_nm", wavelength_nm=-5.0), "must be > 0"),
         (_medium_without(dip_angle=3.0), "medium.dip_angle: unknown key"),
         ({"mode": "physical", "medium": []}, "medium: must be an object"),
+        (_medium_without(gamma_rad_per_us=-1.0), "medium.gamma: must be finite and > 0"),
     ],
 )
 def test_parse_rejects_bad_medium(data, fragment):
@@ -172,6 +172,10 @@ def test_parse_rejects_bad_medium(data, fragment):
         ({"grid": {"n_samples": 128}}, "power-of-two"),
         ({"grid": {"n_samples": 4096.0}}, "must be an integer"),
         ({"grid": {"span_sigmas": 8.0}}, ">= 16"),
+        ({"spectrum_points": 2**20 + 1}, "<= 1048576"),
+        ({"spectrum_points": 10**12}, "<= 1048576"),
+        ({"grid": {"n_samples": 2**23}}, "<= 4194304"),
+        ({"grid": {"n_samples": 2**40}}, "<= 4194304"),
     ],
 )
 def test_parse_rejects_bad_run_options(extra, fragment):
