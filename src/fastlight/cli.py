@@ -127,9 +127,14 @@ def cmd_spectrum(args) -> int:
 
 
 def _analyzer_angles(thetas_deg) -> list:
-    """Reject dark-port angles; return (degrees, radians, weak value) per angle."""
+    """Reject angles outside (-90, 90] deg and at the dark port; return
+    (degrees, radians, weak value) per angle."""
     angles = []
     for theta_deg in thetas_deg:
+        if not (-90.0 < theta_deg <= 90.0):
+            raise ParameterError(
+                f"analyzer angle {theta_deg!r} deg must lie in (-90, 90] deg"
+            )
         if abs(theta_deg - (-45.0)) < _DARK_PORT_GUARD_DEG:
             raise ParameterError(
                 f"analyzer angle {theta_deg:g} deg is within "

@@ -38,7 +38,7 @@ _SINGULAR_TOLERANCE = 1e-12
 def _check_angle(theta: float) -> None:
     if not np.isfinite(theta) or not (-np.pi / 2 < theta <= np.pi / 2):
         raise ParameterError(
-            f"theta: must lie in (-pi/2, pi/2] radians; got {theta!r}"
+            f"theta: must lie in (-pi/2, pi/2] radians; got {float(theta)!r}"
         )
 
 

@@ -1,6 +1,7 @@
 """Arrival-time estimation and the loss-vs-advance trade-off."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from fastlight import (
     t_wva,
     transmission,
 )
+from fastlight.analysis import _advance_objective, _scan
 from fastlight.pulse_engine import Envelope, TimeGrid
 from oracles import brute_force_best_advance
 
@@ -149,6 +151,19 @@ def test_best_advance_frozen_values(total):
     advance, theta = t_wva(total, 0.5)
     assert advance == pytest.approx(T_WVA_NORMALIZED[total], rel=1e-9)
     assert math.degrees(theta) == pytest.approx(THETA_OPT_DEG[total], abs=1e-6)
+
+
+@pytest.mark.parametrize("total", [1e-4, 0.005, 0.0566, 0.5, 0.95, 0.999999])
+def test_vectorised_scan_matches_scalar_objective(total):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid, values = _scan(total)
+    scalar = np.array([_advance_objective(float(th), total) for th in grid])
+    feasible = np.isfinite(scalar)
+    assert np.array_equal(np.isfinite(values), feasible)
+    assert np.all(values[~feasible] == -np.inf)
+    np.testing.assert_array_max_ulp(values[feasible], scalar[feasible], maxulp=4)
+    assert np.argmax(values) == np.argmax(scalar)
 
 
 def test_best_advance_at_unit_transmission():

@@ -222,6 +222,16 @@ def test_parameter_problems_exit_2(tmp_path, capsys, argv):
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("theta", ["100", "-90"])
+def test_out_of_range_angle_is_named_in_degrees(tmp_path, capsys, theta):
+    out = tmp_path / "out"
+    assert main(["propagate", "--theta", theta, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert f"{float(theta)!r} deg" in err and "np.float64" not in err
+    assert not out.exists()
+
+
 def test_delaying_line_reads_the_weak_value(tmp_path):
     # beta < 0 turns the line into a delay of t0 (test_negative_beta_flags_delay);
     # the spectrum's phase slope and the fitted amplification follow the sign

@@ -1,6 +1,7 @@
 """Golden outputs, by sha256: every quick-start CSV of the five subcommands,
-and the spectrum and propagate CSVs of the README physical medium and of
-the quick-start line under ``propagation: "ideal"``.
+the spectrum and propagate CSVs of the README physical medium and of the
+quick-start line under ``propagation: "ideal"``, and the loss-scaling CSVs
+on a dense transmission list.
 
 Refactors must leave these bytes unchanged.  The digests were taken with
 numpy 2.4.6 and scipy 1.17.1; another numpy or scipy build may round a last
@@ -11,6 +12,7 @@ environment rather than the code.
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from fastlight.cli import main
@@ -76,6 +78,18 @@ IDEAL_SHA256 = {
     "propagate_summary.csv": "7a7bc377a6aef3cafa016262e083fb993e1954c6d61e3e87656f09cdd541baf3",
 }
 
+# 200 log-spaced transmissions over the range the loss-budget benchmark draws
+# from, plus both extremes of the feasible range
+DENSE_BUDGET = {
+    "line": {"t0_us": 0.28, "line_center_transmission": 0.5},
+    "transmission_list": [1e-4, *np.geomspace(0.005, 0.95, 200).tolist(), 0.999999],
+}
+
+DENSE_BUDGET_SHA256 = {
+    "loss_scaling.csv": "5e090357f02ae149028e6277b00faa7d332b8c5be65c97d2a11e1d24355d3cd9",
+    "loss_scaling_summary.csv": "2c02190c2f871517dbb3524ba7d199cd197bc7b8566c0a0d209117365b605bd8",
+}
+
 
 def _digests(directory):
     return {
@@ -102,3 +116,11 @@ def test_spectrum_and_propagate_csvs_are_byte_identical_to_golden(tmp_path, conf
     for command in ("spectrum", "propagate"):
         assert main([command, "--config", str(path), "--out", str(out)]) == 0
     assert _digests(out) == expected
+
+
+def test_dense_loss_scaling_csvs_are_byte_identical_to_golden(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(DENSE_BUDGET), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["loss-scaling", "--config", str(path), "--out", str(out)]) == 0
+    assert _digests(out) == DENSE_BUDGET_SHA256

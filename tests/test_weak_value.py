@@ -53,6 +53,8 @@ def test_weak_value_domain():
         weak_value(-np.pi / 2)
     with pytest.raises(ParameterError):
         weak_value(2.0)
+    with pytest.raises(ParameterError, match=r"got 2\.0$"):
+        weak_value(np.float64(2.0))
     with pytest.raises(ParameterError):
         weak_value(np.nan)
     # a hair off the dark port is legal and large
