@@ -1,9 +1,10 @@
 """Arrival-time estimation and the loss budget of post-selected advancement.
 
 Estimation: the arrival of an intensity envelope |E(t)|^2 is located either
-by its centroid (exact for any profile, sensitive to tails) or by a
-Levenberg-Marquardt Gaussian fit (matches how peak positions are read off in
-practice; robust to truncation, reports a residual as a distortion score).
+by its centroid (exact for any profile, sensitive to tails) or by a Gaussian
+fit (matches how peak positions are read off in practice; robust to
+truncation, reports a residual as a distortion score).  The fit runs
+MINPACK's Levenberg-Marquardt ``lmder`` through ``scipy.optimize.leastsq``.
 
 Loss budget: a bare line that transmits T advances the peak by
 t_atom = -ln(T) / (2 gamma').  Splitting the light into unequal H/V weights,
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import leastsq
 
 from .errors import (
     FitFailureError,
@@ -40,6 +41,7 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 2000
 _THETA_TOLERANCE = 1e-9
 _MIN_PEAK_SAMPLES = 10
+_CONVERGED = (1, 2, 3, 4)  # MINPACK's success codes; 0 and 5-8 are failures
 
 
 @dataclass(frozen=True)
@@ -81,11 +83,15 @@ def fit_gaussian(envelope: Envelope, max_iter: int = 100) -> ArrivalEstimate:
     """Least-squares Gaussian fit to the intensity profile.
 
     Model a exp(-(t-mu)^2/(2 w^2)), seeded from the centroid moments and
-    solved in moment-normalized coordinates by Levenberg-Marquardt with an
-    analytic Jacobian.  Requires at least 10 samples above half maximum (else
-    the grid undersamples the peak).  On solver failure raises FitFailureError
-    carrying the centroid estimate as ``fallback``.
+    solved in moment-normalized coordinates by MINPACK's Levenberg-Marquardt
+    ``lmder`` (through ``scipy.optimize.leastsq``) with an analytic Jacobian,
+    at most ``max_iter`` >= 1 residual evaluations.  Requires at least 10
+    samples above half maximum (else the grid undersamples the peak).  On
+    solver failure raises FitFailureError carrying the centroid estimate as
+    ``fallback``.
     """
+    if max_iter < 1:
+        raise ParameterError(f"max_iter: must be >= 1; got {max_iter}")
     seed = centroid(envelope)
     y = np.abs(envelope.samples) ** 2
     ymax = float(y.max())
@@ -98,39 +104,52 @@ def fit_gaussian(envelope: Envelope, max_iter: int = 100) -> ArrivalEstimate:
         raise ParameterError("intensity profile has zero width; cannot fit")
     tau = (envelope.times - seed.center) / seed.width
     yn = y / ymax
+    # The model's terms are kept for the last point evaluated: lmder asks for
+    # the Jacobian at the point it has just accepted.  They are keyed on the
+    # exact parameter bits, so a call at any other point recomputes them.
+    cache = {}
+
+    def terms(p):
+        key = p.tobytes()
+        if key not in cache:
+            a, m, s = p
+            u = tau - m
+            u2 = u**2
+            e = np.exp(-u2 / (2 * s * s))
+            cache.clear()
+            cache[key] = (s, u, u2, e, a * e)
+        return cache[key]
 
     def residual(p):
-        a, m, s = p
-        return a * np.exp(-((tau - m) ** 2) / (2 * s * s)) - yn
+        return terms(p)[4] - yn
 
-    def jacobian(p):
-        a, m, s = p
-        u = tau - m
-        e = np.exp(-(u**2) / (2 * s * s))
-        return np.stack([e, a * e * u / (s * s), a * e * u**2 / (s**3)], axis=1)
+    def jacobian(p):  # one row per parameter: leastsq's col_deriv layout
+        s, u, u2, e, ae = terms(p)
+        return np.array([e, ae * u / (s * s), ae * u2 / (s**3)])
 
-    result = least_squares(
+    x, _, info, _, status = leastsq(
         residual,
         [1.0, 0.0, 1.0],
-        jac=jacobian,
-        method="lm",
-        xtol=1e-12,
+        Dfun=jacobian,
+        col_deriv=True,
+        full_output=True,
         ftol=1e-12,
+        xtol=1e-12,
         gtol=1e-12,
-        max_nfev=max_iter,
+        maxfev=max_iter,
     )
-    if result.status <= 0 or not np.all(np.isfinite(result.x)):
+    if status not in _CONVERGED or not np.all(np.isfinite(x)):
         raise FitFailureError(
-            f"Gaussian fit did not converge (solver status {result.status}); "
+            f"Gaussian fit did not converge (MINPACK status {status}); "
             "centroid estimate attached as fallback",
             fallback=seed,
         )
-    a, m, s = result.x
+    a, m, s = x
     return ArrivalEstimate(
         center=seed.center + m * seed.width,
         width=abs(s) * seed.width,
         amplitude=a * ymax,
-        residual_rms=float(np.sqrt(np.mean(residual(result.x) ** 2))),
+        residual_rms=float(np.sqrt(np.mean(info["fvec"] ** 2))),
         method="gaussian_fit",
     )
 

@@ -20,7 +20,9 @@ across reruns of the same configuration: fixed column orders, fixed 12-digit
 scientific formatting, no timestamps.
 
 Exit codes: 0 success, 2 invalid parameters or config (a ParameterError, or
-an unusable --out or --config path; nothing is written), 3 a NumericalError.
+an unusable --out or --config path), 3 a NumericalError.  Every result is
+computed before the output directory is created, so on a bad input or a
+numerical failure nothing is written.
 """
 
 from __future__ import annotations
@@ -74,8 +76,8 @@ def _write_kv(path: Path, pairs: list) -> None:
 
 
 def _out_dir(cfg: RunConfig, args) -> Path:
-    """Create the output directory; commands call this only once their inputs
-    have passed every check, so a command that exits 2 creates nothing."""
+    """Create the output directory; commands call this only once every result
+    is computed, so a command that exits 2 or 3 creates nothing."""
     out = Path(args.out) if args.out else Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -182,21 +184,18 @@ def _trace_name(theta_deg: float) -> str:
     return f"trace_postselected_theta_{theta_deg:.2f}.csv"
 
 
-def _post_select_all(propagated, line, angles, trace_dir=None):
+def _post_select_all(propagated, line, angles):
     """Post-select at each angle and fit the arrival of what passes.
 
     The amplification is the fitted shift from the reference (V) arm over
     the line's own signed shift ``line.signed_t0``, so it reads the weak
-    value for a delaying line as well as an advancing one.  With
-    ``trace_dir`` each post-selected envelope is also written there.
-    Returns the fitted reference arrival and one _Selected per angle.
+    value for a delaying line as well as an advancing one.  Returns the
+    fitted reference arrival and one _Selected per angle.
     """
     center_v = fit_gaussian(propagated.v).center
     results = []
     for theta_deg, theta, a_w in angles:
         selected = post_select(propagated, theta)
-        if trace_dir is not None:
-            write_envelope_csv(selected.envelope, trace_dir / _trace_name(theta_deg))
         estimate = fit_gaussian(selected.envelope)
         amplification = (center_v - estimate.center) / line.signed_t0
         deviation = abs(amplification - a_w) / abs(a_w)
@@ -211,13 +210,18 @@ def cmd_propagate(args) -> int:
     thetas = [args.theta] if args.theta is not None else list(cfg.theta_list_deg)
     angles = _analyzer_angles(thetas)
     line, t_tilde, propagated = _propagated_state(cfg)
-    # fitted before any file is written: rejects a grid that undersamples the pulse
+    # every fit runs before any file is written, so a failed one leaves no
+    # partial output; the post-selected envelopes are rebuilt for writing
+    # rather than held, one grid-sized array per angle
     center_h = fit_gaussian(propagated.h).center
+    center_v, results = _post_select_all(propagated, line, angles)
 
     out = _out_dir(cfg, args)
     write_envelope_csv(propagated.h, out / "trace_h.csv")
     write_envelope_csv(propagated.v, out / "trace_v.csv")
-    center_v, results = _post_select_all(propagated, line, angles, trace_dir=out)
+    for r in results:
+        selected = post_select(propagated, r.theta)
+        write_envelope_csv(selected.envelope, out / _trace_name(r.theta_deg))
 
     header = [
         "theta_deg",

@@ -21,6 +21,7 @@ are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -69,9 +70,12 @@ class TimeGrid:
     def span(self) -> float:
         return self.n_samples * self.dt
 
-    @property
+    @functools.cached_property
     def times(self) -> np.ndarray:
-        return self.t_start + np.arange(self.n_samples) * self.dt
+        """Sample times, built once per grid and read-only."""
+        times = self.t_start + np.arange(self.n_samples) * self.dt
+        times.setflags(write=False)
+        return times
 
 
 def default_grid(sigma: float, n_samples: int = 4096, span_sigmas: float = 32.0) -> TimeGrid:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, check_transmission
-from .pulse_engine import Envelope, PolarizedPulse
+from .pulse_engine import Envelope, PolarizedPulse, _check_no_wraparound
 
 # |sin + cos| below this is treated as the dark port: the weak value and the
 # first-order response both diverge there.
@@ -71,6 +71,9 @@ def post_select(pulse: PolarizedPulse, theta: float) -> PostSelectedPulse:
 
     Throughput is the projected energy over the pulse's reference energy
     (clamped to 1.0 against rounding).  theta = 0.0 passes H through exactly.
+    Near the dark port the peaks of the two arms cancel while their edge
+    tails need not, so raises NumericalError if what passes reaches the grid
+    edge.
     """
     _check_angle(theta)
     if pulse.reference_energy <= 0:
@@ -80,6 +83,7 @@ def post_select(pulse: PolarizedPulse, theta: float) -> PostSelectedPulse:
     else:
         samples = np.cos(theta) * pulse.h.samples + np.sin(theta) * pulse.v.samples
         envelope = Envelope(pulse.h.grid, samples)
+    _check_no_wraparound(envelope.samples, "post_select")
     throughput = min(envelope.energy() / pulse.reference_energy, 1.0)
     return PostSelectedPulse(envelope=envelope, throughput=throughput)
 

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares, leastsq
 
 from fastlight import (
     FitFailureError,
@@ -21,8 +22,12 @@ from fastlight import (
     t_wva,
     transmission,
 )
+from fastlight import analysis
 from fastlight.analysis import _advance_objective, _scan
+from fastlight.cli import _propagated_state
+from fastlight.config import default_config, parse_config
 from fastlight.pulse_engine import Envelope, TimeGrid
+from fastlight.weak_value import post_select
 from oracles import brute_force_best_advance
 
 # best normalized advance 2 gamma' t_wva and its analyzer angle, frozen from
@@ -43,6 +48,17 @@ THETA_OPT_DEG = {
     0.9: 42.06515018735,
 }
 CROSSOVER_TRANSMISSION = 0.056594612121582
+
+# The physical-mode example of the README.
+README_MEDIUM = {
+    "beta_rad_per_us": 0.0022,
+    "gamma_rad_per_us": 1.2285,
+    "Gamma_mhz": 6.0,
+    "omega_c_rabi_mhz": 40.0,
+    "Delta_mhz": 900.0,
+    "length_cm": 10.0,
+    "wavelength_nm": 794.98,
+}
 
 
 def _gaussian_pulse():
@@ -96,7 +112,7 @@ def _distorted_output():
 
 def test_fit_failure_carries_centroid_fallback():
     out, _ = _distorted_output()
-    with pytest.raises(FitFailureError) as excinfo:
+    with pytest.raises(FitFailureError, match="MINPACK status 5") as excinfo:
         fit_gaussian(out.h, max_iter=1)
     fallback = excinfo.value.fallback
     assert fallback.method == "centroid"
@@ -112,6 +128,78 @@ def test_fit_on_distorted_pulse_regression():
     assert fit.residual_rms == pytest.approx(1.0076448255e-3, rel=1e-4)
     # the skewed tail pulls the centroid and the peak apart
     assert abs(fit.center - centroid(out.h).center) > 0.05 * line.t0
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_fit_rejects_max_iter_below_one(max_iter):
+    # leastsq would read 0 as "use its default of 400 evaluations"
+    with pytest.raises(ParameterError, match="max_iter"):
+        fit_gaussian(_gaussian_pulse(), max_iter=max_iter)
+
+
+@pytest.mark.parametrize("status", [0, 5, 6, 7, 8])
+def test_every_minpack_failure_code_raises_fit_failure(monkeypatch, status):
+    def solve_then_fail(*args, **kwargs):
+        return (*leastsq(*args, **kwargs)[:4], status)
+
+    monkeypatch.setattr(analysis, "leastsq", solve_then_fail)
+    pulse = _gaussian_pulse()
+    with pytest.raises(FitFailureError, match=f"MINPACK status {status}") as excinfo:
+        fit_gaussian(pulse)
+    assert excinfo.value.fallback == centroid(pulse)
+
+
+def _least_squares_fit(envelope):
+    """The Gaussian fit solved by least_squares(method="lm"): the same MINPACK
+    lmder solve, with the residual and Jacobian written out in full."""
+    seed = centroid(envelope)
+    y = np.abs(envelope.samples) ** 2
+    ymax = float(y.max())
+    tau = (envelope.times - seed.center) / seed.width
+    yn = y / ymax
+
+    def residual(p):
+        a, m, s = p
+        return a * np.exp(-((tau - m) ** 2) / (2 * s * s)) - yn
+
+    def jacobian(p):
+        a, m, s = p
+        u = tau - m
+        e = np.exp(-(u**2) / (2 * s * s))
+        return np.stack([e, a * e * u / (s * s), a * e * u**2 / (s**3)], axis=1)
+
+    result = least_squares(
+        residual,
+        [1.0, 0.0, 1.0],
+        jac=jacobian,
+        method="lm",
+        x_scale="jac",
+        xtol=1e-12,
+        ftol=1e-12,
+        gtol=1e-12,
+        max_nfev=100,
+    )
+    assert result.status > 0
+    a, m, s = result.x
+    rms = float(np.sqrt(np.mean(residual(result.x) ** 2)))
+    return seed.center + m * seed.width, abs(s) * seed.width, a * ymax, rms
+
+
+def test_fit_matches_least_squares_bit_for_bit():
+    _, _, quick = _propagated_state(default_config())
+    _, _, medium = _propagated_state(parse_config({"medium": README_MEDIUM}))
+    envelopes = [quick.h, quick.v, medium.h, medium.v]
+    # every 5 deg from -85 to -5, with the dark port replaced by the two
+    # angles 0.02 deg either side of it
+    angles = [*range(-85, -45, 5), -45.02, -44.98, *range(-40, 0, 5)]
+    envelopes += [post_select(quick, math.radians(deg)).envelope for deg in angles]
+    envelopes += [post_select(medium, math.radians(deg)).envelope for deg in (-50, -40)]
+    assert len(envelopes) == 24
+    for envelope in envelopes:
+        fit = fit_gaussian(envelope)
+        assert (fit.center, fit.width, fit.amplitude, fit.residual_rms) == _least_squares_fit(
+            envelope
+        )
 
 
 def test_bare_line_advance_value():

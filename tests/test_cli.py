@@ -5,6 +5,8 @@ import json
 import numpy as np
 import pytest
 
+import fastlight.cli
+from fastlight import FitFailureError
 from fastlight.cli import main
 
 MEDIUM = {
@@ -261,6 +263,26 @@ def test_advance_beyond_grid_exits_3(tmp_path, capsys):
     )
     assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_fit_failure_in_propagate_writes_nothing(tmp_path, capsys, monkeypatch):
+    fit_gaussian = fastlight.cli.fit_gaussian
+    calls = []
+
+    def fail_on_second_angle(envelope):
+        # the H arm, the V arm, then one fit per configured angle (-40, -50)
+        calls.append(envelope)
+        if len(calls) == 4:
+            raise FitFailureError("forced fit failure", fallback=None)
+        return fit_gaussian(envelope)
+
+    monkeypatch.setattr(fastlight.cli, "fit_gaussian", fail_on_second_angle)
+    out = tmp_path / "out"
+    assert main(["propagate", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: forced fit failure\n"
+    assert len(calls) == 4
+    assert not list(out.glob("trace_*.csv"))
+    assert not out.exists()
 
 
 def test_unknown_command_is_a_usage_error():

@@ -1,7 +1,8 @@
 """Golden outputs, by sha256: every quick-start CSV of the five subcommands,
 the spectrum and propagate CSVs of the README physical medium and of the
-quick-start line under ``propagation: "ideal"``, and the loss-scaling CSVs
-on a dense transmission list.
+quick-start line under ``propagation: "ideal"``, the loss-scaling CSVs on a
+dense transmission list, and a 1000-angle sweep shaped like the angle-sweep
+benchmark.
 
 Refactors must leave these bytes unchanged.  The digests were taken with
 numpy 2.4.6 and scipy 1.17.1; another numpy or scipy build may round a last
@@ -91,6 +92,19 @@ DENSE_BUDGET_SHA256 = {
 }
 
 
+# 1000 analyzer angles over the angle-sweep benchmark's range on its 4096-sample
+# grid; two of them lie 0.04 deg from the dark port
+DENSE_SWEEP = {
+    "pulse": {"sigma_us": 28.0},
+    "line": {"t0_us": 0.28, "line_center_transmission": 0.5},
+    "grid": {"n_samples": 4096},
+}
+DENSE_SWEEP_ARGS = ["--start", "-85.3", "--stop", "-4.7", "--count", "1000"]
+DENSE_SWEEP_SHA256 = {
+    "sweep_theta.csv": "3eae6e56675442deecc018bb4baa5f7a849bc64543a801b23c3fd7dda6f5769b",
+}
+
+
 def _digests(directory):
     return {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
@@ -124,3 +138,11 @@ def test_dense_loss_scaling_csvs_are_byte_identical_to_golden(tmp_path):
     out = tmp_path / "out"
     assert main(["loss-scaling", "--config", str(path), "--out", str(out)]) == 0
     assert _digests(out) == DENSE_BUDGET_SHA256
+
+
+def test_dense_sweep_theta_csv_is_byte_identical_to_golden(tmp_path):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(DENSE_SWEEP), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["sweep-theta", *DENSE_SWEEP_ARGS, "--config", str(path), "--out", str(out)]) == 0
+    assert _digests(out) == DENSE_SWEEP_SHA256

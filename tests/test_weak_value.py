@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fastlight import (
+    NumericalError,
     ParameterError,
     ReducedLine,
     centroid,
@@ -13,6 +14,7 @@ from fastlight import (
     transmission,
     weak_value,
 )
+from fastlight.pulse_engine import Envelope, PolarizedPulse, _check_no_wraparound
 from fastlight.weak_value import total_transmission
 from oracles import two_gaussian_centroid
 
@@ -75,6 +77,19 @@ def test_dark_port_nulls_balanced_input():
     peak_in = np.max(np.abs(state.h.samples))
     assert np.max(np.abs(selected.envelope.samples)) < 1e-15 * peak_in
     assert selected.throughput < 1e-30
+
+
+def test_post_select_checks_the_grid_edge_after_projection():
+    grid = default_grid(1.0)
+    pulse = make_gaussian(grid, 1.0, 0.0, 1.0)
+    # an edge tail 1e-8 of the peak is allowed on the H arm itself ...
+    h = Envelope(grid, pulse.samples + 1e-8)
+    _check_no_wraparound(h.samples, "h")
+    state = PolarizedPulse(h=h, v=pulse, reference_energy=h.energy() + pulse.energy())
+    post_select(state, -40 * DEG)
+    # ... but near the dark port the peaks cancel and the tail stays
+    with pytest.raises(NumericalError, match="post_select: envelope reaches the grid boundary"):
+        post_select(state, -44.98 * DEG)
 
 
 def test_throughput_matches_closed_form(quick_line):
