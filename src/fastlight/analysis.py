@@ -42,6 +42,7 @@ _GRID_POINTS = 2000
 _THETA_TOLERANCE = 1e-9
 _MIN_PEAK_SAMPLES = 10
 _CONVERGED = (1, 2, 3, 4)  # MINPACK's success codes; 0 and 5-8 are failures
+_MAX_EVALUATIONS = 100  # residual evaluations per Gaussian fit
 
 
 @dataclass(frozen=True)
@@ -79,19 +80,16 @@ def centroid(envelope: Envelope) -> ArrivalEstimate:
     )
 
 
-def fit_gaussian(envelope: Envelope, max_iter: int = 100) -> ArrivalEstimate:
+def fit_gaussian(envelope: Envelope) -> ArrivalEstimate:
     """Least-squares Gaussian fit to the intensity profile.
 
     Model a exp(-(t-mu)^2/(2 w^2)), seeded from the centroid moments and
     solved in moment-normalized coordinates by MINPACK's Levenberg-Marquardt
     ``lmder`` (through ``scipy.optimize.leastsq``) with an analytic Jacobian,
-    at most ``max_iter`` >= 1 residual evaluations.  Requires at least 10
-    samples above half maximum (else the grid undersamples the peak).  On
-    solver failure raises FitFailureError carrying the centroid estimate as
-    ``fallback``.
+    at most 100 residual evaluations.  Requires at least 10 samples above
+    half maximum (else the grid undersamples the peak).  On solver failure
+    raises FitFailureError carrying the centroid estimate as ``fallback``.
     """
-    if max_iter < 1:
-        raise ParameterError(f"max_iter: must be >= 1; got {max_iter}")
     seed = centroid(envelope)
     y = np.abs(envelope.samples) ** 2
     ymax = float(y.max())
@@ -136,7 +134,7 @@ def fit_gaussian(envelope: Envelope, max_iter: int = 100) -> ArrivalEstimate:
         ftol=1e-12,
         xtol=1e-12,
         gtol=1e-12,
-        maxfev=max_iter,
+        maxfev=_MAX_EVALUATIONS,
     )
     if status not in _CONVERGED or not np.all(np.isfinite(x)):
         raise FitFailureError(

@@ -24,7 +24,7 @@ delta' = delta - delta_0, where
 
 At line centre the absorption line drags the group index away from unity by
 
-    |n_g - 1| = beta (|Omega_c|^2 / 8 Delta^2) omega / gamma'^2,
+    n_g - 1 = beta (|Omega_c|^2 / 8 Delta^2) omega / gamma'^2,
 
 which over a cell of length L corresponds to a pulse-peak advance
 
@@ -66,7 +66,7 @@ _KK_PAD_FACTOR = 4
 class MediumSpec:
     """Physical description of the driven medium and probe carrier.
 
-    beta          density-dipole coupling scalar (rad/s)
+    beta          density-dipole coupling scalar (rad/s), > 0: an absorbing line
     gamma         ground-state decoherence rate (rad/s)
     Gamma         excited-state decoherence rate (rad/s)
     omega_c_rabi  coupling Rabi frequency (rad/s)
@@ -86,8 +86,7 @@ class MediumSpec:
     c: float = C_LIGHT
 
     def __post_init__(self):
-        if not np.isfinite(self.beta):
-            raise ParameterError("beta: must be finite")
+        check_positive("beta", self.beta)
         check_positive("gamma", self.gamma)
         check_positive("Gamma", self.Gamma)
         if not (self.omega_c_rabi >= 0):
@@ -106,24 +105,15 @@ class ReducedLine:
 
     t0           pulse-peak advance accumulated at line centre (s), >= 0
     gamma_prime  power-broadened half-width gamma' (rad/s)
-    advance      True when the dispersive component exits *earlier* by t0,
-                 False when it exits later (a medium with beta < 0); kept
-                 explicit so the sign convention travels with the numbers
     """
 
     t0: float
     gamma_prime: float
-    advance: bool = True
 
     def __post_init__(self):
         if not (self.t0 >= 0) or not np.isfinite(self.t0):
             raise ParameterError("t0: must be finite and >= 0")
         check_positive("gamma_prime", self.gamma_prime)
-
-    @property
-    def signed_t0(self) -> float:
-        """Arrival shift of the peak: +t0 if the line advances it, -t0 if it delays it."""
-        return self.t0 if self.advance else -self.t0
 
 
 def light_shift(spec: MediumSpec) -> float:
@@ -265,15 +255,13 @@ def group_index(delta_prime, spec: MediumSpec):
 def group_advance(spec: MediumSpec) -> ReducedLine:
     """Reduce the medium to (t0, gamma') at line centre.
 
-    t0 = |n_g - 1| L / c via the closed form; the ``advance`` flag carries the
-    sign of (n_g - 1) in this module's detuning-slope convention, which for
-    this absorbing line means the component seeing the line exits earlier.
+    t0 = (n_g - 1) L / c via the closed form; beta > 0 makes n_g - 1 >= 0,
+    so the component seeing the line exits earlier by t0.
     """
     _require_far_detuned(spec, "group_advance")
     gp = gamma_effective(spec)
     ng_minus_1 = spec.beta * (spec.omega_c_rabi**2 / (8 * spec.Delta**2)) * spec.omega0 / gp**2
-    t0 = abs(ng_minus_1) * spec.length / spec.c
-    return ReducedLine(t0=t0, gamma_prime=gp, advance=bool(ng_minus_1 >= 0))
+    return ReducedLine(t0=ng_minus_1 * spec.length / spec.c, gamma_prime=gp)
 
 
 def absorption(spec: MediumSpec) -> float:
@@ -295,29 +283,25 @@ def transmission(line: ReducedLine) -> float:
     return float(np.exp(-2.0 * line.gamma_prime * line.t0))
 
 
-def transfer_exponent(om, line: ReducedLine, include_absorption: bool = True):
+def transfer_exponent(om, line: ReducedLine):
     """Exponent Phi of the line's transfer function H(Om) = exp(i Phi(Om)).
 
-    Phi = t0 gamma'^2 (s Om + i gamma') / (Om^2 + gamma'^2) at offset Om
-    (rad/s) from line centre, in the e^{+i Om t} basis, with s = +1 for an
-    advancing line and -1 for a delaying one.  Re Phi is the spectral phase,
-    Im Phi the field-loss exponent (gamma' t0 at centre, so the intensity
-    transmission there is exp(-2 gamma' t0)).  ``include_absorption=False``
-    drops the i gamma' term, leaving a pure phase filter.
+    Phi = t0 gamma'^2 (Om + i gamma') / (Om^2 + gamma'^2) at offset Om
+    (rad/s) from line centre, in the e^{+i Om t} basis.  Re Phi is the
+    spectral phase, Im Phi the field-loss exponent (gamma' t0 at centre, so
+    the intensity transmission there is exp(-2 gamma' t0)).
     """
     gp = line.gamma_prime
-    sign = 1.0 if line.advance else -1.0
-    numerator = sign * om + (1j * gp if include_absorption else 0.0)
-    return line.t0 * gp**2 * numerator / (om**2 + gp**2)
+    return line.t0 * gp**2 * (om + 1j * gp) / (om**2 + gp**2)
 
 
 def phase_slope(om, line: ReducedLine):
     """Group advance dRe(Phi)/dOm (s) at offset Om from line centre.
 
-    Equals ``line.signed_t0`` at centre and changes sign at |Om| = gamma'.
+    Equals ``line.t0`` at centre and changes sign at |Om| = gamma'.
     """
     gp = line.gamma_prime
-    return line.signed_t0 * gp**2 * (gp**2 - om**2) / (om**2 + gp**2) ** 2
+    return line.t0 * gp**2 * (gp**2 - om**2) / (om**2 + gp**2) ** 2
 
 
 def _taper_ends(values: np.ndarray, fraction: float) -> np.ndarray:

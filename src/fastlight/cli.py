@@ -49,7 +49,7 @@ from .atomic_response import (
     transmission,
 )
 from .config import RunConfig, default_config, load_config
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_angle_deg
 from .pulse_engine import (
     NUMBER_FORMAT,
     default_grid,
@@ -133,10 +133,7 @@ def _analyzer_angles(thetas_deg) -> list:
     (degrees, radians, weak value) per angle."""
     angles = []
     for theta_deg in thetas_deg:
-        if not (-90.0 < theta_deg <= 90.0):
-            raise ParameterError(
-                f"analyzer angle {theta_deg!r} deg must lie in (-90, 90] deg"
-            )
+        check_angle_deg("analyzer angle", theta_deg)
         if abs(theta_deg - (-45.0)) < _DARK_PORT_GUARD_DEG:
             raise ParameterError(
                 f"analyzer angle {theta_deg:g} deg is within "
@@ -187,17 +184,16 @@ def _trace_name(theta_deg: float) -> str:
 def _post_select_all(propagated, line, angles):
     """Post-select at each angle and fit the arrival of what passes.
 
-    The amplification is the fitted shift from the reference (V) arm over
-    the line's own signed shift ``line.signed_t0``, so it reads the weak
-    value for a delaying line as well as an advancing one.  Returns the
-    fitted reference arrival and one _Selected per angle.
+    The amplification is the fitted advance over the reference (V) arm
+    divided by the line's own advance ``line.t0``.  Returns the fitted
+    reference arrival and one _Selected per angle.
     """
     center_v = fit_gaussian(propagated.v).center
     results = []
     for theta_deg, theta, a_w in angles:
         selected = post_select(propagated, theta)
         estimate = fit_gaussian(selected.envelope)
-        amplification = (center_v - estimate.center) / line.signed_t0
+        amplification = (center_v - estimate.center) / line.t0
         deviation = abs(amplification - a_w) / abs(a_w)
         results.append(
             _Selected(theta_deg, theta, a_w, estimate, selected.throughput, amplification, deviation)

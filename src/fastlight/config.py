@@ -21,7 +21,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .atomic_response import C_LIGHT, MediumSpec, ReducedLine, group_advance
-from .errors import ParameterError, check_positive, check_transmission
+from .errors import ParameterError, check_angle_deg, check_positive, check_transmission
 from .pulse_engine import default_grid
 
 _US = 1e-6  # seconds per microsecond
@@ -133,10 +133,7 @@ class RunConfig:
         if len(self.theta_list_deg) == 0:
             raise ParameterError("theta_list_deg: must not be empty")
         for th in self.theta_list_deg:
-            if not (-90.0 < th <= 90.0):
-                raise ParameterError(
-                    f"theta_list_deg: angles must lie in (-90, 90]; got {th}"
-                )
+            check_angle_deg("theta_list_deg", th)
         if len(self.transmission_list) == 0:
             raise ParameterError("transmission_list: must not be empty")
         for t in self.transmission_list:

@@ -46,3 +46,9 @@ def check_transmission(name: str, value: float) -> None:
     """Raise ParameterError unless the intensity transmission lies in (0, 1]."""
     if not (0 < value <= 1):
         raise ParameterError(f"{name}: must be in (0, 1]; got {value}")
+
+
+def check_angle_deg(name: str, value: float) -> None:
+    """Raise ParameterError unless the analyzer angle lies in (-90, 90] degrees."""
+    if not (-90.0 < value <= 90.0):
+        raise ParameterError(f"{name}: must lie in (-90, 90] deg; got {float(value)!r} deg")

@@ -229,7 +229,7 @@ def propagate_ideal(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedPulse:
         )
     om = _baseband_frequencies(grid)
     t_tilde = transmission(line)
-    h_out = np.fft.ifft(np.fft.fft(pulse.h.samples) * np.exp(1j * om * line.signed_t0))
+    h_out = np.fft.ifft(np.fft.fft(pulse.h.samples) * np.exp(1j * om * line.t0))
     h_out = h_out * np.sqrt(t_tilde)
     _check_no_wraparound(h_out, "propagate_ideal")
     return PolarizedPulse(
@@ -239,15 +239,11 @@ def propagate_ideal(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedPulse:
     )
 
 
-def propagate_lorentzian(
-    pulse: PolarizedPulse, line: ReducedLine, include_absorption: bool = True
-) -> PolarizedPulse:
+def propagate_lorentzian(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedPulse:
     """Propagate H through the full Lorentzian line transfer function.
 
     H spectrum is multiplied by exp(i Phi(Om)), Phi from
-    ``transfer_exponent`` (which honours the line's advance flag); V is
-    untouched (common vacuum phase removed).  ``include_absorption=False``
-    leaves a pure phase filter — useful for energy-conservation checks.
+    ``transfer_exponent``; V is untouched (common vacuum phase removed).
 
     Warns when the pulse bandwidth exceeds 10 gamma' (the narrowband reading
     of the line parameters is then marginal; the distortion produced is
@@ -265,7 +261,7 @@ def propagate_lorentzian(
             ApproximationWarning,
             stacklevel=2,
         )
-    phi = transfer_exponent(_baseband_frequencies(grid), line, include_absorption)
+    phi = transfer_exponent(_baseband_frequencies(grid), line)
     h_out = np.fft.ifft(np.fft.fft(pulse.h.samples) * np.exp(1j * phi))
     _check_no_wraparound(h_out, "propagate_lorentzian")
     return PolarizedPulse(

@@ -110,10 +110,12 @@ def _distorted_output():
     return propagate_lorentzian(state, line), line
 
 
-def test_fit_failure_carries_centroid_fallback():
+def test_fit_failure_carries_centroid_fallback(monkeypatch):
     out, _ = _distorted_output()
+    # one residual evaluation cannot converge: MINPACK stops with status 5
+    monkeypatch.setattr(analysis, "_MAX_EVALUATIONS", 1)
     with pytest.raises(FitFailureError, match="MINPACK status 5") as excinfo:
-        fit_gaussian(out.h, max_iter=1)
+        fit_gaussian(out.h)
     fallback = excinfo.value.fallback
     assert fallback.method == "centroid"
     assert fallback.center == centroid(out.h).center
@@ -128,13 +130,6 @@ def test_fit_on_distorted_pulse_regression():
     assert fit.residual_rms == pytest.approx(1.0076448255e-3, rel=1e-4)
     # the skewed tail pulls the centroid and the peak apart
     assert abs(fit.center - centroid(out.h).center) > 0.05 * line.t0
-
-
-@pytest.mark.parametrize("max_iter", [0, -1])
-def test_fit_rejects_max_iter_below_one(max_iter):
-    # leastsq would read 0 as "use its default of 400 evaluations"
-    with pytest.raises(ParameterError, match="max_iter"):
-        fit_gaussian(_gaussian_pulse(), max_iter=max_iter)
 
 
 @pytest.mark.parametrize("status", [0, 5, 6, 7, 8])

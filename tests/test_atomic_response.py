@@ -170,7 +170,6 @@ def test_group_advance_frozen(demo_spec):
     line = group_advance(demo_spec)
     assert line.t0 == pytest.approx(DEMO_T0, rel=1e-12)
     assert line.gamma_prime == pytest.approx(DEMO_GAMMA_PRIME, rel=1e-12)
-    assert line.advance is True
 
 
 def test_group_advance_scales_linearly_in_beta(demo_spec):
@@ -188,24 +187,8 @@ def test_group_advance_scales_linearly_in_beta(demo_spec):
         assert group_advance(scaled).t0 == k * base.t0
 
 
-def test_negative_beta_flags_delay(demo_spec):
-    flipped = MediumSpec(
-        beta=-demo_spec.beta,
-        gamma=demo_spec.gamma,
-        Gamma=demo_spec.Gamma,
-        omega_c_rabi=demo_spec.omega_c_rabi,
-        Delta=demo_spec.Delta,
-        length=demo_spec.length,
-        omega0=demo_spec.omega0,
-    )
-    line = group_advance(flipped)
-    assert line.advance is False
-    assert line.t0 == group_advance(demo_spec).t0
-
-
-@pytest.mark.parametrize("advance", [True, False])
-def test_phase_slope_is_the_derivative_of_the_transfer_phase(quick_line, advance):
-    line = ReducedLine(t0=quick_line.t0, gamma_prime=quick_line.gamma_prime, advance=advance)
+def test_phase_slope_is_the_derivative_of_the_transfer_phase(quick_line):
+    line = quick_line
     gp = line.gamma_prime
     om = np.linspace(-3 * gp, 3 * gp, 61)
     h = 1e-5 * gp
@@ -213,10 +196,9 @@ def test_phase_slope_is_the_derivative_of_the_transfer_phase(quick_line, advance
         transfer_exponent(om + h, line).real - transfer_exponent(om - h, line).real
     ) / (2 * h)
     assert np.allclose(phase_slope(om, line), numeric, rtol=1e-6, atol=1e-9 * line.t0)
-    assert phase_slope(0.0, line) == pytest.approx(line.signed_t0, rel=1e-12)
-    # the loss does not depend on the direction of the shift
+    assert phase_slope(0.0, line) == pytest.approx(line.t0, rel=1e-12)
     assert transfer_exponent(0.0, line).imag == pytest.approx(gp * line.t0, rel=1e-12)
-    assert transfer_exponent(0.0, line, include_absorption=False) == 0.0
+    assert transfer_exponent(0.0, line).real == 0.0
 
 
 def test_transmission_matches_absorption_exponent(demo_spec):
@@ -250,6 +232,8 @@ def test_far_detuning_soft_warning():
     "field,value",
     [
         ("beta", np.nan),
+        ("beta", -1.0),
+        ("beta", 0.0),
         ("gamma", 0.0),
         ("gamma", -1.0),
         ("Gamma", 0.0),

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import fastlight.cli
-from fastlight import FitFailureError
+from fastlight import FitFailureError, load_config
+from fastlight.atomic_response import kramers_kronig_residual, transfer_exponent
 from fastlight.cli import main
 
 MEDIUM = {
@@ -126,6 +127,20 @@ def test_spectrum_physical_schema(tmp_path):
     assert abs(ng - 1.0) > 100
 
 
+def test_physical_kk_residual_describes_the_propagated_line(tmp_path):
+    # the summary checks chi; it must read the same as a check of the
+    # transfer exponent that propagate actually applies
+    cfg = _write_config(tmp_path, {"medium": MEDIUM, "spectrum_points": 101})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    reported = float(_read_kv(out / "spectrum_summary.csv")["kk_residual"])
+    line = load_config(cfg).reduced_line()
+    gp = line.gamma_prime
+    grid = np.linspace(-40 * gp, 40 * gp, 1 << 14)
+    expected = kramers_kronig_residual(grid, transfer_exponent(grid, line))
+    assert reported == pytest.approx(expected, rel=1e-9)
+
+
 def test_crossover_reports_break_even(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["crossover", "--out", str(out)]) == 0
@@ -189,6 +204,7 @@ def test_sweep_theta_tracks_weak_value(tmp_path):
         ["crossover", "--config", "{tmp}/bad_medium.json"],
         ["propagate", "--theta", "100"],
         ["propagate", "--config", "{tmp}/coarse.json"],
+        ["propagate", "--config", "{tmp}/delaying.json"],
     ],
 )
 def test_parameter_problems_exit_2(tmp_path, capsys, argv):
@@ -213,6 +229,10 @@ def test_parameter_problems_exit_2(tmp_path, capsys, argv):
         },
         name="coarse.json",
     )
+    # beta < 0 would be a delaying line with gain: outside the model
+    _write_config(
+        tmp_path, {"medium": dict(MEDIUM, beta_rad_per_us=-0.0022)}, name="delaying.json"
+    )
     argv = [a.format(tmp=tmp_path) for a in argv]
     default_out = "--out" not in argv
     if default_out:
@@ -232,25 +252,6 @@ def test_out_of_range_angle_is_named_in_degrees(tmp_path, capsys, theta):
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{float(theta)!r} deg" in err and "np.float64" not in err
     assert not out.exists()
-
-
-def test_delaying_line_reads_the_weak_value(tmp_path):
-    # beta < 0 turns the line into a delay of t0 (test_negative_beta_flags_delay);
-    # the spectrum's phase slope and the fitted amplification follow the sign
-    cfg = _write_config(
-        tmp_path,
-        {"medium": dict(MEDIUM, beta_rad_per_us=-0.0022), "spectrum_points": 101},
-    )
-    out = tmp_path / "out"
-    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
-    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
-    spectrum = np.genfromtxt(out / "spectrum.csv", delimiter=",", names=True)
-    t0 = float(_read_kv(out / "spectrum_summary.csv")["t0_s"])
-    assert spectrum["group_advance_s"][50] == pytest.approx(-t0, rel=1e-6)
-    assert np.all(np.diff(spectrum["phase_rad"][45:56]) < 0)
-    table = np.genfromtxt(out / "propagate_summary.csv", delimiter=",", names=True)
-    assert np.all(table["advance_s"] * table["weak_value"] < 0)
-    assert np.all(table["relative_deviation"] < 0.02)
 
 
 def test_advance_beyond_grid_exits_3(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Property tests: invariants that hold for every input, not just frozen ones."""
 
+import json
 import math
 
 import numpy as np
@@ -12,11 +13,16 @@ from fastlight import (
     default_grid,
     fit_gaussian,
     make_gaussian,
+    parse_config,
     post_select,
     prepare_input,
     propagate_ideal,
+    propagate_lorentzian,
+    serialize_config,
     weak_value,
 )
+from fastlight.config import GridConfig, LineConfig, MediumConfig, PulseConfig, RunConfig
+from fastlight.pulse_engine import Envelope
 
 # every analyzer angle in (-pi/2, pi/2], at least 1e-3 rad off the dark port
 angles = st.floats(-math.pi / 2, math.pi / 2, exclude_min=True).filter(
@@ -73,3 +79,70 @@ def test_fit_recovers_a_sampled_gaussian(log2_samples, sigma, span_sigmas, offse
     assert fit.width == pytest.approx(sigma, rel=1e-9)
     assert fit.amplitude == pytest.approx(amplitude**2, rel=1e-9)
     assert np.isfinite(fit.residual_rms) and fit.residual_rms < 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    shift=st.integers(-512, 512),  # up to 4 sigma: the output stays clear of the edges
+    gamma_sigma=st.floats(2.0, 50.0),
+    t_tilde=st.floats(0.05, 0.99),
+)
+def test_lorentzian_propagation_commutes_with_a_circular_shift(shift, gamma_sigma, t_tilde):
+    sigma = 1.0
+    grid = default_grid(sigma)
+    pulse = make_gaussian(grid, sigma, 0.0, 1.0)
+    shifted = Envelope(grid, np.roll(pulse.samples, shift))
+    gamma_prime = gamma_sigma / sigma
+    line = ReducedLine(t0=-math.log(t_tilde) / (2 * gamma_prime), gamma_prime=gamma_prime)
+    out = propagate_lorentzian(prepare_input(pulse, t_tilde), line)
+    out_shifted = propagate_lorentzian(prepare_input(shifted, t_tilde), line)
+    peak = np.max(np.abs(out.h.samples))
+    assert np.allclose(
+        out_shifted.h.samples, np.roll(out.h.samples, shift), rtol=0.0, atol=1e-13 * peak
+    )
+
+
+positive = st.floats(1e-6, 1e6)
+common_fields = dict(
+    pulse=st.builds(PulseConfig, sigma_us=positive, amplitude=positive),
+    grid=st.builds(
+        GridConfig,
+        n_samples=st.integers(8, 22).map(lambda k: 1 << k),
+        span_sigmas=st.floats(16.0, 1e3),
+    ),
+    theta_list_deg=st.lists(st.floats(-90.0, 90.0, exclude_min=True), min_size=1, max_size=4),
+    transmission_list=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=4),
+    propagation=st.sampled_from(["spectral", "ideal"]),
+    relative_phase=st.floats(-1e3, 1e3),
+    spectrum_points=st.integers(16, 1 << 20),
+    output_dir=st.text(min_size=1, max_size=8),
+)
+reduced_configs = st.builds(
+    RunConfig,
+    mode=st.just("reduced"),
+    line=st.builds(
+        LineConfig, t0_us=st.just(0.0) | positive, gamma_prime_rad_per_us=positive
+    ),
+    **common_fields,
+)
+physical_configs = st.builds(
+    RunConfig,
+    mode=st.just("physical"),
+    medium=st.builds(
+        MediumConfig,
+        beta_rad_per_us=positive,
+        gamma_rad_per_us=positive,
+        Gamma_rad_per_us=positive,
+        omega_c_rabi_rad_per_us=st.just(0.0) | positive,
+        Delta_rad_per_us=st.floats(-1e6, 1e6),
+        length_m=st.just(0.0) | positive,
+        omega0_rad_per_us=positive,
+    ),
+    **common_fields,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(reduced_configs | physical_configs)
+def test_config_round_trips_through_its_canonical_json(cfg):
+    assert parse_config(json.loads(json.dumps(serialize_config(cfg)))) == cfg

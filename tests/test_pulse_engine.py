@@ -14,6 +14,7 @@ from fastlight import (
     propagate_lorentzian,
     transmission,
 )
+from fastlight.atomic_response import transfer_exponent
 from fastlight.pulse_engine import TimeGrid, write_envelope_csv
 
 SIGMA = 28e-6
@@ -137,15 +138,6 @@ def test_ideal_shift_moves_centroid_and_scales_energy(quick_line):
     assert out.v is state.v
 
 
-def test_ideal_delay_when_line_flags_delay(quick_line):
-    _, state = _quick_state()
-    delayed = ReducedLine(
-        t0=quick_line.t0, gamma_prime=quick_line.gamma_prime, advance=False
-    )
-    out = propagate_ideal(state, delayed)
-    assert centroid(out.h).center == pytest.approx(+quick_line.t0, rel=1e-9)
-
-
 def test_ideal_rejects_shift_beyond_grid():
     _, state = _quick_state()
     line = ReducedLine(t0=10 * 32 * SIGMA, gamma_prime=1e6)
@@ -161,10 +153,24 @@ def test_lorentzian_energy_ratio_near_line_transmission(quick_line):
     assert ratio == pytest.approx(transmission(quick_line), rel=1e-3)
 
 
-def test_lorentzian_pure_phase_conserves_energy(quick_line):
-    _, state = _quick_state()
-    out = propagate_lorentzian(state, quick_line, include_absorption=False)
-    assert out.h.energy() == pytest.approx(state.h.energy(), rel=1e-10)
+@pytest.mark.parametrize(
+    "sigma,line",
+    [
+        (SIGMA, ReducedLine(t0=0.28e-6, gamma_prime=-np.log(0.5) / (2 * 0.28e-6))),
+        # sigma gamma' = 1: the spectral wings are clipped and the pulse distorts
+        (1e-6, ReducedLine(t0=1e-7, gamma_prime=1e6)),
+    ],
+    ids=["quick_start", "distorted"],
+)
+def test_lorentzian_energy_is_the_spectrum_weighted_by_the_line_loss(sigma, line):
+    # Parseval: the filter keeps |X(Om)|^2 e^{-2 Im Phi(Om)} of each component
+    _, state = _quick_state(sigma=sigma)
+    out = propagate_lorentzian(state, line)
+    grid = state.h.grid
+    power = np.abs(np.fft.fft(state.h.samples)) ** 2
+    om = 2 * np.pi * np.fft.fftfreq(grid.n_samples, grid.dt)
+    kept = np.sum(power * np.exp(-2 * transfer_exponent(om, line).imag)) / np.sum(power)
+    assert out.h.energy() == pytest.approx(state.h.energy() * kept, rel=1e-10)
 
 
 def test_propagation_is_linear(quick_line):
