@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import leastsq
 
 from .errors import (
     FitFailureError,
@@ -90,6 +89,8 @@ def fit_gaussian(envelope: Envelope) -> ArrivalEstimate:
     half maximum (else the grid undersamples the peak).  On solver failure
     raises FitFailureError carrying the centroid estimate as ``fallback``.
     """
+    from scipy.optimize import leastsq  # imported here: no other command needs scipy
+
     seed = centroid(envelope)
     y = np.abs(envelope.samples) ** 2
     ymax = float(y.max())

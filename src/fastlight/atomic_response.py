@@ -44,10 +44,10 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import c as C_LIGHT
-from scipy.signal import hilbert
 
 from .errors import ApproximationWarning, NumericalError, ParameterError, check_positive
+
+C_LIGHT = 299792458.0  # speed of light in vacuum, m/s (exact SI value)
 
 # Lorentzian-limit operations require the probe to be far off one-photon
 # resonance; below the soft ratio they still run but warn.
@@ -315,6 +315,19 @@ def _taper_ends(values: np.ndarray, fraction: float) -> np.ndarray:
     return out
 
 
+def _hilbert_imag(x: np.ndarray, nfft: int) -> np.ndarray:
+    """Im of the analytic signal of real ``x`` zero padded to ``nfft`` points.
+
+    The recipe of ``scipy.signal.hilbert(x, N=nfft)``, with the same bits: the
+    spectrum of a real input comes from a real transform (as in scipy's
+    pocketfft; a complex ``np.fft.fft`` differs in the last digit), positive
+    frequencies are doubled, and the negative half is left at zero.
+    """
+    half = np.fft.rfft(x, nfft)
+    half[1 : (nfft + 1) // 2] *= 2.0
+    return np.imag(np.fft.ifft(half, nfft))
+
+
 def kramers_kronig_residual(delta_grid: np.ndarray, chi_values: np.ndarray) -> float:
     """Causality self-consistency of a sampled response function.
 
@@ -344,7 +357,7 @@ def kramers_kronig_residual(delta_grid: np.ndarray, chi_values: np.ndarray) -> f
 
     im = _taper_ends(chi_values.imag, _KK_TAPER_FRACTION)
     nfft = 1 << int(np.ceil(np.log2(_KK_PAD_FACTOR * n)))
-    ht = np.imag(hilbert(im, N=nfft))[:n]
+    ht = _hilbert_imag(im, nfft)[:n]
 
     lo, hi = n // 4, 3 * n // 4
     re = chi_values.real[lo:hi]

@@ -207,6 +207,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _as_float(value, path: str) -> float:
+    """float(value), refusing a JSON integer too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ParameterError(f"{path}: must be a finite number") from None
+
+
 def _typed(value, path: str, kind: str):
     """Check a JSON value against a field's annotated type.
 
@@ -216,7 +224,7 @@ def _typed(value, path: str, kind: str):
     if kind == "float":
         if not _is_number(value):
             raise ParameterError(f"{path}: must be a number")
-        return float(value)
+        return _as_float(value, path)
     if kind == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ParameterError(f"{path}: must be an integer")
@@ -226,7 +234,7 @@ def _typed(value, path: str, kind: str):
             raise ParameterError(f"{path}: must be an array of numbers")
         if not all(_is_number(v) for v in value):
             raise ParameterError(f"{path}: entries must be numbers")
-        return tuple(float(v) for v in value)
+        return tuple(_as_float(v, path) for v in value)
     if not isinstance(value, str) or not value:
         raise ParameterError(f"{path}: must be a non-empty string")
     return value

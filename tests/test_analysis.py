@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.optimize import least_squares, leastsq
 
 from fastlight import (
@@ -137,7 +138,8 @@ def test_every_minpack_failure_code_raises_fit_failure(monkeypatch, status):
     def solve_then_fail(*args, **kwargs):
         return (*leastsq(*args, **kwargs)[:4], status)
 
-    monkeypatch.setattr(analysis, "leastsq", solve_then_fail)
+    # fit_gaussian imports leastsq when it runs, so the patch sits on scipy
+    monkeypatch.setattr(scipy.optimize, "leastsq", solve_then_fail)
     pulse = _gaussian_pulse()
     with pytest.raises(FitFailureError, match=f"MINPACK status {status}") as excinfo:
         fit_gaussian(pulse)

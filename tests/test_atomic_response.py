@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.constants
+import scipy.signal
 
 from fastlight import (
     ApproximationWarning,
@@ -13,6 +15,11 @@ from fastlight import (
     transmission,
 )
 from fastlight.atomic_response import (
+    _KK_PAD_FACTOR,
+    _KK_TAPER_FRACTION,
+    C_LIGHT,
+    _hilbert_imag,
+    _taper_ends,
     background_susceptibility,
     chi_full,
     chi_lorentzian,
@@ -26,6 +33,8 @@ from fastlight.atomic_response import (
     refractive_index,
     transfer_exponent,
 )
+from fastlight.cli import _KK_HALF_SPAN, _KK_POINTS
+from fastlight.config import parse_config
 
 # Frozen values for the example_spec fixture (beta=1, gamma=0.01, Gamma=1,
 # Omega_c=0.2, Delta=100, omega0=1e5):
@@ -297,3 +306,45 @@ def test_kk_grid_validation(demo_spec):
         kramers_kronig_residual(warped, np.ones(4096, dtype=complex))
     with pytest.raises(ParameterError):
         kramers_kronig_residual(np.linspace(-1, 1, 100), np.ones(99, dtype=complex))
+
+
+def _kk_nfft(n):
+    """The padded FFT length kramers_kronig_residual uses for n samples."""
+    return 1 << int(np.ceil(np.log2(_KK_PAD_FACTOR * n)))
+
+
+@pytest.mark.parametrize("n", [16, 17, 100, 1601, 4096, 20001])
+def test_hilbert_matches_scipy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    nfft = _kk_nfft(n)
+    for _ in range(5):
+        x = rng.standard_normal(n)
+        assert np.array_equal(_hilbert_imag(x, nfft), np.imag(scipy.signal.hilbert(x, N=nfft)))
+
+
+# The physical-mode example of the README.
+README_MEDIUM = {
+    "medium": {
+        "beta_rad_per_us": 0.0022,
+        "gamma_rad_per_us": 1.2285,
+        "Gamma_mhz": 6.0,
+        "omega_c_rabi_mhz": 40.0,
+        "Delta_mhz": 900.0,
+        "length_cm": 10.0,
+        "wavelength_nm": 794.98,
+    }
+}
+
+
+def test_hilbert_matches_scipy_on_readme_medium():
+    """The tapered Im chi that spectrum's kk_residual transforms."""
+    cfg = parse_config(README_MEDIUM)
+    gp = cfg.reduced_line().gamma_prime
+    grid = np.linspace(-_KK_HALF_SPAN * gp, _KK_HALF_SPAN * gp, _KK_POINTS)
+    im = _taper_ends(chi_lorentzian(grid, cfg.medium.medium_spec()).imag, _KK_TAPER_FRACTION)
+    nfft = _kk_nfft(im.size)
+    assert np.array_equal(_hilbert_imag(im, nfft), np.imag(scipy.signal.hilbert(im, N=nfft)))
+
+
+def test_speed_of_light_is_scipys():
+    assert C_LIGHT == scipy.constants.c

@@ -1,6 +1,10 @@
 """End-to-end CLI runs: files, schemas, determinism, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +209,7 @@ def test_sweep_theta_tracks_weak_value(tmp_path):
         ["propagate", "--theta", "100"],
         ["propagate", "--config", "{tmp}/coarse.json"],
         ["propagate", "--config", "{tmp}/delaying.json"],
+        ["crossover", "--config", "{tmp}/huge.json"],
     ],
 )
 def test_parameter_problems_exit_2(tmp_path, capsys, argv):
@@ -232,6 +237,12 @@ def test_parameter_problems_exit_2(tmp_path, capsys, argv):
     # beta < 0 would be a delaying line with gain: outside the model
     _write_config(
         tmp_path, {"medium": dict(MEDIUM, beta_rad_per_us=-0.0022)}, name="delaying.json"
+    )
+    # a JSON integer too large for a float
+    _write_config(
+        tmp_path,
+        {"line": {"t0_us": 0.28, "line_center_transmission": 0.5}, "pulse": {"sigma_us": 10**400}},
+        name="huge.json",
     )
     argv = [a.format(tmp=tmp_path) for a in argv]
     default_out = "--out" not in argv
@@ -289,3 +300,39 @@ def test_fit_failure_in_propagate_writes_nothing(tmp_path, capsys, monkeypatch):
 def test_unknown_command_is_a_usage_error():
     with pytest.raises(SystemExit):
         main(["warp-speed"])
+
+
+# Run in a fresh interpreter: this test session has scipy loaded already.
+_SCIPY_FREE_RUNS = """
+import sys
+from fastlight.cli import main
+
+out, medium = sys.argv[1], sys.argv[2]
+for argv in (
+    ["spectrum", "--out", out + "/quick"],
+    ["spectrum", "--config", medium, "--out", out + "/medium"],
+    ["loss-scaling", "--out", out + "/loss"],
+    ["crossover", "--out", out + "/crossover"],
+):
+    assert main(argv) == 0, argv
+loaded = [name for name in sys.modules if name == "scipy" or name.startswith("scipy.")]
+assert not loaded, f"{len(loaded)} scipy modules loaded, e.g. {sorted(loaded)[:3]}"
+sweep = ["sweep-theta", "--start", "-30", "--stop", "-10", "--count", "3"]
+assert main(sweep + ["--out", out + "/sweep"]) == 0
+assert "scipy.optimize" in sys.modules
+"""
+
+
+def test_fit_free_commands_load_no_scipy(tmp_path):
+    medium = _write_config(tmp_path, {"medium": MEDIUM}, name="medium.json")
+    src = str(Path(fastlight.cli.__file__).resolve().parents[1])
+    paths = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    child = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUNS, str(tmp_path / "out"), medium],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 0, child.stderr

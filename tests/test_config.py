@@ -176,6 +176,8 @@ def test_parse_rejects_bad_medium(data, fragment):
         ({"spectrum_points": 10**12}, "<= 1048576"),
         ({"grid": {"n_samples": 2**23}}, "<= 4194304"),
         ({"grid": {"n_samples": 2**40}}, "<= 4194304"),
+        ({"pulse": {"sigma_us": 10**400}}, "pulse.sigma_us: must be a finite number"),
+        ({"theta_list_deg": [0.0, -(10**400)]}, "theta_list_deg: must be a finite number"),
     ],
 )
 def test_parse_rejects_bad_run_options(extra, fragment):
