@@ -73,7 +73,6 @@ class MediumSpec:
     Delta         one-photon detuning (rad/s)
     length        propagation length (m); 0 is the vacuum limit
     omega0        probe carrier angular frequency (rad/s)
-    c             speed of light (m/s)
     """
 
     beta: float
@@ -83,7 +82,6 @@ class MediumSpec:
     Delta: float
     length: float
     omega0: float
-    c: float = C_LIGHT
 
     def __post_init__(self):
         check_positive("beta", self.beta)
@@ -96,7 +94,6 @@ class MediumSpec:
         if not (self.length >= 0):
             raise ParameterError("length: must be >= 0")
         check_positive("omega0", self.omega0)
-        check_positive("c", self.c)
 
 
 @dataclass(frozen=True)
@@ -261,7 +258,7 @@ def group_advance(spec: MediumSpec) -> ReducedLine:
     _require_far_detuned(spec, "group_advance")
     gp = gamma_effective(spec)
     ng_minus_1 = spec.beta * (spec.omega_c_rabi**2 / (8 * spec.Delta**2)) * spec.omega0 / gp**2
-    return ReducedLine(t0=ng_minus_1 * spec.length / spec.c, gamma_prime=gp)
+    return ReducedLine(t0=ng_minus_1 * spec.length / C_LIGHT, gamma_prime=gp)
 
 
 def absorption(spec: MediumSpec) -> float:
@@ -271,7 +268,7 @@ def absorption(spec: MediumSpec) -> float:
     """
     _require_far_detuned(spec, "absorption")
     gp = gamma_effective(spec)
-    return (spec.omega0 / spec.c) * spec.beta * spec.omega_c_rabi**2 / (8 * spec.Delta**2 * gp)
+    return (spec.omega0 / C_LIGHT) * spec.beta * spec.omega_c_rabi**2 / (8 * spec.Delta**2 * gp)
 
 
 def transmission(line: ReducedLine) -> float:

@@ -66,11 +66,18 @@ _SPECTRUM_HALF_SPAN = 10.0  # spectrum grid extends +- this many gamma'
 _KK_HALF_SPAN = 40.0
 _KK_POINTS = 1 << 14
 _DARK_PORT_GUARD_DEG = 0.01
+_MAX_SWEEP_COUNT = 1 << 20
 
 
-def _write_kv(path: Path, pairs: list) -> None:
+def _write_rows(path: Path, rows: list) -> None:
+    """One line per ``{column: number}`` row; the first row's keys are the header."""
+    write_csv(path, list(rows[0]), [tuple(row.values()) for row in rows])
+
+
+def _write_kv(path: Path, values: dict) -> None:
     rows = [
-        (key, value if isinstance(value, str) else NUMBER_FORMAT % value) for key, value in pairs
+        (key, value if isinstance(value, str) else NUMBER_FORMAT % value)
+        for key, value in values.items()
     ]
     write_csv(path, ["quantity", "value"], rows, "%s,%s")
 
@@ -93,37 +100,36 @@ def cmd_spectrum(args) -> int:
     gp = line.gamma_prime
     delta = np.linspace(-_SPECTRUM_HALF_SPAN * gp, _SPECTRUM_HALF_SPAN * gp, cfg.spectrum_points)
     phi = transfer_exponent(delta, line)
-
-    header = ["delta_prime_rad_per_s", "loss_exponent_field", "phase_rad", "group_advance_s"]
-    columns = [delta, phi.imag, phi.real, phase_slope(delta, line)]
+    kk_grid = np.linspace(-_KK_HALF_SPAN * gp, _KK_HALF_SPAN * gp, _KK_POINTS)
+    columns = {
+        "delta_prime_rad_per_s": delta,
+        "loss_exponent_field": phi.imag,
+        "phase_rad": phi.real,
+        "group_advance_s": phase_slope(delta, line),
+    }
+    summary = {
+        "mode": cfg.mode,
+        "t0_s": line.t0,
+        "gamma_prime_rad_per_s": gp,
+        "line_center_transmission": transmission(line),
+    }
     if cfg.mode == "physical":
         spec = cfg.medium.medium_spec()
         chi = chi_lorentzian(delta, spec)
-        header += ["chi_im", "re_n_minus_1", "group_index"]
-        columns += [chi.imag, refractive_index(chi).real - 1.0, group_index(delta, spec)]
-
-    kk_grid = np.linspace(-_KK_HALF_SPAN * gp, _KK_HALF_SPAN * gp, _KK_POINTS)
-    if cfg.mode == "physical":
-        kk_residual = kk_check(spec, kk_grid)
+        columns["chi_im"] = chi.imag
+        columns["re_n_minus_1"] = refractive_index(chi).real - 1.0
+        columns["group_index"] = group_index(delta, spec)
+        summary["kk_residual"] = kk_check(spec, kk_grid)
+        summary["light_shift_rad_per_s"] = light_shift(spec)
+        summary["power_broadening_rad_per_s"] = power_broadening(spec)
+        summary["alpha_per_m"] = absorption(spec)
+        summary["group_index_line_center"] = float(group_index(0.0, spec))
     else:
-        kk_residual = kramers_kronig_residual(kk_grid, transfer_exponent(kk_grid, line))
-    pairs = [
-        ("mode", cfg.mode),
-        ("t0_s", line.t0),
-        ("gamma_prime_rad_per_s", gp),
-        ("line_center_transmission", transmission(line)),
-        ("kk_residual", kk_residual),
-    ]
-    if cfg.mode == "physical":
-        pairs += [
-            ("light_shift_rad_per_s", light_shift(spec)),
-            ("power_broadening_rad_per_s", power_broadening(spec)),
-            ("alpha_per_m", absorption(spec)),
-            ("group_index_line_center", float(group_index(0.0, spec))),
-        ]
+        summary["kk_residual"] = kramers_kronig_residual(kk_grid, transfer_exponent(kk_grid, line))
     out = _out_dir(cfg, args)
-    write_csv(out / "spectrum.csv", header, zip(*[column.tolist() for column in columns]))
-    _write_kv(out / "spectrum_summary.csv", pairs)
+    rows = zip(*[column.tolist() for column in columns.values()])
+    write_csv(out / "spectrum.csv", list(columns), rows)
+    _write_kv(out / "spectrum_summary.csv", summary)
     print(f"wrote {out / 'spectrum.csv'} and {out / 'spectrum_summary.csv'}")
     return 0
 
@@ -177,8 +183,19 @@ class _Selected(NamedTuple):
     relative_deviation: float
 
 
-def _trace_name(theta_deg: float) -> str:
-    return f"trace_postselected_theta_{theta_deg:.2f}.csv"
+def _trace_names(thetas_deg) -> list:
+    """One post-selected trace file name per angle, in order; two angles
+    that would share a file are refused."""
+    names = {}
+    for theta_deg in thetas_deg:
+        name = f"trace_postselected_theta_{theta_deg:.2f}.csv"
+        if name in names:
+            raise ParameterError(
+                f"analyzer angles {names[name]!r} and {theta_deg!r} deg would both "
+                f"write {name}, whose name carries the angle to 0.01 deg"
+            )
+        names[name] = theta_deg
+    return list(names)
 
 
 def _post_select_all(propagated, line, angles):
@@ -205,51 +222,36 @@ def cmd_propagate(args) -> int:
     cfg = _load(args)
     thetas = [args.theta] if args.theta is not None else list(cfg.theta_list_deg)
     angles = _analyzer_angles(thetas)
+    trace_names = _trace_names(thetas)
     line, t_tilde, propagated = _propagated_state(cfg)
     # every fit runs before any file is written, so a failed one leaves no
     # partial output; the post-selected envelopes are rebuilt for writing
     # rather than held, one grid-sized array per angle
     center_h = fit_gaussian(propagated.h).center
     center_v, results = _post_select_all(propagated, line, angles)
+    rows = [
+        {
+            "theta_deg": r.theta_deg,
+            "weak_value": r.weak_value,
+            "center_v_s": center_v,
+            "center_selected_s": r.fit.center,
+            "advance_s": center_v - r.fit.center,
+            "amplification_fitted": r.amplification,
+            "relative_deviation": r.relative_deviation,
+            "throughput_measured": r.throughput,
+            "throughput_predicted": total_transmission(t_tilde, r.theta),
+            "fit_residual_rms": r.fit.residual_rms,
+        }
+        for r in results
+    ]
 
     out = _out_dir(cfg, args)
     write_envelope_csv(propagated.h, out / "trace_h.csv")
     write_envelope_csv(propagated.v, out / "trace_v.csv")
-    for r in results:
-        selected = post_select(propagated, r.theta)
-        write_envelope_csv(selected.envelope, out / _trace_name(r.theta_deg))
-
-    header = [
-        "theta_deg",
-        "weak_value",
-        "center_v_s",
-        "center_selected_s",
-        "advance_s",
-        "amplification_fitted",
-        "relative_deviation",
-        "throughput_measured",
-        "throughput_predicted",
-        "fit_residual_rms",
-    ]
-    rows = [
-        (
-            r.theta_deg,
-            r.weak_value,
-            center_v,
-            r.fit.center,
-            center_v - r.fit.center,
-            r.amplification,
-            r.relative_deviation,
-            r.throughput,
-            total_transmission(t_tilde, r.theta),
-            r.fit.residual_rms,
-        )
-        for r in results
-    ]
-    write_csv(out / "propagate_summary.csv", header, rows)
-    written = ["trace_h.csv", "trace_v.csv"]
-    written += [_trace_name(theta_deg) for theta_deg in thetas]
-    written.append("propagate_summary.csv")
+    for r, name in zip(results, trace_names):
+        write_envelope_csv(post_select(propagated, r.theta).envelope, out / name)
+    _write_rows(out / "propagate_summary.csv", rows)
+    written = ["trace_h.csv", "trace_v.csv", *trace_names, "propagate_summary.csv"]
     print(
         f"H advance {center_v - center_h:.6e} s over t0 {line.t0:.6e} s; "
         f"wrote {', '.join(written)} in {out}"
@@ -261,24 +263,24 @@ def cmd_sweep_theta(args) -> int:
     cfg = _load(args)
     if args.count < 2:
         raise ParameterError("--count: must be at least 2")
+    if args.count > _MAX_SWEEP_COUNT:
+        raise ParameterError(f"--count: must be at most {_MAX_SWEEP_COUNT}")
     thetas = [float(t) for t in np.linspace(args.start, args.stop, args.count)]
     angles = _analyzer_angles(thetas)
     line, _, propagated = _propagated_state(cfg)
     _, results = _post_select_all(propagated, line, angles)
-
-    header = [
-        "theta_deg",
-        "weak_value",
-        "amplification_fitted",
-        "relative_deviation",
-        "throughput_measured",
-    ]
     rows = [
-        (r.theta_deg, r.weak_value, r.amplification, r.relative_deviation, r.throughput)
+        {
+            "theta_deg": r.theta_deg,
+            "weak_value": r.weak_value,
+            "amplification_fitted": r.amplification,
+            "relative_deviation": r.relative_deviation,
+            "throughput_measured": r.throughput,
+        }
         for r in results
     ]
     out = _out_dir(cfg, args)
-    write_csv(out / "sweep_theta.csv", header, rows)
+    _write_rows(out / "sweep_theta.csv", rows)
     print(f"wrote {out / 'sweep_theta.csv'} ({args.count} angles)")
     return 0
 
@@ -286,40 +288,30 @@ def cmd_sweep_theta(args) -> int:
 def cmd_loss_scaling(args) -> int:
     cfg = _load(args)
     gp = cfg.reduced_line().gamma_prime
-    header = [
-        "transmission",
-        "t_atom_norm",
-        "t_wva_norm",
-        "theta_opt_deg",
-        "t_atom_s",
-        "t_wva_s",
-    ]
     rows = []
     for t in cfg.transmission_list:
         advance_wva, theta = t_wva(t, gp)
         advance_atom = t_atom(t, gp)
         rows.append(
-            (
-                t,
-                2 * gp * advance_atom,
-                2 * gp * advance_wva,
-                float(np.rad2deg(theta)),
-                advance_atom,
-                advance_wva,
-            )
+            {
+                "transmission": t,
+                "t_atom_norm": 2 * gp * advance_atom,
+                "t_wva_norm": 2 * gp * advance_wva,
+                "theta_opt_deg": float(np.rad2deg(theta)),
+                "t_atom_s": advance_atom,
+                "t_wva_s": advance_wva,
+            }
         )
     tstar = crossover(gp)
     _, theta_star = t_wva(tstar, gp)
+    summary = {
+        "crossover_transmission": tstar,
+        "theta_opt_deg_at_crossover": float(np.rad2deg(theta_star)),
+        "gamma_prime_rad_per_s": gp,
+    }
     out = _out_dir(cfg, args)
-    write_csv(out / "loss_scaling.csv", header, rows)
-    _write_kv(
-        out / "loss_scaling_summary.csv",
-        [
-            ("crossover_transmission", tstar),
-            ("theta_opt_deg_at_crossover", float(np.rad2deg(theta_star))),
-            ("gamma_prime_rad_per_s", gp),
-        ],
-    )
+    _write_rows(out / "loss_scaling.csv", rows)
+    _write_kv(out / "loss_scaling_summary.csv", summary)
     print(f"wrote {out / 'loss_scaling.csv'} and {out / 'loss_scaling_summary.csv'}")
     return 0
 
@@ -329,16 +321,16 @@ def cmd_crossover(args) -> int:
     gp = cfg.reduced_line().gamma_prime
     tstar = crossover(gp)
     advance_star, theta_star = t_wva(tstar, gp)
-    pairs = [
-        ("crossover_transmission", tstar),
-        ("theta_opt_deg_at_crossover", float(np.rad2deg(theta_star))),
-        ("advance_at_crossover_s", advance_star),
-        ("advance_norm_at_crossover", 2 * gp * advance_star),
-        ("t_atom_at_crossover_s", t_atom(tstar, gp)),
-        ("gamma_prime_rad_per_s", gp),
-    ]
+    summary = {
+        "crossover_transmission": tstar,
+        "theta_opt_deg_at_crossover": float(np.rad2deg(theta_star)),
+        "advance_at_crossover_s": advance_star,
+        "advance_norm_at_crossover": 2 * gp * advance_star,
+        "t_atom_at_crossover_s": t_atom(tstar, gp),
+        "gamma_prime_rad_per_s": gp,
+    }
     out = _out_dir(cfg, args)
-    _write_kv(out / "crossover.csv", pairs)
+    _write_kv(out / "crossover.csv", summary)
     print(f"crossover transmission: {tstar:.6f}")
     print(f"wrote {out / 'crossover.csv'}")
     return 0

@@ -213,6 +213,16 @@ def _spectral_width(samples: np.ndarray, grid: TimeGrid) -> float:
     return float(np.sqrt(max((om**2 * w).sum() / total - mean**2, 0.0)))
 
 
+def _filter_h(
+    pulse: PolarizedPulse, transfer: np.ndarray, gain: float, context: str
+) -> PolarizedPulse:
+    """Multiply the H spectrum by ``transfer`` and the filtered H by ``gain``;
+    V and the reference energy pass through unchanged."""
+    h_out = np.fft.ifft(np.fft.fft(pulse.h.samples) * transfer) * gain
+    _check_no_wraparound(h_out, context)
+    return PolarizedPulse(Envelope(pulse.h.grid, h_out), pulse.v, pulse.reference_energy)
+
+
 def propagate_ideal(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedPulse:
     """Narrowband reference model: advance H by t0, attenuate it by sqrt(T~).
 
@@ -227,16 +237,8 @@ def propagate_ideal(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedPulse:
             f"shift t0 = {line.t0:.3e} s exceeds a quarter of the grid span "
             f"{grid.span:.3e} s"
         )
-    om = _baseband_frequencies(grid)
-    t_tilde = transmission(line)
-    h_out = np.fft.ifft(np.fft.fft(pulse.h.samples) * np.exp(1j * om * line.t0))
-    h_out = h_out * np.sqrt(t_tilde)
-    _check_no_wraparound(h_out, "propagate_ideal")
-    return PolarizedPulse(
-        h=Envelope(grid, h_out),
-        v=pulse.v,
-        reference_energy=pulse.reference_energy,
-    )
+    shift = np.exp(1j * _baseband_frequencies(grid) * line.t0)
+    return _filter_h(pulse, shift, np.sqrt(transmission(line)), "propagate_ideal")
 
 
 def propagate_lorentzian(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedPulse:
@@ -262,13 +264,7 @@ def propagate_lorentzian(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedP
             stacklevel=2,
         )
     phi = transfer_exponent(_baseband_frequencies(grid), line)
-    h_out = np.fft.ifft(np.fft.fft(pulse.h.samples) * np.exp(1j * phi))
-    _check_no_wraparound(h_out, "propagate_lorentzian")
-    return PolarizedPulse(
-        h=Envelope(grid, h_out),
-        v=pulse.v,
-        reference_energy=pulse.reference_energy,
-    )
+    return _filter_h(pulse, np.exp(1j * phi), 1.0, "propagate_lorentzian")
 
 
 def write_csv(path, header: list, rows, row_format: str | None = None) -> None:

@@ -250,7 +250,6 @@ def test_far_detuning_soft_warning():
         ("Delta", np.inf),
         ("length", -1.0),
         ("omega0", 0.0),
-        ("c", 0.0),
     ],
 )
 def test_medium_spec_validation(field, value):

@@ -25,6 +25,10 @@ MEDIUM = {
 }
 
 
+QUICK_START = {"line": {"t0_us": 0.28, "line_center_transmission": 0.5}}
+NO_ADVANCE = {"line": {"t0_us": 0.0, "gamma_prime_rad_per_us": 1.25}}
+
+
 def _read_kv(path):
     lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "quantity,value"
@@ -210,6 +214,11 @@ def test_sweep_theta_tracks_weak_value(tmp_path):
         ["propagate", "--config", "{tmp}/coarse.json"],
         ["propagate", "--config", "{tmp}/delaying.json"],
         ["crossover", "--config", "{tmp}/huge.json"],
+        ["propagate", "--config", "{tmp}/colliding.json"],
+        ["sweep-theta", "--count", "1048577"],
+        ["sweep-theta", "--count", "1000000000000"],
+        ["propagate", "--config", "{tmp}/no_advance.json"],
+        ["sweep-theta", "--config", "{tmp}/no_advance.json"],
     ],
 )
 def test_parameter_problems_exit_2(tmp_path, capsys, argv):
@@ -244,6 +253,10 @@ def test_parameter_problems_exit_2(tmp_path, capsys, argv):
         {"line": {"t0_us": 0.28, "line_center_transmission": 0.5}, "pulse": {"sigma_us": 10**400}},
         name="huge.json",
     )
+    # two angles whose post-selected traces would share one file name
+    _write_config(tmp_path, dict(QUICK_START, theta_list_deg=[-40.001, -40.004]), name="colliding.json")
+    # a line that advances nothing leaves no arrival shift to measure
+    _write_config(tmp_path, NO_ADVANCE, name="no_advance.json")
     argv = [a.format(tmp=tmp_path) for a in argv]
     default_out = "--out" not in argv
     if default_out:
@@ -253,6 +266,25 @@ def test_parameter_problems_exit_2(tmp_path, capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
     if default_out:
         assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("thetas", [[-40.001, -40.004], [-30.0, -20.0, -30.0]])
+def test_trace_name_collision_names_both_angles_and_the_file(tmp_path, capsys, thetas):
+    cfg = _write_config(tmp_path, dict(QUICK_START, theta_list_deg=thetas))
+    out = tmp_path / "out"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    first, second = thetas[0], thetas[-1]
+    name = f"trace_postselected_theta_{first:.2f}.csv"
+    assert f"{first!r} and {second!r} deg" in err and name in err
+    assert not out.exists()
+
+
+def test_spectrum_accepts_a_line_without_advance(tmp_path):
+    cfg = _write_config(tmp_path, NO_ADVANCE)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    assert float(_read_kv(out / "spectrum_summary.csv")["t0_s"]) == 0.0
 
 
 @pytest.mark.parametrize("theta", ["100", "-90"])

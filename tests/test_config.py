@@ -118,6 +118,10 @@ def test_reduced_line_converts_to_si():
         ({"line": {"t0_us": "fast", "gamma_prime_rad_per_us": 1.25}}, "must be a number"),
         ({"line": {"t0_us": True, "gamma_prime_rad_per_us": 1.25}}, "must be a number"),
         ({"line": 7}, "line: must be an object"),
+        (
+            {"mode": "physical", "line": _REDUCED["line"], "medium": _MEDIUM_ALTERNATE},
+            "line: not allowed in physical mode",
+        ),
     ],
 )
 def test_parse_rejects_bad_top_level_and_line(data, fragment):
