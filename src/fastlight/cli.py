@@ -71,15 +71,15 @@ _MAX_SWEEP_COUNT = 1 << 20
 
 def _write_rows(path: Path, rows: list) -> None:
     """One line per ``{column: number}`` row; the first row's keys are the header."""
-    write_csv(path, list(rows[0]), [tuple(row.values()) for row in rows])
+    write_csv(path, {key: [row[key] for row in rows] for key in rows[0]})
 
 
 def _write_kv(path: Path, values: dict) -> None:
-    rows = [
-        (key, value if isinstance(value, str) else NUMBER_FORMAT % value)
+    lines = ["quantity,value"] + [
+        "%s,%s" % (key, value if isinstance(value, str) else NUMBER_FORMAT % value)
         for key, value in values.items()
     ]
-    write_csv(path, ["quantity", "value"], rows, "%s,%s")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _out_dir(cfg: RunConfig, args) -> Path:
@@ -127,8 +127,7 @@ def cmd_spectrum(args) -> int:
     else:
         summary["kk_residual"] = kramers_kronig_residual(kk_grid, transfer_exponent(kk_grid, line))
     out = _out_dir(cfg, args)
-    rows = zip(*[column.tolist() for column in columns.values()])
-    write_csv(out / "spectrum.csv", list(columns), rows)
+    write_csv(out / "spectrum.csv", columns)
     _write_kv(out / "spectrum_summary.csv", summary)
     print(f"wrote {out / 'spectrum.csv'} and {out / 'spectrum_summary.csv'}")
     return 0

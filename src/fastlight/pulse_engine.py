@@ -45,6 +45,19 @@ _MIN_SPAN_SIGMAS = 16.0
 _BANDWIDTH_GUARD = 10.0  # warn when pulse bandwidth exceeds this many gamma'
 NUMBER_FORMAT = "%.12e"  # every number in every CSV file the package writes
 
+# Numeric CSV cells are formatted a block of rows at a time (see _format_rows).
+_BLOCK_ROWS = 4096  # bounds the working arrays, so peak memory does not grow with the table
+_WORK = np.longdouble  # scaling dtype; where it is plain double more cells take the fallback
+_REGULAR = (1e-290, 1e290)  # |x| strictly inside scales to 13 digits without over- or underflow
+_POWERS_FROM = -280  # the powers-of-ten table runs from 10^-280 to 10^305
+# One cell: byte 0 the separator ("\n" before a row's first cell, "," before
+# the others), 1 the sign, 2 the leading digit, 3 ".", 4-15 twelve digits,
+# 16 "e", 17 the exponent's sign, 20-23 |exponent| as four digits.  Bytes
+# blank here (18-20; 20 holds |exponent|'s thousands digit, always 0) are
+# dropped, as are the sign of a positive number and a hundreds digit of 0.
+_CELL = np.frombuffer(b",-0.000000000000e+   000", dtype=np.uint8)
+_CELL_KEEP = _CELL != ord(" ")
+
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -267,25 +280,102 @@ def propagate_lorentzian(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedP
     return _filter_h(pulse, np.exp(1j * phi), 1.0, "propagate_lorentzian")
 
 
-def write_csv(path, header: list, rows, row_format: str | None = None) -> None:
-    """Write a CSV file: the ``header`` line, then ``row_format % row`` per row.
+@functools.cache
+def _tables(work) -> tuple:
+    """Powers of ten from 10^_POWERS_FROM, correctly rounded in ``work`` (numpy
+    parses each decimal string to the nearest value), and the ASCII digits of
+    0000 to 9999 as one uint32 word each."""
+    powers = np.array([f"1e{k}" for k in range(_POWERS_FROM, 306)]).astype(work)
+    d = np.arange(10, dtype=np.uint8) + ord("0")
+    places = np.broadcast_arrays(d[:, None, None, None], d[:, None, None], d[:, None], d)
+    return powers, np.stack(places, axis=-1).reshape(10000, 4).view(np.uint32).ravel()
 
-    Rows are tuples; by default every cell is a number in NUMBER_FORMAT.
-    Lines end in "\n" on every platform, so reruns are byte-identical.
+
+def _format_rows(table: np.ndarray) -> bytes:
+    """Each row of a 2-d float64 array as one "\n"-led line of comma-separated
+    cells, every cell the bytes that ``NUMBER_FORMAT % x`` prints.
+
+    A finite x with |x| inside _REGULAR prints as M * 10^(E-12), with M the
+    13-digit integer nearest v = |x| * 10^(12-E), ties to even.  Here
+    d = |x| * 10^(12-E) is formed in _WORK, whose machine epsilon is eps,
+    with E = floor(log10|x|) corrected once so that d lies in [1e12, 1e13)
+    up to rounding, and M = rint(d).  The table entry and the product are
+    each rounded once, by at most eps/2 relative, so |d - v| <= (eps +
+    eps^2/4) v.  As log10 misses E by at most one, v < 1e13 (1 + eps), and
+    so |d - v| < 1e13 eps (1 + eps).  Where d lies farther than
+    tol = 4e13 eps from every half-integer, v lies on the same side of each,
+    and rint(d) is the M that Python prints.  Zeros, nan and inf are written
+    directly.  The other cells (near-ties, and |x| outside _REGULAR) are
+    printed by NUMBER_FORMAT itself and their digits parsed back, so every
+    cell leaves through the same byte layout.
     """
-    if row_format is None:
-        row_format = ",".join([NUMBER_FORMAT] * len(header))
-    row_format += "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(row_format % row for row in rows)
+    powers, words = _tables(_WORK)
+    x = table.ravel()
+    nan, inf, zero = np.isnan(x), np.isinf(x), x == 0.0
+    a = np.abs(x)
+    regular = (a > _REGULAR[0]) & (a < _REGULAR[1])
+    a = np.where(regular, a, 1.0)  # log10 never sees 0, nan or inf; 1.0 gives M = 1e12, E = 0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    a = a.astype(_WORK)
+    d = a * powers[12 - e - _POWERS_FROM]
+    off = np.flatnonzero((d < 1e12) | (d >= 1e13))  # log10 rounded across a power of ten
+    e[off] += np.where(d[off] < 1e12, -1, 1)
+    d[off] = a[off] * powers[12 - e[off] - _POWERS_FROM]
+    m = np.rint(d)
+    near_tie = np.abs((d - m).astype(float)) >= 0.5 - 4e13 * np.finfo(_WORK).eps
+    m = m.astype(np.int64)
+    carry = m == 10**13
+    m[carry] = 10**12
+    e += carry
+    m[zero] = 0
+    for i in np.flatnonzero(near_tie | ~(regular | zero | nan | inf)).tolist():
+        mantissa, exponent = (NUMBER_FORMAT % x[i]).split("e")
+        m[i], e[i] = int(mantissa.lstrip("-").replace(".", "")), int(exponent)
+
+    cells = np.tile(_CELL, (x.size, 1))
+    cells[:: table.shape[1], 0] = ord("\n")
+    lead, rest = np.divmod(m, 10**12)
+    cells[:, 2] += lead.astype(np.uint8)
+    cells[:, 17] = np.where(e < 0, ord("-"), ord("+"))
+    word = cells.view(np.uint32)
+    word[:, 1] = words[rest // 10**8]
+    word[:, 2] = words[rest // 10**4 % 10**4]
+    word[:, 3] = words[rest % 10**4]
+    word[:, 5] = words[np.abs(e)]
+    cells[nan, 2:5] = np.frombuffer(b"nan", dtype=np.uint8)
+    cells[inf, 2:5] = np.frombuffer(b"inf", dtype=np.uint8)
+    keep = np.tile(_CELL_KEEP, (x.size, 1))
+    keep[:, 1] = np.signbit(x) & ~nan
+    keep[:, 21] = np.abs(e) >= 100
+    keep[nan | inf, 5:] = False
+    return cells[keep].tobytes()
+
+
+def write_csv(path, columns: dict) -> None:
+    """Write a numeric table: a header line of the column names, then one
+    line per row.
+
+    ``columns`` maps each name to a column of numbers, all of one length.
+    Every cell is the value as float64 printed in NUMBER_FORMAT, byte for
+    byte what Python's ``%`` prints.  Lines end in "\n" on every platform,
+    so reruns are byte-identical.
+    """
+    table = np.column_stack([np.asarray(column, dtype=float) for column in columns.values()])
+    with open(path, "wb") as fh:
+        fh.write(",".join(columns).encode())
+        for start in range(0, len(table), _BLOCK_ROWS):
+            fh.write(_format_rows(table[start : start + _BLOCK_ROWS]))
+        fh.write(b"\n")
 
 
 def write_envelope_csv(envelope: Envelope, path) -> None:
     """Envelope dump: columns t_seconds, re, im, intensity."""
-    samples = envelope.samples
-    # abs() of each Python complex, not np.abs: the two round |z| apart in
-    # the last bit for a few samples, which shows in the printed intensity.
-    intensity = [abs(z) ** 2 for z in samples.tolist()]
-    rows = zip(envelope.times.tolist(), samples.real.tolist(), samples.imag.tolist(), intensity)
-    write_csv(path, ["t_seconds", "re", "im", "intensity"], rows)
+    re, im = envelope.samples.real, envelope.samples.imag
+    # The intensity is Python's abs(z) ** 2.  np.hypot rounds |z| exactly as
+    # complex abs() does, but libm pow(h, 2) is not always h * h (numpy's
+    # square): they differ in the last bit for a few samples per trace, which
+    # can change the 13th printed digit.  So the squaring stays Python's
+    # float ``h**2``, which calls pow.
+    intensity = [h**2 for h in np.hypot(re, im).tolist()]
+    columns = {"t_seconds": envelope.times, "re": re, "im": im, "intensity": intensity}
+    write_csv(path, columns)

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fastlight import (
     ApproximationWarning,
@@ -12,10 +16,11 @@ from fastlight import (
     prepare_input,
     propagate_ideal,
     propagate_lorentzian,
+    pulse_engine,
     transmission,
 )
 from fastlight.atomic_response import transfer_exponent
-from fastlight.pulse_engine import TimeGrid, write_envelope_csv
+from fastlight.pulse_engine import NUMBER_FORMAT, Envelope, TimeGrid, write_csv, write_envelope_csv
 
 SIGMA = 28e-6
 
@@ -222,15 +227,102 @@ def test_distortion_regression():
     assert est.width / sigma == pytest.approx(0.9796275424, rel=1e-6)
 
 
+def _rowwise_csv(header, rows) -> bytes:
+    """Reference writer: the header, then ``NUMBER_FORMAT % cell`` per cell, row by row."""
+    row_format = ",".join([NUMBER_FORMAT] * len(header)) + "\n"
+    return (",".join(header) + "\n" + "".join(row_format % tuple(row) for row in rows)).encode()
+
+
 def test_envelope_csv_round_trip(tmp_path):
     grid = default_grid(SIGMA, n_samples=256, span_sigmas=16.0)
     env = make_gaussian(grid, SIGMA, 0.0, 1.0)
     path = tmp_path / "trace.csv"
     write_envelope_csv(env, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t_seconds,re,im,intensity"
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (256, 4)
-    assert np.allclose(data[:, 0], env.times, rtol=1e-11)
-    assert np.allclose(data[:, 1], env.samples.real, rtol=1e-11, atol=1e-300)
-    assert np.allclose(data[:, 3], np.abs(env.samples) ** 2, rtol=1e-11, atol=1e-300)
+    intensity = [abs(z) ** 2 for z in env.samples.tolist()]
+    rows = zip(env.times.tolist(), env.samples.real.tolist(), env.samples.imag.tolist(), intensity)
+    assert path.read_bytes() == _rowwise_csv(["t_seconds", "re", "im", "intensity"], rows)
+
+
+def test_multi_block_table_matches_rowwise_writer(tmp_path):
+    rows = 2 * pulse_engine._BLOCK_ROWS + 3
+    rng = np.random.default_rng(5)
+    columns = {
+        "a": np.linspace(-1.0, 1.0, rows),
+        "b": rng.standard_normal(rows) * 10.0 ** rng.integers(-200, 200, rows),
+        "c": rng.standard_normal(rows),
+    }
+    columns["a"][pulse_engine._BLOCK_ROWS] = -0.0
+    columns["b"][[7, pulse_engine._BLOCK_ROWS - 1]] = [np.nan, -np.inf]
+    columns["c"][-1] = -1.5e-123
+    path = tmp_path / "table.csv"
+    write_csv(path, columns)
+    expected = _rowwise_csv(list(columns), zip(*[c.tolist() for c in columns.values()]))
+    assert path.read_bytes() == expected
+
+
+def test_intensity_column_keeps_complex_abs_and_libm_pow(tmp_path):
+    rng = np.random.default_rng(9)
+    re, im = rng.standard_normal((2, 4000)) * 10.0 ** rng.uniform(-100, 100, (2, 4000))
+    assert np.hypot(re, im).tolist() == [abs(complex(r, i)) for r, i in zip(re, im)]
+    # libm's pow(h, 2) rounds differently from h * h (numpy's square) for
+    # these magnitudes, and the difference shows in the 13 printed digits
+    magnitudes = [6.785729742946222e-04, 6.970322278952746e-06, 7.863265370395113e-06,
+                  9.637163866954063]
+    assert all(NUMBER_FORMAT % (h * h) != NUMBER_FORMAT % h**2 for h in magnitudes)
+    grid = TimeGrid(n_samples=256, dt=1.0, t_start=0.0)
+    samples = np.zeros(256, dtype=complex)
+    samples[: len(magnitudes)] = magnitudes
+    path = tmp_path / "trace.csv"
+    write_envelope_csv(Envelope(grid, samples), path)
+    lines = path.read_text().splitlines()[1 : len(magnitudes) + 1]
+    assert [line.split(",")[3] for line in lines] == [NUMBER_FORMAT % h**2 for h in magnitudes]
+
+
+def _hard_cases() -> list:
+    """Values at which a formatter that is not correctly rounded would slip."""
+    rng = np.random.default_rng(17)
+    values = [0.0, 5e-324, 1.7976931348623157e308, float("nan"), float("inf")]
+    values += [float(f"1e{k}") for k in range(-323, 309)]
+    for k in (-300, -290, -150, -20, -5, 0, 5, 20, 150, 290, 300):
+        values.append(float(f"9.9999999999995e{k}"))  # rounds up to the next power of ten
+        for digits in rng.integers(10**12, 10**13, 4).tolist():
+            values.append(float(f"{digits}5e{k - 13}"))  # a 13-digit tie, to the nearest double
+    for digits in rng.integers(10**12, 10**13, 8).tolist():
+        values += [digits + 0.5, (10 * digits + 5) * 100.0]  # exact binary ties
+    for bound in (1e-290, 1e290):
+        values += [bound, np.nextafter(bound, 0.0), np.nextafter(bound, np.inf)]
+    values = np.array(values)
+    with np.errstate(over="ignore"):  # the largest double steps up to inf
+        values = np.concatenate(
+            [values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)]
+        )
+    return np.concatenate([values, -values]).tolist()
+
+
+def _assert_formats_like_python(values) -> None:
+    table = np.array(values, dtype=float).reshape(-1, 1)
+    expected = "".join("\n" + NUMBER_FORMAT % x for x in values).encode()
+    for work in (np.longdouble, np.float64):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pulse_engine, "_WORK", work)
+            assert pulse_engine._format_rows(table) == expected
+
+
+def test_hard_cases_format_like_python():
+    _assert_formats_like_python(_hard_cases())
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=64))
+def test_every_float_formats_like_python(values):
+    _assert_formats_like_python(values)
+
+
+@pytest.mark.parametrize("work", [np.longdouble, np.float64])
+def test_powers_of_ten_are_correctly_rounded(work):
+    powers, _ = pulse_engine._tables(work)
+    for k, power in enumerate(powers, start=pulse_engine._POWERS_FROM):
+        exact = Fraction(10) ** k
+        neighbours = [np.nextafter(power, work(0.0)), np.nextafter(power, work(np.inf))]
+        error = abs(Fraction(*power.as_integer_ratio()) - exact)
+        assert all(error <= abs(Fraction(*n.as_integer_ratio()) - exact) for n in neighbours), k
