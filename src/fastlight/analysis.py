@@ -62,7 +62,7 @@ class ArrivalEstimate:
 
 def centroid(envelope: Envelope) -> ArrivalEstimate:
     """First/second intensity moments by trapezoidal quadrature."""
-    y = np.abs(envelope.samples) ** 2
+    y = envelope.intensity
     dt = envelope.grid.dt
     total = float(np.trapezoid(y, dx=dt))
     if not np.isfinite(total) or total <= 0.0:
@@ -92,7 +92,7 @@ def fit_gaussian(envelope: Envelope) -> ArrivalEstimate:
     from scipy.optimize import leastsq  # imported here: no other command needs scipy
 
     seed = centroid(envelope)
-    y = np.abs(envelope.samples) ** 2
+    y = envelope.intensity
     ymax = float(y.max())
     if np.count_nonzero(y >= 0.5 * ymax) < _MIN_PEAK_SAMPLES:
         raise ParameterError(

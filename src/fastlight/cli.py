@@ -264,6 +264,8 @@ def cmd_sweep_theta(args) -> int:
         raise ParameterError("--count: must be at least 2")
     if args.count > _MAX_SWEEP_COUNT:
         raise ParameterError(f"--count: must be at most {_MAX_SWEEP_COUNT}")
+    check_angle_deg("--start", args.start)
+    check_angle_deg("--stop", args.stop)
     thetas = [float(t) for t in np.linspace(args.start, args.stop, args.count)]
     angles = _analyzer_angles(thetas)
     line, _, propagated = _propagated_state(cfg)

@@ -41,22 +41,27 @@ from .errors import (
 _BOUNDARY_FRACTION = 1e-6
 _MIN_SAMPLES = 256
 _MAX_SAMPLES = 1 << 22  # 64 MiB per complex array; far beyond any useful grid
+_MAX_SPAN = 1e150  # seconds; squared times and widths on a shorter grid stay finite
 _MIN_SPAN_SIGMAS = 16.0
 _BANDWIDTH_GUARD = 10.0  # warn when pulse bandwidth exceeds this many gamma'
 NUMBER_FORMAT = "%.12e"  # every number in every CSV file the package writes
 
 # Numeric CSV cells are formatted a block of rows at a time (see _format_rows).
 _BLOCK_ROWS = 4096  # bounds the working arrays, so peak memory does not grow with the table
-_WORK = np.longdouble  # scaling dtype; where it is plain double more cells take the fallback
 _REGULAR = (1e-290, 1e290)  # |x| strictly inside scales to 13 digits without over- or underflow
 _POWERS_FROM = -280  # the powers-of-ten table runs from 10^-280 to 10^305
+_COARSE_BAND = 2.5e-3  # a scaled fraction this close to 1/2 is formed again in double-double
+_TIE_BAND = 1e-15  # and then, this close to 1/2, takes the fallback (see _format_rows)
+_VELTKAMP = 134217729.0  # 2^27 + 1: splits a double into two halves of 26 bits
+_POW_BAND = 0.45  # a square whose error reaches this many ulp is left to pow (see _squares)
+_EXPONENTS_FROM = -324  # the exponent table runs from e-324 to e+308
 # One cell: byte 0 the separator ("\n" before a row's first cell, "," before
 # the others), 1 the sign, 2 the leading digit, 3 ".", 4-15 twelve digits,
-# 16 "e", 17 the exponent's sign, 20-23 |exponent| as four digits.  Bytes
-# blank here (18-20; 20 holds |exponent|'s thousands digit, always 0) are
-# dropped, as are the sign of a positive number and a hundreds digit of 0.
-_CELL = np.frombuffer(b",-0.000000000000e+   000", dtype=np.uint8)
-_CELL_KEEP = _CELL != ord(" ")
+# 16-23 "e", the exponent's sign and two or three digits, blank-padded.  A
+# positive number drops byte 0 and carries the separator in byte 1, so the
+# bytes kept are one run: from byte 0 or 1 to byte 19 or 20.
+_CELL = np.frombuffer(b",-0.000000000000        ", dtype=np.uint8)
+_CELL_KEEP = np.arange(24) < 20
 
 
 @dataclass(frozen=True)
@@ -76,6 +81,11 @@ class TimeGrid:
                 f"and <= {_MAX_SAMPLES}; got {n}"
             )
         check_positive("dt", self.dt)
+        if not self.span < _MAX_SPAN:
+            raise ParameterError(
+                f"grid span: must be below {_MAX_SPAN:g} s, so that squared times "
+                f"stay finite; got {self.span:.3e} s"
+            )
         if not np.isfinite(self.t_start):
             raise ParameterError("t_start: must be finite")
 
@@ -124,9 +134,16 @@ class Envelope:
     def times(self) -> np.ndarray:
         return self.grid.times
 
+    @functools.cached_property
+    def intensity(self) -> np.ndarray:
+        """|samples|^2, computed once per envelope and read-only."""
+        intensity = np.abs(self.samples) ** 2
+        intensity.setflags(write=False)
+        return intensity
+
     def energy(self) -> float:
         """Integrated intensity, trapezoidal rule."""
-        return float(np.trapezoid(np.abs(self.samples) ** 2, dx=self.grid.dt))
+        return float(np.trapezoid(self.intensity, dx=self.grid.dt))
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,7 +201,9 @@ def make_gaussian(grid: TimeGrid, sigma: float, center: float, amplitude: float)
     samples = amplitude * np.exp(-((t - center) ** 2) / (4 * sigma**2))
     _check_no_wraparound(samples, "make_gaussian")
     env = Envelope(grid=grid, samples=samples)
-    if not np.isfinite(env.energy()) or env.energy() <= 0:
+    with np.errstate(over="ignore"):  # an energy too large for a float is refused here
+        energy = env.energy()
+    if not np.isfinite(energy) or energy <= 0:
         raise ParameterError("synthesized envelope must carry finite positive energy")
     return env
 
@@ -281,74 +300,138 @@ def propagate_lorentzian(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedP
 
 
 @functools.cache
-def _tables(work) -> tuple:
-    """Powers of ten from 10^_POWERS_FROM, correctly rounded in ``work`` (numpy
-    parses each decimal string to the nearest value), and the ASCII digits of
-    0000 to 9999 as one uint32 word each."""
-    powers = np.array([f"1e{k}" for k in range(_POWERS_FROM, 306)]).astype(work)
+def _tables() -> tuple:
+    """The powers of ten 10^k from k = _POWERS_FROM as one (4, n) array of
+    rows hi, hi_h, hi_l, lo; the ASCII digits of 0000 to 9999 as one uint32
+    word each; and the exponent fields "e-324" to "e+308" as one 8-byte
+    word each.
+
+    hi is 10^k correctly rounded (Python parses "1e{k}" to the nearest
+    double); hi_h keeps its high 26 significant bits (the low 27 mantissa
+    bits masked off) and hi_l = hi - hi_h, exactly, the other 27; lo is
+    10^k - hi, formed exactly in integers and rounded once.
+    """
+    hi, lo = [], []
+    for k in range(_POWERS_FROM, 306):
+        h = float(f"1e{k}")
+        n, d = h.as_integer_ratio()
+        up, down = 10 ** max(k, 0), 10 ** max(-k, 0)
+        hi.append(h)
+        lo.append((up * d - n * down) / (d * down))  # int / int rounds once
+    hi = np.array(hi)
+    hi_h = (hi.view(np.uint64) & ~np.uint64((1 << 27) - 1)).view(float)
     d = np.arange(10, dtype=np.uint8) + ord("0")
     places = np.broadcast_arrays(d[:, None, None, None], d[:, None, None], d[:, None], d)
-    return powers, np.stack(places, axis=-1).reshape(10000, 4).view(np.uint32).ravel()
+    words = np.stack(places, axis=-1).reshape(10000, 4).view(np.uint32).ravel()
+    exponents = [f"e{k:+03d}".ljust(8).encode() for k in range(_EXPONENTS_FROM, 309)]
+    powers = np.stack([hi, hi_h, hi - hi_h, np.array(lo)])
+    return powers, words, np.array(exponents).view(np.uint64)
+
+
+def _split(a: np.ndarray) -> tuple:
+    """Veltkamp's split of a (|a| < 1e290): a = high + low exactly, each
+    with at most 26 significant bits."""
+    c = a * _VELTKAMP
+    high = c - (c - a)
+    return high, a - high
 
 
 def _format_rows(table: np.ndarray) -> bytes:
     """Each row of a 2-d float64 array as one "\n"-led line of comma-separated
     cells, every cell the bytes that ``NUMBER_FORMAT % x`` prints.
 
-    A finite x with |x| inside _REGULAR prints as M * 10^(E-12), with M the
-    13-digit integer nearest v = |x| * 10^(12-E), ties to even.  Here
-    d = |x| * 10^(12-E) is formed in _WORK, whose machine epsilon is eps,
-    with E = floor(log10|x|) corrected once so that d lies in [1e12, 1e13)
-    up to rounding, and M = rint(d).  The table entry and the product are
-    each rounded once, by at most eps/2 relative, so |d - v| <= (eps +
-    eps^2/4) v.  As log10 misses E by at most one, v < 1e13 (1 + eps), and
-    so |d - v| < 1e13 eps (1 + eps).  Where d lies farther than
-    tol = 4e13 eps from every half-integer, v lies on the same side of each,
-    and rint(d) is the M that Python prints.  Zeros, nan and inf are written
-    directly.  The other cells (near-ties, and |x| outside _REGULAR) are
-    printed by NUMBER_FORMAT itself and their digits parsed back, so every
-    cell leaves through the same byte layout.
+    A finite x with a = |x| inside _REGULAR prints as M * 10^(E-12), with M
+    the 13-digit integer nearest v = a * 10^(12-E), ties to even.  E starts
+    as floor(log10 a) and is corrected once, so that p = RN(a * hi) lies in
+    [1e12, 1e13]; (hi, lo) is the table pair of k = 12 - E.  hi and p are
+    each rounded once, so |p - v| <= 2^-52 1e13 < _COARSE_BAND, and
+    M = rint(p) wherever |p - M| < 1/2 - _COARSE_BAND.  The other cells
+    (about one in 200) form v again to within 6e-19.  Dekker's product of
+    a's Veltkamp halves and hi's masked halves (each partial product fits
+    in 53 bits) gives err = a * hi - p exactly; |10^k - hi - lo| <=
+    2^-106 hi; so p + low, with low = RN(err + RN(a * lo)), misses v by at
+    most 2^-106 1e13 + 2^-62 + 2^-62 (a * lo's error and the two roundings;
+    |a * lo|, |err| < 2^-9).  frac = RN((p - M) + low) lies within 0.51 of
+    0 and its rounding adds at most 2^-54, so frac misses v - M by less
+    than 6e-17 < _TIE_BAND.  Where |frac| is farther than _TIE_BAND from
+    1/2, M + rint(frac) is the M that Python prints.  Zeros, nan and inf
+    are written directly.  The other cells (near-ties, and a outside
+    _REGULAR) are printed by NUMBER_FORMAT itself and their digits parsed
+    back, so every cell leaves through the same byte layout.
     """
-    powers, words = _tables(_WORK)
+    (hi, hi_h, hi_l, lo), words, exponents = _tables()
     x = table.ravel()
     nan, inf, zero = np.isnan(x), np.isinf(x), x == 0.0
     a = np.abs(x)
     regular = (a > _REGULAR[0]) & (a < _REGULAR[1])
     a = np.where(regular, a, 1.0)  # log10 never sees 0, nan or inf; 1.0 gives M = 1e12, E = 0
     e = np.floor(np.log10(a)).astype(np.int64)
-    a = a.astype(_WORK)
-    d = a * powers[12 - e - _POWERS_FROM]
-    off = np.flatnonzero((d < 1e12) | (d >= 1e13))  # log10 rounded across a power of ten
-    e[off] += np.where(d[off] < 1e12, -1, 1)
-    d[off] = a[off] * powers[12 - e[off] - _POWERS_FROM]
-    m = np.rint(d)
-    near_tie = np.abs((d - m).astype(float)) >= 0.5 - 4e13 * np.finfo(_WORK).eps
+    k = (12 - _POWERS_FROM) - e  # the table index of 10^(12-E)
+    p = a * hi[k]
+    off = np.flatnonzero((p < 1e12) | (p >= 1e13))  # log10 rounded across a power of ten
+    step = np.where(p[off] < 1e12, 1, -1)
+    e[off] -= step
+    k[off] += step
+    p[off] = a[off] * hi[k[off]]
+    m = np.rint(p)
+    near = np.flatnonzero(np.abs(p - m) > 0.5 - _COARSE_BAND)  # M in doubt: refine
+    a, k, p = a[near], k[near], p[near]
+    a_h, a_l = _split(a)
+    b_h, b_l = hi_h[k], hi_l[k]
+    err = ((a_h * b_h - p) + a_h * b_l + a_l * b_h) + a_l * b_l
+    frac = (p - m[near]) + (err + a * lo[k])
+    m[near] += np.rint(frac)
     m = m.astype(np.int64)
     carry = m == 10**13
     m[carry] = 10**12
     e += carry
     m[zero] = 0
-    for i in np.flatnonzero(near_tie | ~(regular | zero | nan | inf)).tolist():
+    fallback = ~(regular | zero | nan | inf)
+    fallback[near[np.abs(np.abs(frac) - 0.5) <= _TIE_BAND]] = True
+    for i in np.flatnonzero(fallback).tolist():
         mantissa, exponent = (NUMBER_FORMAT % x[i]).split("e")
         m[i], e[i] = int(mantissa.lstrip("-").replace(".", "")), int(exponent)
 
     cells = np.tile(_CELL, (x.size, 1))
     cells[:: table.shape[1], 0] = ord("\n")
+    negative = np.signbit(x) & ~nan
+    cells[:, 1] = np.where(negative, ord("-"), cells[:, 0])
     lead, rest = np.divmod(m, 10**12)
     cells[:, 2] += lead.astype(np.uint8)
-    cells[:, 17] = np.where(e < 0, ord("-"), ord("+"))
     word = cells.view(np.uint32)
     word[:, 1] = words[rest // 10**8]
     word[:, 2] = words[rest // 10**4 % 10**4]
     word[:, 3] = words[rest % 10**4]
-    word[:, 5] = words[np.abs(e)]
+    cells.view(np.uint64)[:, 2] = exponents[e - _EXPONENTS_FROM]
     cells[nan, 2:5] = np.frombuffer(b"nan", dtype=np.uint8)
     cells[inf, 2:5] = np.frombuffer(b"inf", dtype=np.uint8)
     keep = np.tile(_CELL_KEEP, (x.size, 1))
-    keep[:, 1] = np.signbit(x) & ~nan
-    keep[:, 21] = np.abs(e) >= 100
+    keep[:, 0] = negative
+    keep[:, 20] = np.abs(e) >= 100
     keep[nan | inf, 5:] = False
-    return cells[keep].tobytes()
+    return cells.ravel()[keep.ravel()].tobytes()
+
+
+def _squares(h: np.ndarray) -> np.ndarray:
+    """libm pow(h, 2) of each h >= 0: what Python's float ``h**2`` returns.
+
+    pow in glibc (2.28 on) and musl is within 0.54 ulp of h^2, so it returns
+    the double nearest h^2 wherever that lies within 0.46 ulp of h^2 and is
+    not a power of two (where the gap below is half the gap above).  Dekker's
+    product gives that double, s = RN(h * h), and its exact error; the cells
+    where the error reaches _POW_BAND ulp, s is a power of two, or h lies
+    outside (1e-130, 1e130) (the error's terms would leave the normal range),
+    and nan or inf, are Python's ``h**2``.
+    """
+    inside = (h > 1e-130) & (h < 1e130)
+    a = np.where(inside, h, 1.0)
+    s = a * a
+    h_h, h_l = _split(a)
+    err = ((h_h * h_h - s) + 2 * h_h * h_l) + h_l * h_l
+    power_of_two = (s.view(np.uint64) << np.uint64(12)) == 0
+    odd = np.flatnonzero(~inside | power_of_two | (np.abs(err) >= _POW_BAND * np.spacing(s)))
+    s[odd] = [v**2 for v in h[odd].tolist()]
+    return s
 
 
 def write_csv(path, columns: dict) -> None:
@@ -371,11 +454,9 @@ def write_csv(path, columns: dict) -> None:
 def write_envelope_csv(envelope: Envelope, path) -> None:
     """Envelope dump: columns t_seconds, re, im, intensity."""
     re, im = envelope.samples.real, envelope.samples.imag
-    # The intensity is Python's abs(z) ** 2.  np.hypot rounds |z| exactly as
-    # complex abs() does, but libm pow(h, 2) is not always h * h (numpy's
-    # square): they differ in the last bit for a few samples per trace, which
-    # can change the 13th printed digit.  So the squaring stays Python's
-    # float ``h**2``, which calls pow.
-    intensity = [h**2 for h in np.hypot(re, im).tolist()]
+    # The intensity is Python's abs(z) ** 2: np.hypot rounds |z| exactly as
+    # complex abs() does, and _squares returns libm pow(h, 2), which is not
+    # always h * h (numpy's square) and can differ in the 13th printed digit.
+    intensity = _squares(np.hypot(re, im))
     columns = {"t_seconds": envelope.times, "re": re, "im": im, "intensity": intensity}
     write_csv(path, columns)

@@ -219,6 +219,9 @@ def test_sweep_theta_tracks_weak_value(tmp_path):
         ["sweep-theta", "--count", "1000000000000"],
         ["propagate", "--config", "{tmp}/no_advance.json"],
         ["sweep-theta", "--config", "{tmp}/no_advance.json"],
+        ["propagate", "--config", "{tmp}/wide.json"],
+        ["sweep-theta", "--config", "{tmp}/wide.json"],
+        ["propagate", "--config", "{tmp}/bright.json"],
     ],
 )
 def test_parameter_problems_exit_2(tmp_path, capsys, argv):
@@ -257,6 +260,10 @@ def test_parameter_problems_exit_2(tmp_path, capsys, argv):
     _write_config(tmp_path, dict(QUICK_START, theta_list_deg=[-40.001, -40.004]), name="colliding.json")
     # a line that advances nothing leaves no arrival shift to measure
     _write_config(tmp_path, NO_ADVANCE, name="no_advance.json")
+    # a pulse so wide that its squared times overflow, and one so bright
+    # that its energy does
+    _write_config(tmp_path, dict(QUICK_START, pulse={"sigma_us": 1e300}), name="wide.json")
+    _write_config(tmp_path, dict(QUICK_START, pulse={"amplitude": 1e300}), name="bright.json")
     argv = [a.format(tmp=tmp_path) for a in argv]
     default_out = "--out" not in argv
     if default_out:
@@ -294,6 +301,14 @@ def test_out_of_range_angle_is_named_in_degrees(tmp_path, capsys, theta):
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{float(theta)!r} deg" in err and "np.float64" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--start", "--stop"])
+def test_sweep_bound_out_of_range_is_named_by_its_flag(tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    assert main(["sweep-theta", flag, "inf", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: must lie in (-90, 90] deg; got inf deg\n"
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,9 @@ from fastlight import (
     ReducedLine,
     centroid,
     default_grid,
+    group_advance,
     make_gaussian,
+    post_select,
     prepare_input,
     propagate_ideal,
     propagate_lorentzian,
@@ -278,6 +281,30 @@ def test_intensity_column_keeps_complex_abs_and_libm_pow(tmp_path):
     assert [line.split(",")[3] for line in lines] == [NUMBER_FORMAT % h**2 for h in magnitudes]
 
 
+def test_squares_are_pythons_pow():
+    rng = np.random.default_rng(23)
+    h = np.abs(rng.standard_normal(10**6)) * 10.0 ** rng.uniform(-140, 140, 10**6)
+    twos = 2.0 ** np.arange(-1074, 512)  # subnormals included
+    specials = [0.0, 5e-324, 2.2250738585072014e-308, 1e150, 1.3e154, np.nan, np.inf]
+    beyond = 10.0 ** rng.uniform(150, 154, 1000)
+    h = np.concatenate([h, twos, np.nextafter(twos, 0.0), np.nextafter(twos, np.inf),
+                        specials, beyond])
+    np.testing.assert_array_equal(pulse_engine._squares(h), [v**2 for v in h.tolist()])
+
+
+def test_readme_medium_trace_matches_rowwise_writer(tmp_path, demo_spec):
+    line = group_advance(demo_spec)
+    grid = default_grid(SIGMA, n_samples=1 << 16)
+    state = prepare_input(make_gaussian(grid, SIGMA, 0.0, 1.0), transmission(line))
+    selected = post_select(propagate_lorentzian(state, line), np.deg2rad(-40.0)).envelope
+    path = tmp_path / "trace.csv"
+    write_envelope_csv(selected, path)
+    samples = selected.samples.tolist()
+    intensity = [abs(z) ** 2 for z in samples]
+    rows = zip(selected.times.tolist(), *zip(*[(z.real, z.imag) for z in samples]), intensity)
+    assert path.read_bytes() == _rowwise_csv(["t_seconds", "re", "im", "intensity"], rows)
+
+
 def _hard_cases() -> list:
     """Values at which a formatter that is not correctly rounded would slip."""
     rng = np.random.default_rng(17)
@@ -302,14 +329,20 @@ def _hard_cases() -> list:
 def _assert_formats_like_python(values) -> None:
     table = np.array(values, dtype=float).reshape(-1, 1)
     expected = "".join("\n" + NUMBER_FORMAT % x for x in values).encode()
-    for work in (np.longdouble, np.float64):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pulse_engine, "_WORK", work)
-            assert pulse_engine._format_rows(table) == expected
+    assert pulse_engine._format_rows(table) == expected
 
 
 def test_hard_cases_format_like_python():
     _assert_formats_like_python(_hard_cases())
+
+
+def test_decimal_ties_format_like_python():
+    # the double nearest a 13-digit tie lies within about 1e-3 of it once
+    # scaled, which is where a coarse scaling would round to the wrong side
+    rng = np.random.default_rng(29)
+    digits = rng.integers(10**12, 10**13, 20000).tolist()
+    exponents = rng.integers(-290, 290, 20000).tolist()
+    _assert_formats_like_python([float(f"{d}5e{k}") for d, k in zip(digits, exponents)])
 
 
 @settings(deadline=None)
@@ -318,11 +351,15 @@ def test_every_float_formats_like_python(values):
     _assert_formats_like_python(values)
 
 
-@pytest.mark.parametrize("work", [np.longdouble, np.float64])
-def test_powers_of_ten_are_correctly_rounded(work):
-    powers, _ = pulse_engine._tables(work)
-    for k, power in enumerate(powers, start=pulse_engine._POWERS_FROM):
+def test_power_pairs_are_exact():
+    (hi, hi_h, hi_l, lo), _, _ = pulse_engine._tables()
+    for k, pair in enumerate(zip(hi, hi_h, hi_l, lo), start=pulse_engine._POWERS_FROM):
+        h, h_h, h_l, low = (float(v) for v in pair)
         exact = Fraction(10) ** k
-        neighbours = [np.nextafter(power, work(0.0)), np.nextafter(power, work(np.inf))]
-        error = abs(Fraction(*power.as_integer_ratio()) - exact)
-        assert all(error <= abs(Fraction(*n.as_integer_ratio()) - exact) for n in neighbours), k
+        error = abs(Fraction(h) - exact)
+        neighbours = np.nextafter(h, [0.0, np.inf]).tolist()
+        assert all(error <= abs(Fraction(n) - exact) for n in neighbours), k
+        assert low == float(exact - Fraction(h)), k  # Fraction to float rounds once
+        mantissa, exponent = math.frexp(h)
+        assert h_h == math.ldexp(math.floor(math.ldexp(mantissa, 26)), exponent - 26), k
+        assert Fraction(h_h) + Fraction(h_l) == Fraction(h), k
