@@ -363,3 +363,16 @@ def test_power_pairs_are_exact():
         mantissa, exponent = math.frexp(h)
         assert h_h == math.ldexp(math.floor(math.ldexp(mantissa, 26)), exponent - 26), k
         assert Fraction(h_h) + Fraction(h_l) == Fraction(h), k
+
+
+@pytest.mark.parametrize("work", [np.longdouble, np.float64])
+def test_powers_of_ten_are_correctly_rounded(work):
+    # hi + lo, rounded once to the working dtype, is the nearest value to 10^k
+    # there: the pair carries at least as much precision as a longdouble
+    (hi, _, _, lo), _, _ = pulse_engine._tables()
+    for k, (h, low) in enumerate(zip(hi, lo), start=pulse_engine._POWERS_FROM):
+        power = work(h) + work(low)
+        exact = Fraction(10) ** k
+        neighbours = [np.nextafter(power, work(0.0)), np.nextafter(power, work(np.inf))]
+        error = abs(Fraction(*power.as_integer_ratio()) - exact)
+        assert all(error <= abs(Fraction(*n.as_integer_ratio()) - exact) for n in neighbours), k
