@@ -162,7 +162,7 @@ def _propagated_state(cfg: RunConfig):
     grid = default_grid(sigma, cfg.grid.n_samples, cfg.grid.span_sigmas)
     source = make_gaussian(grid, sigma, 0.0, cfg.pulse.amplitude)
     t_tilde = transmission(line)
-    state = prepare_input(source, t_tilde, cfg.relative_phase)
+    state = prepare_input(source, t_tilde)
     if cfg.propagation == "ideal":
         propagated = propagate_ideal(state, line)
     else:

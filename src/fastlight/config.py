@@ -108,7 +108,6 @@ class RunConfig:
     theta_list_deg: tuple = (-40.0, -50.0)
     transmission_list: tuple = (0.02, 0.05, 0.1, 0.2, 0.5, 0.9)
     propagation: str = "spectral"
-    relative_phase: float = 0.0
     spectrum_points: int = 1601
     output_dir: str = "out"
 
@@ -144,8 +143,6 @@ class RunConfig:
             raise ParameterError(
                 f"spectrum_points: must be an integer >= 16 and <= {_MAX_SPECTRUM_POINTS}"
             )
-        if not math.isfinite(self.relative_phase):
-            raise ParameterError("relative_phase: must be finite")
         object.__setattr__(self, "theta_list_deg", tuple(self.theta_list_deg))
         object.__setattr__(self, "transmission_list", tuple(self.transmission_list))
 

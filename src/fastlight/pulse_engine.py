@@ -208,25 +208,19 @@ def make_gaussian(grid: TimeGrid, sigma: float, center: float, amplitude: float)
     return env
 
 
-def prepare_input(
-    pulse: Envelope, t_tilde: float, relative_phase: float = 0.0
-) -> PolarizedPulse:
+def prepare_input(pulse: Envelope, t_tilde: float) -> PolarizedPulse:
     """Split a pulse into the unequal-weight H/V input state.
 
-    h = pulse / sqrt(1 + T~),  v = e^{i phi} sqrt(T~) pulse / sqrt(1 + T~),
+    h = pulse / sqrt(1 + T~),  v = sqrt(T~) pulse / sqrt(1 + T~),
     where T~ in (0, 1] is the line-centre intensity transmission the H
     component will see.  H carries the larger weight; the total energy equals
     the source pulse energy, which is stored as the throughput reference.
-    ``relative_phase`` models a static H-V optical path difference (default
-    0: equal path lengths).
+    The two arms are in phase: every output assumes equal path lengths.
     """
     check_transmission("t_tilde", t_tilde)
     norm = np.sqrt(1.0 + t_tilde)
     h = Envelope(pulse.grid, pulse.samples / norm)
-    v_samples = pulse.samples * (np.sqrt(t_tilde) / norm)
-    if relative_phase != 0.0:
-        v_samples = v_samples * np.exp(1j * relative_phase)
-    v = Envelope(pulse.grid, v_samples)
+    v = Envelope(pulse.grid, pulse.samples * (np.sqrt(t_tilde) / norm))
     return PolarizedPulse(h=h, v=v, reference_energy=pulse.energy())
 
 
@@ -235,12 +229,18 @@ def _baseband_frequencies(grid: TimeGrid) -> np.ndarray:
 
 
 def _spectral_width(samples: np.ndarray, grid: TimeGrid) -> float:
-    """Intensity-weighted std of the baseband spectrum (rad/s)."""
+    """Intensity-weighted std of the baseband spectrum (rad/s).
+
+    The weights are normalised to a unit peak before squaring, so that a
+    bright pulse's weights do not overflow.
+    """
     om = _baseband_frequencies(grid)
-    w = np.abs(np.fft.fft(samples)) ** 2
-    total = w.sum()
-    if total == 0.0:
+    magnitude = np.abs(np.fft.fft(samples))
+    peak = magnitude.max()
+    if peak == 0.0:
         return 0.0
+    w = (magnitude / peak) ** 2
+    total = w.sum()
     mean = float((om * w).sum() / total)
     return float(np.sqrt(max((om**2 * w).sum() / total - mean**2, 0.0)))
 

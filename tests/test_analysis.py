@@ -6,10 +6,13 @@ import warnings
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import least_squares, leastsq
 
 from fastlight import (
     FitFailureError,
+    NumericalError,
     ParameterError,
     ReducedLine,
     centroid,
@@ -24,7 +27,7 @@ from fastlight import (
     transmission,
 )
 from fastlight import analysis
-from fastlight.analysis import _advance_objective, _scan
+from fastlight.analysis import _GRID_POINTS, _advance_objective, _cells, _golden_max, _grid
 from fastlight.cli import _propagated_state
 from fastlight.config import default_config, parse_config
 from fastlight.pulse_engine import Envelope, TimeGrid
@@ -240,15 +243,113 @@ def test_best_advance_frozen_values(total):
 
 @pytest.mark.parametrize("total", [1e-4, 0.005, 0.0566, 0.5, 0.95, 0.999999])
 def test_vectorised_scan_matches_scalar_objective(total):
+    grid = _grid(total)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        grid, values = _scan(total)
+        values = _cells(grid, total)
     scalar = np.array([_advance_objective(float(th), total) for th in grid])
     feasible = np.isfinite(scalar)
     assert np.array_equal(np.isfinite(values), feasible)
     assert np.all(values[~feasible] == -np.inf)
     np.testing.assert_array_max_ulp(values[feasible], scalar[feasible], maxulp=4)
     assert np.argmax(values) == np.argmax(scalar)
+
+
+def _full_grid_t_wva(total, gamma_prime):
+    """t_wva with every one of its 2000 cells scanned: the reference for the
+    coarse-and-window search.  Grid, cell values, bracket and refinement are
+    written out as the scan of every cell had them."""
+    if total == 1.0:
+        return 0.0, math.pi / 4
+    root = math.asin(math.sqrt(total))
+    lo = root - math.pi / 4
+    hi = min(math.pi / 2, 3 * math.pi / 4 - root)
+    grid = np.linspace(lo, hi, 2000)
+    s = np.sin(grid + math.pi / 4)
+    arg = 2 * s * s / total - 1.0
+    feasible = (s > 0.0) & (arg >= 1.0)
+    values = np.full(2000, -math.inf)
+    a_w = np.cos(grid[feasible]) / (math.sqrt(2.0) * s[feasible])
+    values[feasible] = a_w * np.log(arg[feasible])
+    k = int(np.argmax(values))
+
+    def objective(theta):
+        return _advance_objective(theta, total)
+
+    best_theta = float(grid[k])
+    best_value = objective(best_theta)
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, 1999)]
+    theta_g, value_g = _golden_max(objective, float(a), float(b), 1e-9)
+    if value_g > best_value:
+        best_theta, best_value = theta_g, value_g
+    if not math.isfinite(best_value) or best_value < 0.0:
+        raise NumericalError("no feasible analyzer angle")
+    return best_value / (2 * gamma_prime), best_theta
+
+
+def _bits(result):
+    return tuple(float(x).hex() for x in result)
+
+
+def test_search_matches_full_grid_on_log_spaced_transmissions():
+    for total in np.geomspace(1e-8, 1 - 1e-6, 3000):
+        total = float(total)
+        assert _bits(t_wva(total, 1.3e6)) == _bits(_full_grid_t_wva(total, 1.3e6)), total
+
+
+@pytest.mark.parametrize("k", range(6, 16))
+def test_search_matches_full_grid_next_to_unit_transmission(k):
+    total = 1 - 10.0**-k
+    assert _bits(t_wva(total, 2.0)) == _bits(_full_grid_t_wva(total, 2.0))
+
+
+def _outcome(function, total):
+    try:
+        return _bits(function(total, 0.5))
+    except (NumericalError, RuntimeWarning) as exc:  # pytest raises numpy's warnings
+        return type(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True))
+def test_search_matches_full_grid_on_drawn_transmissions(total):
+    assert _outcome(t_wva, total) == _outcome(_full_grid_t_wva, total)
+
+
+@pytest.mark.parametrize(
+    "total", [1e-24, 1e-12, 1e-8, 1e-4, 0.0566, 0.5, 0.999, 1 - 1e-9, 1 - 2.0**-53]
+)
+def test_rounding_bound_covers_every_cell(total):
+    # The search's window rests on this bound: every computed cell lies
+    # within it of the exact objective, and where a cell reads infeasible the
+    # exact objective lies below it.  Exact: 40 digits at the cell's angle.
+    mpmath = pytest.importorskip("mpmath")
+    bound = analysis._rounding_bound(total)
+    grid = _grid(total)
+    values = _cells(grid, total)
+    with mpmath.workdps(40):
+        for theta, value in zip(grid[::5], values[::5]):
+            theta = mpmath.mpf(float(theta))
+            s = mpmath.sin(theta + mpmath.pi / 4)
+            exact = mpmath.cos(theta) / (mpmath.sqrt(2) * s) * mpmath.log(2 * s * s / total - 1)
+            if math.isfinite(value):
+                assert abs(value - exact) <= bound
+            else:
+                assert exact <= bound
+
+
+def test_search_evaluates_under_a_tenth_of_the_grid(monkeypatch):
+    counts = []
+
+    def counted(theta, total):
+        counts[-1] += theta.size
+        return _cells(theta, total)
+
+    monkeypatch.setattr(analysis, "_cells", counted)
+    for total in np.geomspace(1e-4, 0.999, 400):
+        counts.append(0)
+        t_wva(float(total), 1.0)
+    assert 0 < max(counts) <= 0.1 * _GRID_POINTS
 
 
 def test_best_advance_at_unit_transmission():

@@ -41,6 +41,13 @@ def _write_config(tmp_path, data, name="run.json"):
     return str(path)
 
 
+def test_bright_pulse_propagates_without_numpy_warnings(tmp_path):
+    # |spectrum|^2 of a 1e150 amplitude overflows unless normalised first;
+    # pyproject.toml's filterwarnings = ["error"] fails any numpy warning
+    cfg = _write_config(tmp_path, dict(QUICK_START, pulse={"amplitude": 1e150}))
+    assert main(["propagate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_propagate_quick_start(tmp_path):
     out = tmp_path / "out"
     assert main(["propagate", "--out", str(out)]) == 0
@@ -222,6 +229,7 @@ def test_sweep_theta_tracks_weak_value(tmp_path):
         ["propagate", "--config", "{tmp}/wide.json"],
         ["sweep-theta", "--config", "{tmp}/wide.json"],
         ["propagate", "--config", "{tmp}/bright.json"],
+        ["propagate", "--config", "{tmp}/phased.json", "--theta", "-40"],
     ],
 )
 def test_parameter_problems_exit_2(tmp_path, capsys, argv):
@@ -264,6 +272,8 @@ def test_parameter_problems_exit_2(tmp_path, capsys, argv):
     # that its energy does
     _write_config(tmp_path, dict(QUICK_START, pulse={"sigma_us": 1e300}), name="wide.json")
     _write_config(tmp_path, dict(QUICK_START, pulse={"amplitude": 1e300}), name="bright.json")
+    # every output assumes in-phase arms; the key that set a phase is gone
+    _write_config(tmp_path, dict(QUICK_START, relative_phase=0.3), name="phased.json")
     argv = [a.format(tmp=tmp_path) for a in argv]
     default_out = "--out" not in argv
     if default_out:

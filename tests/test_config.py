@@ -166,7 +166,7 @@ def test_parse_rejects_bad_medium(data, fragment):
         ({"transmission_list": [0.5, 0.0]}, r"\(0, 1\]"),
         ({"transmission_list": []}, "must not be empty"),
         ({"propagation": "fft"}, "propagation"),
-        ({"relative_phase": math.inf}, "must be finite"),
+        ({"relative_phase": 0.3}, "relative_phase: unknown key"),
         ({"spectrum_points": 8}, ">= 16"),
         ({"spectrum_points": 3.5}, "must be an integer"),
         ({"output_dir": ""}, "non-empty string"),
@@ -218,7 +218,6 @@ def _full_reduced_config():
             "theta_list_deg": [-40.0, -50.0, -43.0],
             "transmission_list": [0.05, 0.5],
             "propagation": "ideal",
-            "relative_phase": 0.3,
             "spectrum_points": 2001,
             "output_dir": "results",
         }

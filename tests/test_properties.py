@@ -45,12 +45,11 @@ def test_weak_values_of_complementary_angles_sum_to_one(theta):
 @given(
     theta=angles,
     t_tilde=st.floats(1e-3, 0.999),
-    phase=st.floats(-math.pi, math.pi),
     shift_sigmas=st.just(0.0) | st.floats(1e-3, 3.0),
 )
-def test_post_selected_throughput_is_at_most_one(theta, t_tilde, phase, shift_sigmas):
+def test_post_selected_throughput_is_at_most_one(theta, t_tilde, shift_sigmas):
     sigma = 1.0
-    state = prepare_input(make_gaussian(default_grid(sigma), sigma, 0.0, 1.0), t_tilde, phase)
+    state = prepare_input(make_gaussian(default_grid(sigma), sigma, 0.0, 1.0), t_tilde)
     if shift_sigmas > 0.0:
         t0 = shift_sigmas * sigma
         line = ReducedLine(t0=t0, gamma_prime=-math.log(t_tilde) / (2 * t0))
@@ -113,7 +112,6 @@ common_fields = dict(
     theta_list_deg=st.lists(st.floats(-90.0, 90.0, exclude_min=True), min_size=1, max_size=4),
     transmission_list=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=4),
     propagation=st.sampled_from(["spectral", "ideal"]),
-    relative_phase=st.floats(-1e3, 1e3),
     spectrum_points=st.integers(16, 1 << 20),
     output_dir=st.text(min_size=1, max_size=8),
 )

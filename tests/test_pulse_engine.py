@@ -28,10 +28,10 @@ from fastlight.pulse_engine import NUMBER_FORMAT, Envelope, TimeGrid, write_csv,
 SIGMA = 28e-6
 
 
-def _quick_state(t_tilde=0.5, sigma=SIGMA, n_samples=4096, phase=0.0):
+def _quick_state(t_tilde=0.5, sigma=SIGMA, n_samples=4096):
     grid = default_grid(sigma, n_samples=n_samples)
     source = make_gaussian(grid, sigma, 0.0, 1.0)
-    return source, prepare_input(source, t_tilde, phase)
+    return source, prepare_input(source, t_tilde)
 
 
 @pytest.mark.parametrize(
@@ -112,12 +112,6 @@ def test_prepare_input_weights_and_energy():
         source.energy(), rel=1e-12
     )
     assert state.reference_energy == pytest.approx(source.energy(), rel=0)
-
-
-def test_prepare_input_relative_phase():
-    _, state = _quick_state(t_tilde=1.0, phase=np.pi / 2)
-    mid = state.h.grid.n_samples // 2
-    assert state.v.samples[mid] / state.h.samples[mid] == pytest.approx(1j)
 
 
 @pytest.mark.parametrize("t_tilde", [0.0, -0.5, 1.5])
