@@ -26,6 +26,7 @@ mild loss; the two cross near T ~ 5-6 %, independent of gamma'.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -303,6 +304,8 @@ def t_wva(transmission: float, gamma_prime: float) -> tuple[float, float]:
     it matched a scalar scan on 3006 transmissions in [1e-4, 0.999].
     """
     check_transmission("transmission", transmission)
+    if transmission < sys.float_info.min:  # 2/T would overflow on the grid
+        raise ParameterError(f"transmission: must be a normal float; got {transmission!r}")
     check_positive("gamma_prime", gamma_prime)
     if transmission == 1.0:
         return 0.0, math.pi / 4
@@ -329,24 +332,25 @@ def t_wva(transmission: float, gamma_prime: float) -> tuple[float, float]:
 def crossover(gamma_prime: float) -> float:
     """Throughput where the post-selected advance stops beating the bare line.
 
-    Bisects t_wva(T) - t_atom(T) in T to 1e-5; the root is independent of
-    gamma'.  Tries [1e-3, 0.5] first, widening once to [1e-4, 0.9].
+    Bisects t_wva(T) - t_atom(T) in T over [1e-3, 0.5] to 1e-5.  Both
+    advances scale as 1/gamma', so the gap's sign, and the root, do not
+    depend on gamma'; a gamma' so extreme that the advances round to 0 or
+    overflow leaves no sign change and raises NumericalError.
     """
     check_positive("gamma_prime", gamma_prime)
 
     def gap(t):
         return t_wva(t, gamma_prime)[0] - t_atom(t, gamma_prime)
 
-    for lo, hi in ((1e-3, 0.5), (1e-4, 0.9)):
-        g_lo, g_hi = gap(lo), gap(hi)
-        if g_lo > 0.0 >= g_hi:
-            while hi - lo > 1e-5:
-                mid = 0.5 * (lo + hi)
-                if gap(mid) > 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-    raise NumericalError(
-        "advance gap does not change sign over transmission in [1e-4, 0.9]"
-    )
+    lo, hi = 1e-3, 0.5
+    if not gap(lo) > 0.0 >= gap(hi):
+        raise NumericalError(
+            "advance gap does not change sign over transmission in [1e-3, 0.5]"
+        )
+    while hi - lo > 1e-5:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

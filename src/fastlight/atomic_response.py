@@ -192,11 +192,15 @@ def chi_resonant(delta, spec: MediumSpec):
     return chi_full(delta, spec) - background_susceptibility(spec)
 
 
+def _lorentzian(strength, x, gp):
+    """The line shape both chi and Phi share: strength (x + i gp)/(x^2 + gp^2)."""
+    return strength * (x + 1j * gp) / (x**2 + gp**2)
+
+
 def _chi_lorentzian_raw(delta_prime, spec: MediumSpec):
     delta_prime = np.asarray(delta_prime, dtype=float)
-    gp = gamma_effective(spec)
     scale = spec.beta * spec.omega_c_rabi**2 / (4 * spec.Delta**2)
-    return scale * (delta_prime + 1j * gp) / (delta_prime**2 + gp**2)
+    return _lorentzian(scale, delta_prime, gamma_effective(spec))
 
 
 def chi_lorentzian(delta_prime, spec: MediumSpec):
@@ -289,7 +293,7 @@ def transfer_exponent(om, line: ReducedLine):
     the intensity transmission there is exp(-2 gamma' t0)).
     """
     gp = line.gamma_prime
-    return line.t0 * gp**2 * (om + 1j * gp) / (om**2 + gp**2)
+    return _lorentzian(line.t0 * gp**2, om, gp)
 
 
 def phase_slope(om, line: ReducedLine):

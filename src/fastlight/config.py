@@ -7,10 +7,11 @@ in rad/us) and converted to SI only when core objects are built.
 conversion to the canonical key; a key and its alternates are mutually
 exclusive.
 
-Two modes: "reduced" drives the pipeline from (t0, gamma') directly;
-"physical" derives them from the vapor parameters.  Bounds live in the core
-objects: a config section that has a core counterpart builds it when
-constructed, so bad values fail at load time.  ``serialize_config`` always
+The line is given by exactly one section, and that section is the model:
+``line`` drives the pipeline from (t0, gamma') directly ("reduced"), while
+``medium`` derives them from the vapor parameters ("physical").  Bounds live
+in the core objects: a config section that has a core counterpart builds it
+when constructed, so bad values fail at load time.  ``serialize_config`` always
 emits the canonical keys, so parse(serialize(cfg)) reproduces cfg exactly.
 """
 
@@ -27,7 +28,6 @@ from .pulse_engine import default_grid
 _US = 1e-6  # seconds per microsecond
 _RAD_PER_US = 1e6  # rad/s per rad/us
 
-_MODES = ("reduced", "physical")
 _PROPAGATIONS = ("spectral", "ideal")
 _MAX_SPECTRUM_POINTS = 1 << 20  # 7 float columns of 8 MiB each
 
@@ -100,7 +100,6 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
-    mode: str = "reduced"
     line: LineConfig | None = None
     medium: MediumConfig | None = None
     pulse: PulseConfig = field(default_factory=PulseConfig)
@@ -112,18 +111,8 @@ class RunConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ParameterError(f"mode: must be one of {_MODES}; got {self.mode!r}")
-        if self.mode == "reduced":
-            if self.line is None:
-                raise ParameterError("line: required in reduced mode")
-            if self.medium is not None:
-                raise ParameterError("medium: not allowed in reduced mode")
-        else:
-            if self.medium is None:
-                raise ParameterError("medium: required in physical mode")
-            if self.line is not None:
-                raise ParameterError("line: not allowed in physical mode")
+        if (self.line is None) == (self.medium is None):
+            raise ParameterError("config: give exactly one of line (reduced) or medium (physical)")
         if self.propagation not in _PROPAGATIONS:
             raise ParameterError(
                 f"propagation: must be one of {_PROPAGATIONS}; got "
@@ -146,9 +135,14 @@ class RunConfig:
         object.__setattr__(self, "theta_list_deg", tuple(self.theta_list_deg))
         object.__setattr__(self, "transmission_list", tuple(self.transmission_list))
 
+    @property
+    def mode(self) -> str:
+        """The line model: "physical" if the medium section gives it, else "reduced"."""
+        return "reduced" if self.medium is None else "physical"
+
     def reduced_line(self) -> ReducedLine:
         """The line the pipeline propagates through, in SI units."""
-        return (self.medium if self.mode == "physical" else self.line).reduced_line()
+        return (self.medium or self.line).reduced_line()
 
     def pulse_sigma_s(self) -> float:
         return self.pulse.sigma_us * _US
@@ -156,8 +150,7 @@ class RunConfig:
 
 def default_config() -> RunConfig:
     """Quick-start: a half-transmitting line advancing by 0.28 us."""
-    gamma_prime = -math.log(0.5) / (2 * 0.28)
-    return RunConfig(line=LineConfig(t0_us=0.28, gamma_prime_rad_per_us=gamma_prime))
+    return parse_config({"line": {"t0_us": 0.28, "line_center_transmission": 0.5}})
 
 
 def _from_mhz(mhz: float, section: dict) -> float:
@@ -274,12 +267,6 @@ def _parse_section(data, cls, section: str = ""):
 
 def parse_config(data) -> RunConfig:
     """Build a RunConfig from a parsed JSON object (dict)."""
-    if isinstance(data, dict) and "mode" not in data:
-        if ("medium" in data) == ("line" in data):
-            raise ParameterError(
-                "mode: required when neither (or both) of line/medium decide it"
-            )
-        data = {**data, "mode": "physical" if "medium" in data else "reduced"}
     return _parse_section(data, RunConfig)
 
 

@@ -1,6 +1,7 @@
 """Arrival-time estimation and the loss-vs-advance trade-off."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -215,6 +216,19 @@ def test_advance_rejects_bad_transmission(bad_t):
         t_wva(bad_t, 1.0)
 
 
+@pytest.mark.parametrize("total", [1e-308, 1e-310, 5e-324])
+def test_best_advance_refuses_subnormal_transmission(total):
+    # 2/T would overflow on the angle grid: the input is at fault, not the search
+    with pytest.raises(ParameterError, match=f"got {total!r}$"):
+        t_wva(total, 1.0)
+
+
+def test_best_advance_accepts_smallest_normal_transmission():
+    advance, theta = t_wva(sys.float_info.min, 1.0)
+    assert math.isfinite(advance) and advance > t_atom(sys.float_info.min, 1.0)
+    assert -math.pi / 4 < theta < math.pi / 2
+
+
 @pytest.mark.parametrize("bad_rate", [0.0, -2.0, math.inf])
 def test_advance_rejects_bad_rate(bad_rate):
     with pytest.raises(ParameterError):
@@ -313,7 +327,11 @@ def _outcome(function, total):
 @settings(max_examples=300, deadline=None)
 @given(st.floats(0.0, 1.0, exclude_min=True))
 def test_search_matches_full_grid_on_drawn_transmissions(total):
-    assert _outcome(t_wva, total) == _outcome(_full_grid_t_wva, total)
+    if total < sys.float_info.min:
+        with pytest.raises(ParameterError, match="must be a normal float"):
+            t_wva(total, 0.5)
+    else:
+        assert _outcome(t_wva, total) == _outcome(_full_grid_t_wva, total)
 
 
 @pytest.mark.parametrize(
@@ -374,3 +392,14 @@ def test_crossover_frozen_and_rate_independent():
     assert c == pytest.approx(CROSSOVER_TRANSMISSION, abs=1e-5)
     assert crossover(2.0e6) == c
 
+
+def test_crossover_needs_one_bracket_at_every_rate():
+    # Both advances scale as 1/gamma', so the gap changes sign inside
+    # [1e-3, 0.5] at the same root for every gamma' whose advances are finite
+    # and nonzero; at the extremes no bracket would help.
+    c = crossover(1.0)
+    for exponent in range(-300, 301, 25):
+        assert crossover(10.0**exponent) == c, exponent
+    for extreme in (5e-324, 1e-320, 1e308, sys.float_info.max):
+        with pytest.raises(NumericalError, match=r"\[1e-3, 0.5\]"):
+            crossover(extreme)

@@ -347,3 +347,14 @@ def test_hilbert_matches_scipy_on_readme_medium():
 
 def test_speed_of_light_is_scipys():
     assert C_LIGHT == scipy.constants.c
+
+
+def test_transfer_exponent_is_the_susceptibility_of_the_cell():
+    # One line: Phi = (omega0 L / 2c) chi, where chi's strength beta Omega_c^2 / 4 Delta^2
+    # and Phi's t0 gamma'^2 differ only by that factor.
+    spec = parse_config(README_MEDIUM).medium.medium_spec()
+    line = group_advance(spec)
+    delta = np.linspace(-10 * line.gamma_prime, 10 * line.gamma_prime, 2001)
+    phi = transfer_exponent(delta, line)
+    scaled = spec.omega0 * spec.length / (2 * C_LIGHT) * chi_lorentzian(delta, spec)
+    np.testing.assert_allclose(phi, scaled, rtol=1e-12, atol=0.0)

@@ -230,6 +230,8 @@ def test_sweep_theta_tracks_weak_value(tmp_path):
         ["sweep-theta", "--config", "{tmp}/wide.json"],
         ["propagate", "--config", "{tmp}/bright.json"],
         ["propagate", "--config", "{tmp}/phased.json", "--theta", "-40"],
+        ["loss-scaling", "--config", "{tmp}/subnormal.json"],
+        ["spectrum", "--config", "{tmp}/moded.json"],
     ],
 )
 def test_parameter_problems_exit_2(tmp_path, capsys, argv):
@@ -274,6 +276,10 @@ def test_parameter_problems_exit_2(tmp_path, capsys, argv):
     _write_config(tmp_path, dict(QUICK_START, pulse={"amplitude": 1e300}), name="bright.json")
     # every output assumes in-phase arms; the key that set a phase is gone
     _write_config(tmp_path, dict(QUICK_START, relative_phase=0.3), name="phased.json")
+    # a subnormal throughput would overflow 2/T on the optimizer's angle grid
+    _write_config(tmp_path, dict(QUICK_START, transmission_list=[1e-310]), name="subnormal.json")
+    # the given section is the line model; there is no key that names it
+    _write_config(tmp_path, dict(QUICK_START, mode="reduced"), name="moded.json")
     argv = [a.format(tmp=tmp_path) for a in argv]
     default_out = "--out" not in argv
     if default_out:

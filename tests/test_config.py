@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -15,9 +17,10 @@ from fastlight import (
     transmission,
 )
 from fastlight.atomic_response import C_LIGHT
-from fastlight.config import GridConfig, LineConfig, PulseConfig, RunConfig
+from fastlight.config import GridConfig, LineConfig, MediumConfig, PulseConfig, RunConfig
 
-_REDUCED = {"mode": "reduced", "line": {"t0_us": 0.28, "gamma_prime_rad_per_us": 1.25}}
+_REDUCED = {"line": {"t0_us": 0.28, "gamma_prime_rad_per_us": 1.25}}
+_ONE_SECTION = r"config: give exactly one of line \(reduced\) or medium \(physical\)"
 
 # canonical values below mirror the parser's own conversion expressions so
 # the equality checks are exact
@@ -54,12 +57,13 @@ def test_default_config_is_half_transmitting():
 
 def test_parse_infers_reduced_mode_and_transmission_spelling():
     cfg = parse_config({"line": {"t0_us": 0.28, "line_center_transmission": 0.5}})
-    assert cfg == default_config()
+    assert cfg.mode == "reduced" and cfg.medium is None
+    assert cfg.line.gamma_prime_rad_per_us == -math.log(0.5) / (2 * 0.28)
 
 
 def test_parse_unit_alternates_match_canonical_keys():
-    canonical = parse_config({"mode": "physical", "medium": dict(_MEDIUM_CANONICAL)})
-    alternate = parse_config({"mode": "physical", "medium": dict(_MEDIUM_ALTERNATE)})
+    canonical = parse_config({"medium": dict(_MEDIUM_CANONICAL)})
+    alternate = parse_config({"medium": dict(_MEDIUM_ALTERNATE)})
     assert canonical == alternate
 
 
@@ -90,16 +94,29 @@ def test_reduced_line_converts_to_si():
 @pytest.mark.parametrize(
     "data, fragment",
     [
-        ({"mode": "sideways", "line": _REDUCED["line"]}, "mode"),
-        ({}, "mode: required"),
-        ({"line": _REDUCED["line"], "medium": _MEDIUM_ALTERNATE}, "mode: required"),
-        (
-            {"mode": "reduced", "line": _REDUCED["line"], "medium": _MEDIUM_ALTERNATE},
-            "not allowed in reduced mode",
+        # The given section is the model, so a config that names a mode is
+        # refused.  Pinned ids keep each case's name stable in test reports.
+        pytest.param(
+            {"mode": "sideways", "line": _REDUCED["line"]}, "^mode: unknown key$", id="data0-mode"
         ),
-        ({"mode": "physical", "line": _REDUCED["line"]}, "medium: required"),
-        ({"mode": "reduced"}, "line: required"),
-        ({"mode": "reduced", "line": _REDUCED["line"], "bogus": 1}, "bogus: unknown key"),
+        pytest.param({}, _ONE_SECTION, id="data1-mode: required"),
+        pytest.param(
+            {"line": _REDUCED["line"], "medium": _MEDIUM_ALTERNATE},
+            _ONE_SECTION,
+            id="data2-mode: required",
+        ),
+        pytest.param(
+            {"mode": "reduced", "line": _REDUCED["line"], "medium": _MEDIUM_ALTERNATE},
+            "^mode: unknown key$",
+            id="data3-not allowed in reduced mode",
+        ),
+        pytest.param(
+            {"mode": "physical", "line": _REDUCED["line"]},
+            "^mode: unknown key$",
+            id="data4-medium: required",
+        ),
+        pytest.param({"mode": "reduced"}, "^mode: unknown key$", id="data5-line: required"),
+        ({"line": _REDUCED["line"], "bogus": 1}, "bogus: unknown key"),
         ({"line": {"t0_us": 0.28, "gamma_prime_rad_per_us": 1.25, "x": 1}}, "line.x"),
         ({"line": {"gamma_prime_rad_per_us": 1.25}}, "line.t0_us: required"),
         ({"line": {"t0_us": 0.28}}, "exactly one"),
@@ -118,9 +135,10 @@ def test_reduced_line_converts_to_si():
         ({"line": {"t0_us": "fast", "gamma_prime_rad_per_us": 1.25}}, "must be a number"),
         ({"line": {"t0_us": True, "gamma_prime_rad_per_us": 1.25}}, "must be a number"),
         ({"line": 7}, "line: must be an object"),
-        (
+        pytest.param(
             {"mode": "physical", "line": _REDUCED["line"], "medium": _MEDIUM_ALTERNATE},
-            "line: not allowed in physical mode",
+            "^mode: unknown key$",
+            id="data16-line: not allowed in physical mode",
         ),
     ],
 )
@@ -132,7 +150,7 @@ def test_parse_rejects_bad_top_level_and_line(data, fragment):
 def _medium_without(*keys, **extra):
     data = {k: v for k, v in _MEDIUM_ALTERNATE.items() if k not in keys}
     data.update(extra)
-    return {"mode": "physical", "medium": data}
+    return {"medium": data}
 
 
 @pytest.mark.parametrize(
@@ -146,7 +164,7 @@ def _medium_without(*keys, **extra):
         (_medium_without(omega0_mhz=3.77e8), "exactly one"),
         (_medium_without("wavelength_nm", wavelength_nm=-5.0), "must be > 0"),
         (_medium_without(dip_angle=3.0), "medium.dip_angle: unknown key"),
-        ({"mode": "physical", "medium": []}, "medium: must be an object"),
+        ({"medium": []}, "medium: must be an object"),
         (_medium_without(gamma_rad_per_us=-1.0), "medium.gamma: must be finite and > 0"),
     ],
 )
@@ -200,7 +218,11 @@ def test_parse_rejects_bad_run_options(extra, fragment):
         lambda: PulseConfig(amplitude=-1.0),
         lambda: GridConfig(n_samples=100),
         lambda: GridConfig(span_sigmas=4.0),
-        lambda: RunConfig(mode="reduced", line=None),
+        lambda: RunConfig(line=None),
+        lambda: RunConfig(
+            line=LineConfig(t0_us=0.28, gamma_prime_rad_per_us=1.25),
+            medium=MediumConfig(**_MEDIUM_CANONICAL),
+        ),
     ],
 )
 def test_dataclass_validation(factory):
@@ -211,7 +233,6 @@ def test_dataclass_validation(factory):
 def _full_reduced_config():
     return parse_config(
         {
-            "mode": "reduced",
             "line": {"t0_us": 0.28, "gamma_prime_rad_per_us": 1.2377},
             "pulse": {"sigma_us": 10.0, "amplitude": 2.0},
             "grid": {"n_samples": 8192, "span_sigmas": 64.0},
@@ -247,3 +268,15 @@ def test_load_reports_missing_and_invalid_files(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ParameterError, match="not valid JSON"):
         load_config(bad)
+
+
+def test_readme_config_examples_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert len(blocks) == 2
+    configs = [parse_config(json.loads(block)) for block in blocks]
+    assert [cfg.mode for cfg in configs] == ["reduced", "physical"]
+    # the reduction the README states for its physical example
+    line = configs[1].reduced_line()
+    assert round(line.t0 * 1e6, 4) == 0.2802
+    assert round(transmission(line), 4) == 0.4997

@@ -117,7 +117,6 @@ common_fields = dict(
 )
 reduced_configs = st.builds(
     RunConfig,
-    mode=st.just("reduced"),
     line=st.builds(
         LineConfig, t0_us=st.just(0.0) | positive, gamma_prime_rad_per_us=positive
     ),
@@ -125,7 +124,6 @@ reduced_configs = st.builds(
 )
 physical_configs = st.builds(
     RunConfig,
-    mode=st.just("physical"),
     medium=st.builds(
         MediumConfig,
         beta_rad_per_us=positive,
