@@ -163,7 +163,17 @@ def t_atom(transmission: float, gamma_prime: float) -> float:
     """Bare-line peak advance at intensity transmission T: -ln(T)/(2 gamma')."""
     check_transmission("transmission", transmission)
     check_positive("gamma_prime", gamma_prime)
-    return -math.log(transmission) / (2 * gamma_prime)
+    return _seconds(-math.log(transmission), gamma_prime)
+
+
+def _seconds(normalized: float, gamma_prime: float) -> float:
+    """t from 2 gamma' t; a gamma' that takes a nonzero t out of float range is refused."""
+    advance = normalized / (2 * gamma_prime)
+    if normalized and not 0.0 < advance < math.inf:
+        raise ParameterError(
+            f"gamma_prime: {gamma_prime!r} rad/s puts the advance out of float range"
+        )
+    return advance
 
 
 def _advance_objective(theta: float, transmission: float) -> float:
@@ -326,7 +336,7 @@ def t_wva(transmission: float, gamma_prime: float) -> tuple[float, float]:
         raise NumericalError(
             f"no feasible analyzer angle at transmission {transmission:g}"
         )
-    return best_value / (2 * gamma_prime), best_theta
+    return _seconds(best_value, gamma_prime), best_theta
 
 
 def crossover(gamma_prime: float) -> float:
@@ -334,8 +344,8 @@ def crossover(gamma_prime: float) -> float:
 
     Bisects t_wva(T) - t_atom(T) in T over [1e-3, 0.5] to 1e-5.  Both
     advances scale as 1/gamma', so the gap's sign, and the root, do not
-    depend on gamma'; a gamma' so extreme that the advances round to 0 or
-    overflow leaves no sign change and raises NumericalError.
+    depend on gamma'; a gamma' so extreme that the advances would round to
+    0 or overflow raises ParameterError from ``t_wva``.
     """
     check_positive("gamma_prime", gamma_prime)
 

@@ -135,12 +135,11 @@ def _require_far_detuned(spec: MediumSpec, what: str) -> None:
             f"{what} requires |Delta| >= {_HARD_DETUNING_RATIO:g}*Gamma; "
             f"got |Delta|/Gamma = {ratio:.3g}"
         )
-    if ratio < _SOFT_DETUNING_RATIO:
+    if ratio < _SOFT_DETUNING_RATIO:  # one text, one location: shown once per run
         warnings.warn(
-            f"{what}: |Delta|/Gamma = {ratio:.3g} is below "
-            f"{_SOFT_DETUNING_RATIO:g}; the Lorentzian limit is marginal",
+            f"|Delta|/Gamma = {ratio:.3g} is below {_SOFT_DETUNING_RATIO:g}; "
+            "the Lorentzian limit is marginal",
             ApproximationWarning,
-            stacklevel=3,
         )
 
 

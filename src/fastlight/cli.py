@@ -30,11 +30,10 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import ArrivalEstimate, crossover, fit_gaussian, t_atom, t_wva
+from .analysis import crossover, fit_gaussian, t_atom, t_wva
 from .atomic_response import (
     absorption,
     chi_lorentzian,
@@ -67,11 +66,19 @@ _KK_HALF_SPAN = 40.0
 _KK_POINTS = 1 << 14
 _DARK_PORT_GUARD_DEG = 0.01
 _MAX_SWEEP_COUNT = 1 << 20
+# sweep_theta.csv and loss_scaling_summary.csv: subsets, in order, of the
+# propagate_summary.csv and crossover.csv quantities
+_SWEEP_COLUMNS = (
+    "theta_deg", "weak_value", "amplification_fitted", "relative_deviation", "throughput_measured"
+)
+_LOSS_SUMMARY_KEYS = (
+    "crossover_transmission", "theta_opt_deg_at_crossover", "gamma_prime_rad_per_s"
+)
 
 
-def _write_rows(path: Path, rows: list) -> None:
-    """One line per ``{column: number}`` row; the first row's keys are the header."""
-    write_csv(path, {key: [row[key] for row in rows] for key in rows[0]})
+def _write_rows(path: Path, rows: list, columns=None) -> None:
+    """One line per ``{column: number}`` row, in ``columns`` (default: the first row's keys)."""
+    write_csv(path, {key: [row[key] for row in rows] for key in columns or rows[0]})
 
 
 def _write_kv(path: Path, values: dict) -> None:
@@ -133,10 +140,8 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _analyzer_angles(thetas_deg) -> list:
-    """Reject angles outside (-90, 90] deg and at the dark port; return
-    (degrees, radians, weak value) per angle."""
-    angles = []
+def _check_analyzer_angles(thetas_deg) -> None:
+    """Reject angles outside (-90, 90] deg and at the dark port."""
     for theta_deg in thetas_deg:
         check_angle_deg("analyzer angle", theta_deg)
         if abs(theta_deg - (-45.0)) < _DARK_PORT_GUARD_DEG:
@@ -145,9 +150,6 @@ def _analyzer_angles(thetas_deg) -> list:
                 f"{_DARK_PORT_GUARD_DEG:g} deg of the dark port at -45 deg, where "
                 "the weak value diverges; move the angle away from -45 deg"
             )
-        theta = np.deg2rad(theta_deg)
-        angles.append((theta_deg, theta, weak_value(theta)))
-    return angles
 
 
 def _propagated_state(cfg: RunConfig):
@@ -170,18 +172,6 @@ def _propagated_state(cfg: RunConfig):
     return line, t_tilde, propagated
 
 
-class _Selected(NamedTuple):
-    """One analyzer angle's post-selected arrival."""
-
-    theta_deg: float
-    theta: float
-    weak_value: float
-    fit: ArrivalEstimate
-    throughput: float
-    amplification: float
-    relative_deviation: float
-
-
 def _trace_names(thetas_deg) -> list:
     """One post-selected trace file name per angle, in order; two angles
     that would share a file are refused."""
@@ -197,62 +187,57 @@ def _trace_names(thetas_deg) -> list:
     return list(names)
 
 
-def _post_select_all(propagated, line, angles):
-    """Post-select at each angle and fit the arrival of what passes.
-
-    The amplification is the fitted advance over the reference (V) arm
-    divided by the line's own advance ``line.t0``.  Returns the fitted
-    reference arrival and one _Selected per angle.
-    """
+def _selected_rows(propagated, line, t_tilde, thetas_deg) -> list:
+    """One ``propagate_summary.csv`` row per analyzer angle: post-select, fit
+    the arrival, and divide its advance over the reference (V) arm by the
+    line's own advance ``line.t0`` to get the amplification."""
     center_v = fit_gaussian(propagated.v).center
-    results = []
-    for theta_deg, theta, a_w in angles:
+    rows = []
+    for theta_deg in thetas_deg:
+        theta = np.deg2rad(theta_deg)
+        a_w = weak_value(theta)
         selected = post_select(propagated, theta)
-        estimate = fit_gaussian(selected.envelope)
-        amplification = (center_v - estimate.center) / line.t0
-        deviation = abs(amplification - a_w) / abs(a_w)
-        results.append(
-            _Selected(theta_deg, theta, a_w, estimate, selected.throughput, amplification, deviation)
+        fit = fit_gaussian(selected.envelope)
+        advance = center_v - fit.center
+        amplification = advance / line.t0
+        rows.append(
+            {
+                "theta_deg": theta_deg,
+                "weak_value": a_w,
+                "center_v_s": center_v,
+                "center_selected_s": fit.center,
+                "advance_s": advance,
+                "amplification_fitted": amplification,
+                "relative_deviation": abs(amplification - a_w) / abs(a_w),
+                "throughput_measured": selected.throughput,
+                "throughput_predicted": total_transmission(t_tilde, theta),
+                "fit_residual_rms": fit.residual_rms,
+            }
         )
-    return center_v, results
+    return rows
 
 
 def cmd_propagate(args) -> int:
     cfg = _load(args)
     thetas = [args.theta] if args.theta is not None else list(cfg.theta_list_deg)
-    angles = _analyzer_angles(thetas)
+    _check_analyzer_angles(thetas)
     trace_names = _trace_names(thetas)
     line, t_tilde, propagated = _propagated_state(cfg)
     # every fit runs before any file is written, so a failed one leaves no
     # partial output; the post-selected envelopes are rebuilt for writing
     # rather than held, one grid-sized array per angle
     center_h = fit_gaussian(propagated.h).center
-    center_v, results = _post_select_all(propagated, line, angles)
-    rows = [
-        {
-            "theta_deg": r.theta_deg,
-            "weak_value": r.weak_value,
-            "center_v_s": center_v,
-            "center_selected_s": r.fit.center,
-            "advance_s": center_v - r.fit.center,
-            "amplification_fitted": r.amplification,
-            "relative_deviation": r.relative_deviation,
-            "throughput_measured": r.throughput,
-            "throughput_predicted": total_transmission(t_tilde, r.theta),
-            "fit_residual_rms": r.fit.residual_rms,
-        }
-        for r in results
-    ]
+    rows = _selected_rows(propagated, line, t_tilde, thetas)
 
     out = _out_dir(cfg, args)
     write_envelope_csv(propagated.h, out / "trace_h.csv")
     write_envelope_csv(propagated.v, out / "trace_v.csv")
-    for r, name in zip(results, trace_names):
-        write_envelope_csv(post_select(propagated, r.theta).envelope, out / name)
+    for theta_deg, name in zip(thetas, trace_names):
+        write_envelope_csv(post_select(propagated, np.deg2rad(theta_deg)).envelope, out / name)
     _write_rows(out / "propagate_summary.csv", rows)
     written = ["trace_h.csv", "trace_v.csv", *trace_names, "propagate_summary.csv"]
     print(
-        f"H advance {center_v - center_h:.6e} s over t0 {line.t0:.6e} s; "
+        f"H advance {rows[0]['center_v_s'] - center_h:.6e} s over t0 {line.t0:.6e} s; "
         f"wrote {', '.join(written)} in {out}"
     )
     return 0
@@ -267,23 +252,27 @@ def cmd_sweep_theta(args) -> int:
     check_angle_deg("--start", args.start)
     check_angle_deg("--stop", args.stop)
     thetas = [float(t) for t in np.linspace(args.start, args.stop, args.count)]
-    angles = _analyzer_angles(thetas)
-    line, _, propagated = _propagated_state(cfg)
-    _, results = _post_select_all(propagated, line, angles)
-    rows = [
-        {
-            "theta_deg": r.theta_deg,
-            "weak_value": r.weak_value,
-            "amplification_fitted": r.amplification,
-            "relative_deviation": r.relative_deviation,
-            "throughput_measured": r.throughput,
-        }
-        for r in results
-    ]
+    _check_analyzer_angles(thetas)
+    line, t_tilde, propagated = _propagated_state(cfg)
+    rows = _selected_rows(propagated, line, t_tilde, thetas)
     out = _out_dir(cfg, args)
-    _write_rows(out / "sweep_theta.csv", rows)
+    _write_rows(out / "sweep_theta.csv", rows, _SWEEP_COLUMNS)
     print(f"wrote {out / 'sweep_theta.csv'} ({args.count} angles)")
     return 0
+
+
+def _crossover_summary(gp: float) -> dict:
+    """The break-even throughput, the best angle and both advances there."""
+    tstar = crossover(gp)
+    advance_star, theta_star = t_wva(tstar, gp)
+    return {
+        "crossover_transmission": tstar,
+        "theta_opt_deg_at_crossover": float(np.rad2deg(theta_star)),
+        "advance_at_crossover_s": advance_star,
+        "advance_norm_at_crossover": 2 * gp * advance_star,
+        "t_atom_at_crossover_s": t_atom(tstar, gp),
+        "gamma_prime_rad_per_s": gp,
+    }
 
 
 def cmd_loss_scaling(args) -> int:
@@ -303,36 +292,20 @@ def cmd_loss_scaling(args) -> int:
                 "t_wva_s": advance_wva,
             }
         )
-    tstar = crossover(gp)
-    _, theta_star = t_wva(tstar, gp)
-    summary = {
-        "crossover_transmission": tstar,
-        "theta_opt_deg_at_crossover": float(np.rad2deg(theta_star)),
-        "gamma_prime_rad_per_s": gp,
-    }
+    summary = _crossover_summary(gp)
     out = _out_dir(cfg, args)
     _write_rows(out / "loss_scaling.csv", rows)
-    _write_kv(out / "loss_scaling_summary.csv", summary)
+    _write_kv(out / "loss_scaling_summary.csv", {key: summary[key] for key in _LOSS_SUMMARY_KEYS})
     print(f"wrote {out / 'loss_scaling.csv'} and {out / 'loss_scaling_summary.csv'}")
     return 0
 
 
 def cmd_crossover(args) -> int:
     cfg = _load(args)
-    gp = cfg.reduced_line().gamma_prime
-    tstar = crossover(gp)
-    advance_star, theta_star = t_wva(tstar, gp)
-    summary = {
-        "crossover_transmission": tstar,
-        "theta_opt_deg_at_crossover": float(np.rad2deg(theta_star)),
-        "advance_at_crossover_s": advance_star,
-        "advance_norm_at_crossover": 2 * gp * advance_star,
-        "t_atom_at_crossover_s": t_atom(tstar, gp),
-        "gamma_prime_rad_per_s": gp,
-    }
+    summary = _crossover_summary(cfg.reduced_line().gamma_prime)
     out = _out_dir(cfg, args)
     _write_kv(out / "crossover.csv", summary)
-    print(f"crossover transmission: {tstar:.6f}")
+    print(f"crossover transmission: {summary['crossover_transmission']:.6f}")
     print(f"wrote {out / 'crossover.csv'}")
     return 0
 
@@ -385,15 +358,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParameterError as exc:
+    except (ParameterError, OSError) as exc:  # OSError: an unusable --out or --config
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:  # an --out or --config path that cannot be used
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -393,13 +393,30 @@ def test_crossover_frozen_and_rate_independent():
     assert crossover(2.0e6) == c
 
 
+@pytest.mark.parametrize("rate", [5e-324, 5e-309, 1e308, sys.float_info.max])
+def test_advance_refuses_rate_out_of_float_range(rate):
+    # -ln(T) / (2 gamma') would overflow, or 2 gamma' would, and the
+    # advance round to 0
+    with pytest.raises(ParameterError, match=r"^gamma_prime: .* out of float range$"):
+        t_atom(0.02, rate)
+    with pytest.raises(ParameterError, match=r"^gamma_prime: .* out of float range$"):
+        t_wva(0.02, rate)
+
+
+def test_advances_keep_their_bits_inside_float_range():
+    assert t_atom(1.0, 1e-300) == 0.0 and t_wva(1.0, 1e308) == (0.0, math.pi / 4)
+    assert t_atom(0.02, 1e300) == -math.log(0.02) / 2e300
+    assert t_wva(0.02, 1e-300)[0] == t_wva(0.02, 1.0)[0] * 2 / 2e-300
+
+
 def test_crossover_needs_one_bracket_at_every_rate():
     # Both advances scale as 1/gamma', so the gap changes sign inside
     # [1e-3, 0.5] at the same root for every gamma' whose advances are finite
-    # and nonzero; at the extremes no bracket would help.
+    # and nonzero; at the extremes the advances leave float range, and that
+    # gamma' is refused as an input.
     c = crossover(1.0)
     for exponent in range(-300, 301, 25):
         assert crossover(10.0**exponent) == c, exponent
     for extreme in (5e-324, 1e-320, 1e308, sys.float_info.max):
-        with pytest.raises(NumericalError, match=r"\[1e-3, 0.5\]"):
+        with pytest.raises(ParameterError, match=r"^gamma_prime: .* out of float range$"):
             crossover(extreme)

@@ -1,5 +1,6 @@
 """End-to-end CLI runs: files, schemas, determinism, and exit codes."""
 
+import csv
 import json
 import os
 import subprocess
@@ -203,6 +204,58 @@ def test_sweep_theta_tracks_weak_value(tmp_path):
     assert np.all(np.sign(table["amplification_fitted"]) == np.sign(table["weak_value"]))
 
 
+def test_quick_start_stdout(tmp_path, capsys):
+    out = tmp_path / "out"
+    for command in ("propagate", "loss-scaling", "crossover"):
+        assert main([command, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (
+        "H advance 2.797381e-07 s over t0 2.800000e-07 s; wrote trace_h.csv, "
+        "trace_v.csv, trace_postselected_theta_-40.00.csv, "
+        f"trace_postselected_theta_-50.00.csv, propagate_summary.csv in {out}\n"
+        f"wrote {out / 'loss_scaling.csv'} and {out / 'loss_scaling_summary.csv'}\n"
+        "crossover transmission: 0.056595\n"
+        f"wrote {out / 'crossover.csv'}\n"
+    )
+
+
+def _csv_columns(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    return {column: cells for column, *cells in zip(*rows)}
+
+
+def test_sweep_theta_columns_are_propagate_columns(tmp_path):
+    # the same angles through both commands give the same text in every
+    # column that sweep_theta.csv shares with propagate_summary.csv
+    cfg = _write_config(tmp_path, dict(QUICK_START, theta_list_deg=[-50, -40]))
+    out = tmp_path / "out"
+    assert main(["propagate", "--config", cfg, "--out", str(out)]) == 0
+    sweep = ["sweep-theta", "--start", "-50", "--stop", "-40", "--count", "2"]
+    assert main(sweep + ["--config", cfg, "--out", str(out)]) == 0
+    swept = _csv_columns(out / "sweep_theta.csv")
+    propagated = _csv_columns(out / "propagate_summary.csv")
+    assert list(swept) == [
+        "theta_deg", "weak_value", "amplification_fitted", "relative_deviation",
+        "throughput_measured",
+    ]
+    assert [c for c in propagated if c in swept] == list(swept)
+    for column, cells in swept.items():
+        assert len(cells) == 2 and cells == propagated[column], column
+
+
+def test_loss_scaling_summary_rows_are_crossover_rows(tmp_path):
+    out = tmp_path / "out"
+    assert main(["loss-scaling", "--out", str(out)]) == 0
+    assert main(["crossover", "--out", str(out)]) == 0
+    summary = (out / "loss_scaling_summary.csv").read_text(encoding="utf-8").splitlines()
+    crossover = (out / "crossover.csv").read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[0] for line in summary] == [
+        "quantity", "crossover_transmission", "theta_opt_deg_at_crossover",
+        "gamma_prime_rad_per_s",
+    ]
+    assert all(line in crossover for line in summary)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -232,6 +285,8 @@ def test_sweep_theta_tracks_weak_value(tmp_path):
         ["propagate", "--config", "{tmp}/phased.json", "--theta", "-40"],
         ["loss-scaling", "--config", "{tmp}/subnormal.json"],
         ["spectrum", "--config", "{tmp}/moded.json"],
+        ["loss-scaling", "--config", "{tmp}/wide_line.json"],
+        ["crossover", "--config", "{tmp}/wide_line.json"],
     ],
 )
 def test_parameter_problems_exit_2(tmp_path, capsys, argv):
@@ -280,6 +335,9 @@ def test_parameter_problems_exit_2(tmp_path, capsys, argv):
     _write_config(tmp_path, dict(QUICK_START, transmission_list=[1e-310]), name="subnormal.json")
     # the given section is the line model; there is no key that names it
     _write_config(tmp_path, dict(QUICK_START, mode="reduced"), name="moded.json")
+    # gamma' = 1e308 rad/s: 2 gamma' overflows and every advance would read 0
+    wide_line = {"line": {"t0_us": 1e-300, "gamma_prime_rad_per_us": 1e302}}
+    _write_config(tmp_path, wide_line, name="wide_line.json")
     argv = [a.format(tmp=tmp_path) for a in argv]
     default_out = "--out" not in argv
     if default_out:
@@ -386,16 +444,32 @@ assert "scipy.optimize" in sys.modules
 """
 
 
-def test_fit_free_commands_load_no_scipy(tmp_path):
-    medium = _write_config(tmp_path, {"medium": MEDIUM}, name="medium.json")
+def _run_fresh(*argv):
+    """``python *argv`` in a fresh interpreter that imports this fastlight."""
     src = str(Path(fastlight.cli.__file__).resolve().parents[1])
     paths = [src, os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    child = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_RUNS, str(tmp_path / "out"), medium],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
+    return subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+def test_fit_free_commands_load_no_scipy(tmp_path):
+    medium = _write_config(tmp_path, {"medium": MEDIUM}, name="medium.json")
+    child = _run_fresh("-c", _SCIPY_FREE_RUNS, str(tmp_path / "out"), medium)
     assert child.returncode == 0, child.stderr
+
+
+def test_marginal_detuning_warns_once_per_command(tmp_path):
+    # |Delta|/Gamma = 300/6 = 50: every far-detuned operation of the
+    # physical spectrum is below the soft ratio, and the run warns once;
+    # -W default overrides any PYTHONWARNINGS in the environment
+    medium = _write_config(tmp_path, {"medium": dict(MEDIUM, Delta_mhz=300.0)}, name="m.json")
+    argv = ["spectrum", "--config", medium, "--out", str(tmp_path / "out")]
+    child = _run_fresh("-W", "default", "-m", "fastlight.cli", *argv)
+    assert child.returncode == 0, child.stderr
+    warned = [line for line in child.stderr.splitlines() if "ApproximationWarning" in line]
+    assert len(warned) == 1, child.stderr
+    assert warned[0].endswith(
+        "ApproximationWarning: |Delta|/Gamma = 50 is below 100; the Lorentzian limit is marginal"
+    )
