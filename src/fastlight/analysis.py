@@ -18,9 +18,11 @@ the weak value A_w(theta).  The best post-selected advance at fixed loss is
 over the feasible angles sin^2(theta+pi/4) >= T, sin(theta)+cos(theta) > 0.
 The maximum is bracketed on a 2000-cell angle grid and refined by
 golden-section search.  A coarse pass over every 32nd cell and one window
-around its winner, about 130 cells in all, pick the same cell that a scan of
-all 2000 would.  t_wva beats t_atom at strong loss (small T) and loses at
-mild loss; the two cross near T ~ 5-6 %, independent of gamma'.
+around its winner, about 130 cells per row, pick the same cell that a scan
+of all 2000 would.  ``t_wva`` also takes a sequence of transmissions and
+searches it with one coarse and one window evaluation per block of 64 rows.
+t_wva beats t_atom at strong loss (small T) and loses at mild loss; the two
+cross near T ~ 5-6 %, independent of gamma'.
 """
 
 from __future__ import annotations
@@ -44,6 +46,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 2000
 _COARSE_STRIDE = 32
 _COARSE = np.append(np.arange(0, _GRID_POINTS - 1, _COARSE_STRIDE), _GRID_POINTS - 1)
+_INDEX = np.arange(float(_GRID_POINTS))
+_TABLE_ROWS = 64  # rows searched together: peak memory does not grow with the table
 _THETA_TOLERANCE = 1e-9
 _MIN_PEAK_SAMPLES = 10
 _CONVERGED = (1, 2, 3, 4)  # MINPACK's success codes; 0 and 5-8 are failures
@@ -109,28 +113,35 @@ def fit_gaussian(envelope: Envelope) -> ArrivalEstimate:
         raise ParameterError("intensity profile has zero width; cannot fit")
     tau = (envelope.times - seed.center) / seed.width
     yn = y / ymax
-    # The model's terms are kept for the last point evaluated: lmder asks for
-    # the Jacobian at the point it has just accepted.  They are keyed on the
-    # exact parameter bits, so a call at any other point recomputes them.
+    # The model's terms, and its Jacobian once asked for, are kept for the
+    # last point evaluated: lmder asks for the Jacobian at the point it has
+    # just accepted, and leastsq checks both at x0 before lmder evaluates them
+    # there.  They are keyed on the exact parameter bits, so a call at any
+    # other point recomputes them.  The kept Jacobian is read-only: every
+    # caller shares that one array.
     cache = {}
 
     def terms(p):
         key = p.tobytes()
         if key not in cache:
+            cache.clear()  # free the last point's arrays before building these
             a, m, s = p
             u = tau - m
             u2 = u**2
             e = np.exp(-u2 / (2 * s * s))
-            cache.clear()
-            cache[key] = (s, u, u2, e, a * e)
+            cache[key] = [s, u, u2, e, a * e, None]
         return cache[key]
 
     def residual(p):
         return terms(p)[4] - yn
 
     def jacobian(p):  # one row per parameter: leastsq's col_deriv layout
-        s, u, u2, e, ae = terms(p)
-        return np.array([e, ae * u / (s * s), ae * u2 / (s**3)])
+        kept = terms(p)
+        if kept[5] is None:
+            s, u, u2, e, ae, _ = kept
+            kept[5] = np.array([e, ae * u / (s * s), ae * u2 / (s**3)])
+            kept[5].flags.writeable = False
+        return kept[5]
 
     x, _, info, _, status = leastsq(
         residual,
@@ -205,28 +216,43 @@ def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
+def _grid_ends(transmission: float) -> tuple[float, float]:
+    """The feasible interval's ends, the first and last of the grid's angles."""
+    root = math.asin(math.sqrt(transmission))
+    return root - math.pi / 4, min(math.pi / 2, 3 * math.pi / 4 - root)
+
+
 def _grid(transmission: float) -> np.ndarray:
     """The 2000 angles ``t_wva`` chooses from: the feasible interval's ends
-    and evenly spaced cells between them."""
-    root = math.asin(math.sqrt(transmission))
-    lo = root - math.pi / 4
-    hi = min(math.pi / 2, 3 * math.pi / 4 - root)
-    return np.linspace(lo, hi, _GRID_POINTS)
+    and evenly spaced cells between them.  The search forms only the cells
+    it evaluates, with ``_angles``."""
+    return np.linspace(*_grid_ends(transmission), _GRID_POINTS)
 
 
-def _cells(theta: np.ndarray, transmission: float) -> np.ndarray:
-    """``_advance_objective`` on an array of angles.
+def _angles(index: np.ndarray, lo, step, hi) -> np.ndarray:
+    """Cells ``index`` (ascending, along the last axis) of grids from ``lo``
+    to ``hi``, with ``np.linspace``'s own arithmetic: index * step + lo,
+    step = (hi - lo) / 1999, and the last cell is hi."""
+    theta = index * step + lo
+    if index[-1] == _GRID_POINTS - 1:
+        theta[..., -1:] = hi
+    return theta
 
-    The same operations in the same order as the scalar objective;
-    infeasible cells are masked before the log and read -inf.
+
+def _cells(theta: np.ndarray, transmission) -> np.ndarray:
+    """``_advance_objective`` on an array of grid angles.
+
+    A feasible cell gets the same operations in the same order as the scalar
+    objective; a cell whose arg is below 1 reads -inf.  On a grid theta +
+    pi/4 >= 0, so s >= 0 and the objective's s <= 0 test adds nothing (s = 0
+    gives arg = -1).  The two ``np.maximum`` calls change no feasible cell;
+    they keep infeasible ones free of division by zero and of the log of a
+    negative number.
     """
     s = np.sin(theta + math.pi / 4)
     arg = 2 * s * s / transmission - 1.0
-    feasible = (s > 0.0) & (arg >= 1.0)
-    values = np.full(theta.shape, -math.inf)
-    a_w = np.cos(theta[feasible]) / (math.sqrt(2.0) * s[feasible])
-    values[feasible] = a_w * np.log(arg[feasible])
-    return values
+    a_w = np.cos(theta) / (math.sqrt(2.0) * np.maximum(s, sys.float_info.min))
+    return np.where(arg >= 1.0, a_w * np.log(np.maximum(arg, 1.0)), -math.inf)
 
 
 def _rounding_bound(transmission: float) -> float:
@@ -256,17 +282,22 @@ def _rounding_bound(transmission: float) -> float:
     return 2 * ((4 + log_max) * rho + (5 + 20 * log_max) * u) / math.sqrt(2 * transmission)
 
 
-def _winning_cell(grid: np.ndarray, transmission: float) -> int:
-    """``np.argmax(_cells(grid, transmission))``, found from ~6% of the cells.
+def _winning_cells(transmissions: list) -> list:
+    """Per transmission T, the winning cell k = ``np.argmax(_cells(_grid(T),
+    T))`` and the cells k - 1 and k + 1 (clamped to the grid), as a tuple of
+    floats.  About 130 cells per row are evaluated, in two ``_cells`` calls
+    for all the rows given.
 
-    Every ``_COARSE_STRIDE``-th cell and the last one are evaluated first.
-    With M their largest value and d = ``_rounding_bound``, every cell of
-    the span from one coarse cell before the first coarse value >= M - 2d to
-    one after the last is evaluated next, and the first maximum of that span
-    is returned.  Usually that span is the two coarse intervals around the
-    coarse winner; if d is infinite or M - 2d <= 0 it is the whole grid.
+    Every ``_COARSE_STRIDE``-th cell and the last one are evaluated first,
+    for each row whose d = ``_rounding_bound`` is finite.  With M a row's
+    largest coarse value, every cell of the span from one coarse cell before
+    the first coarse value >= M - 2d to one after the last is evaluated
+    next, and the first maximum of that span is the row's winner.  Usually
+    that span is the two coarse intervals around the coarse winner; if d is
+    infinite or M - 2d <= 0 it is the whole grid.  The spans are laid end to
+    end in one flat array, so a whole-grid row widens no other row's span.
 
-    The result equals the full-grid argmax because of three premises:
+    The winner equals the full-grid argmax because of three premises:
 
     - The exact objective f is unimodal on the grid.  In c = cot(theta +
       pi/4), which falls as theta rises, f = (1 + c) h(c) / 2 with h =
@@ -281,62 +312,95 @@ def _winning_cell(grid: np.ndarray, transmission: float) -> int:
       it stays monotone just past the feasible ends, where rounding can put
       the first and last cells.
     - numpy gives a cell the same bits in any subset as in the full grid
-      (``_cells`` applies only elementwise operations).
+      (``_angles`` and ``_cells`` apply only elementwise operations).
     - Every computed value v is within d of f, and f <= d where v = -inf.
 
     Take M - 2d > 0, the full-grid winner k and the coarse interval [a, b]
     holding it, so v_k >= M.  If f is monotone on [a, b], some endpoint has
     f >= f_k >= M - d.  Otherwise f peaks inside [a, b], so a or b holds the
     coarse maximum of f, which is at least M - d.  Either way that endpoint
-    has f > d, so a finite v >= M - 2d, and the span holds k.
+    has f > d, so a finite v >= M - 2d, and the span holds k.  The span's
+    first and last cells read below M - 2d unless they are the grid's ends,
+    so k - 1 and k + 1 lie in the span too.
     """
-    first, last = 0, _GRID_POINTS - 1
-    bound = _rounding_bound(transmission)
-    if bound < math.inf:
-        coarse = _cells(grid[_COARSE], transmission)
-        floor = coarse.max() - 2 * bound
-        if floor > 0.0:
-            near = np.flatnonzero(coarse >= floor)
-            first = int(_COARSE[max(near[0] - 1, 0)])
-            last = int(_COARSE[min(near[-1] + 1, _COARSE.size - 1)])
-    return first + int(np.argmax(_cells(grid[first : last + 1], transmission)))
+    rows = []  # lo, step, hi and 2d of each transmission's grid
+    for t in transmissions:
+        lo, hi = _grid_ends(t)
+        rows.append((lo, (hi - lo) / (_GRID_POINTS - 1), hi, 2 * _rounding_bound(t)))
+    # lo, step, hi, 2d and T of the rows whose d is finite
+    p = np.array([(*row, t) for row, t in zip(rows, transmissions) if row[3] < math.inf])
+    p = p.reshape(-1, 5)
+    coarse = iter(_cells(_angles(_COARSE, p[:, 0:1], p[:, 1:2], p[:, 2:3]), p[:, 4:5]))
+    spans, pieces = [], []
+    for lo, step, hi, margin in rows:
+        a, b = 0, _GRID_POINTS - 1
+        if margin < math.inf:
+            values = next(coarse)
+            floor = values[values.argmax()] - margin
+            if floor > 0.0:  # coarse cell j is min(j * stride, 1999)
+                near = values >= floor
+                a = _COARSE_STRIDE * max(int(near.argmax()) - 1, 0)
+                b = min(_COARSE_STRIDE * (_COARSE.size - int(near[::-1].argmax())), b)
+        spans.append((a, b + 1))
+        pieces.append(_angles(_INDEX[a : b + 1], lo, step, hi))
+
+    theta = np.concatenate(pieces)
+    values = _cells(theta, np.repeat(transmissions, [b - a for a, b in spans]))
+    cells, start = [], 0
+    for a, b in spans:
+        j = start + int(values[start : start + b - a].argmax())
+        k = a + j - start
+        cells.append(
+            (theta.item(j), theta.item(j - (k > 0)), theta.item(j + (k < _GRID_POINTS - 1)))
+        )
+        start += b - a
+    return cells
 
 
-def t_wva(transmission: float, gamma_prime: float) -> tuple[float, float]:
+def t_wva(transmission, gamma_prime: float) -> tuple:
     """Best post-selected advance at fixed end-to-end throughput.
 
-    Returns (advance in seconds, optimal analyzer angle in radians).  The
-    winning cell of a 2000-point grid over the feasible angles is found by
-    ``_winning_cell`` from about 130 vectorised evaluations, and it is read
-    again and refined by golden-section search to 1e-9 rad with the scalar
-    ``_advance_objective``.  numpy's sin and log can differ from math's by an
-    ulp in a cell, so only the choice of the winning cell depends on numpy;
-    it matched a scalar scan on 3006 transmissions in [1e-4, 0.999].
+    Returns (advance in seconds, optimal analyzer angle in radians).  Given
+    a 1-d sequence of transmissions, returns the advances and the angles as
+    two float64 arrays, with the same bits as one call per transmission; a
+    bad transmission raises what the first one raises alone.  The winning
+    cell of a 2000-point grid over the feasible angles is found by
+    ``_winning_cells`` from about 130 vectorised evaluations per row, and it
+    is read again and refined by golden-section search to 1e-9 rad with the
+    scalar ``_advance_objective``.  numpy's sin and log can differ from
+    math's by an ulp in a cell, so only the choice of the winning cell
+    depends on numpy; it matched a scalar scan on 3006 transmissions in
+    [1e-4, 0.999].  The grid is built in theta, and theta + pi/4 cancels
+    near the dark port, so the advance loses digits as T falls: ``cli``
+    warns below the transmission where they reach the printed 13.
     """
-    check_transmission("transmission", transmission)
-    if transmission < sys.float_info.min:  # 2/T would overflow on the grid
-        raise ParameterError(f"transmission: must be a normal float; got {transmission!r}")
+    scalar = isinstance(transmission, float) or np.ndim(transmission) == 0
+    table = [transmission] if scalar else list(transmission)
+    for t in table:
+        check_transmission("transmission", t)
+        if t < sys.float_info.min:  # 2/T would overflow on the grid
+            raise ParameterError(f"transmission: must be a normal float; got {float(t)!r}")
     check_positive("gamma_prime", gamma_prime)
-    if transmission == 1.0:
-        return 0.0, math.pi / 4
+    table = [float(t) for t in table]
+    advances, angles = [], []
+    for i in range(0, len(table), _TABLE_ROWS):
+        block = table[i : i + _TABLE_ROWS]
+        for t, (cell, a, b) in zip(block, _winning_cells(block)):
 
-    def objective(theta):
-        return _advance_objective(theta, transmission)
+            def objective(theta):
+                return _advance_objective(theta, t)
 
-    grid = _grid(transmission)
-    k = _winning_cell(grid, transmission)
-    best_theta = float(grid[k])
-    best_value = objective(best_theta)
-    a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, _GRID_POINTS - 1)]
-    theta_g, value_g = _golden_max(objective, float(a), float(b), _THETA_TOLERANCE)
-    if value_g > best_value:
-        best_theta, best_value = theta_g, value_g
-    if not math.isfinite(best_value) or best_value < 0.0:
-        raise NumericalError(
-            f"no feasible analyzer angle at transmission {transmission:g}"
-        )
-    return _seconds(best_value, gamma_prime), best_theta
+            best_theta, best_value = cell, objective(cell)
+            theta_g, value_g = _golden_max(objective, a, b, _THETA_TOLERANCE)
+            if value_g > best_value:
+                best_theta, best_value = theta_g, value_g
+            if not math.isfinite(best_value) or best_value < 0.0:
+                raise NumericalError(f"no feasible analyzer angle at transmission {t:g}")
+            advances.append(_seconds(best_value, gamma_prime))
+            angles.append(best_theta)
+    if scalar:
+        return advances[0], angles[0]
+    return np.array(advances), np.array(angles)
 
 
 def crossover(gamma_prime: float) -> float:

@@ -28,7 +28,18 @@ from fastlight import (
     transmission,
 )
 from fastlight import analysis
-from fastlight.analysis import _GRID_POINTS, _advance_objective, _cells, _golden_max, _grid
+from fastlight.analysis import (
+    _COARSE,
+    _GRID_POINTS,
+    _INDEX,
+    _advance_objective,
+    _angles,
+    _cells,
+    _golden_max,
+    _grid,
+    _grid_ends,
+    _winning_cells,
+)
 from fastlight.cli import _propagated_state
 from fastlight.config import default_config, parse_config
 from fastlight.pulse_engine import Envelope, TimeGrid
@@ -148,6 +159,25 @@ def test_every_minpack_failure_code_raises_fit_failure(monkeypatch, status):
     with pytest.raises(FitFailureError, match=f"MINPACK status {status}") as excinfo:
         fit_gaussian(pulse)
     assert excinfo.value.fallback == centroid(pulse)
+
+
+def test_fit_shares_one_read_only_jacobian_per_point(monkeypatch):
+    # leastsq checks the Jacobian at x0, and lmder then asks for it there
+    # again: both calls get the same array, which nobody can write into
+    seen = []
+
+    def spy(func, x0, Dfun=None, **kwargs):
+        def jacobian(p):
+            seen.append((p.tobytes(), Dfun(p)))
+            return seen[-1][1]
+
+        return leastsq(func, x0, Dfun=jacobian, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "leastsq", spy)
+    fit_gaussian(_gaussian_pulse())
+    assert len(seen) >= 2 and seen[0][0] == seen[1][0]
+    assert seen[1][1] is seen[0][1]
+    assert all(not jac.flags.writeable for _, jac in seen)
 
 
 def _least_squares_fit(envelope):
@@ -368,6 +398,102 @@ def test_search_evaluates_under_a_tenth_of_the_grid(monkeypatch):
         counts.append(0)
         t_wva(float(total), 1.0)
     assert 0 < max(counts) <= 0.1 * _GRID_POINTS
+
+
+# T = 1, the smallest normal float, whole-grid rows (d infinite below about
+# 1e-25) and rows next to 1 along with everyday transmissions
+_EDGE_TRANSMISSIONS = [1.0, sys.float_info.min, 1e-300, 1e-30, 1e-26, 1e-16, 1 - 1e-12, 1 - 2.0**-53]
+_TABLE_TRANSMISSIONS = st.one_of(
+    st.floats(sys.float_info.min, 1.0),
+    st.floats(-307.0, 0.0).map(lambda exponent: 10.0**exponent),
+    st.sampled_from(_EDGE_TRANSMISSIONS),
+)
+
+
+@pytest.mark.parametrize("total", [*_EDGE_TRANSMISSIONS, 1e-8, 1e-6, 0.05, 0.0566, 0.5, 0.999999])
+def test_search_cells_are_the_grid_cells_bit_for_bit(total):
+    # _angles repeats np.linspace's arithmetic on the cells the search
+    # forms: every cell, as one row and as a coarse table row, has the bits
+    # of _grid's cell.  At 1e-6 and 0.05, 1999 * step + lo is not hi.
+    lo, hi = _grid_ends(total)
+    step = (hi - lo) / (_GRID_POINTS - 1)
+    grid = _grid(total)
+    assert _bits(_angles(_INDEX, lo, step, hi)) == _bits(grid)
+    for a, b in [(0, 65), (960, 1025), (1920, 2000), (1999, 2000)]:
+        assert _bits(_angles(_INDEX[a:b], lo, step, hi)) == _bits(grid[a:b])
+    column = np.array([[lo, step, hi]] * 3)
+    table = _angles(_COARSE, column[:, 0:1], column[:, 1:2], column[:, 2:3])
+    assert all(_bits(row) == _bits(grid[_COARSE]) for row in table)
+
+
+def test_table_search_picks_the_full_grid_winner_and_its_neighbours():
+    totals = [*_EDGE_TRANSMISSIONS, *np.geomspace(1e-12, 1 - 1e-9, 300).tolist()]
+    for total, cells in zip(totals, _winning_cells(totals)):
+        grid = _grid(total)
+        k = int(np.argmax(_cells(grid, total)))
+        expected = (grid[k], grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)])
+        assert _bits(cells) == _bits(expected), total
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_TABLE_TRANSMISSIONS, min_size=1, max_size=8))
+def test_table_matches_one_call_per_transmission_bit_for_bit(totals):
+    totals = totals + totals[: len(totals) // 2]  # duplicates in every longer table
+    advances, angles = t_wva(totals, 1.3e6)
+    assert advances.dtype == angles.dtype == np.float64
+    table = [_bits(row) for row in zip(advances, angles)]
+    assert table == [_bits(t_wva(total, 1.3e6)) for total in totals]
+    assert table == [_bits(_full_grid_t_wva(total, 1.3e6)) for total in totals]
+
+
+_BAD_TRANSMISSIONS = st.one_of(
+    st.floats(0.0, sys.float_info.min, exclude_max=True),
+    st.floats(max_value=0.0, allow_nan=False),
+    st.floats(min_value=1.0, exclude_min=True),
+    st.just(math.nan),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_TABLE_TRANSMISSIONS, max_size=5),
+    st.lists(_BAD_TRANSMISSIONS, min_size=1, max_size=3),
+    st.randoms(use_true_random=False),
+)
+def test_table_raises_what_its_first_bad_transmission_raises(good, bad, rng):
+    totals = good + bad
+    rng.shuffle(totals)
+    first = next(total for total in totals if not sys.float_info.min <= total <= 1.0)
+    with pytest.raises(ParameterError) as alone:
+        t_wva(first, 0.5)
+    with pytest.raises(ParameterError) as table:
+        t_wva(totals, 0.5)
+    assert str(table.value) == str(alone.value)
+
+
+def test_table_search_stays_sparse(monkeypatch):
+    counts = []
+
+    def counted(theta, total):
+        counts.append(theta.size)
+        return _cells(theta, total)
+
+    monkeypatch.setattr(analysis, "_cells", counted)
+    table = np.geomspace(1e-4, 0.999, 400).tolist()
+    t_wva(table, 1.0)
+    assert sum(counts) <= 0.1 * len(table) * _GRID_POINTS
+    sparse, largest = sum(counts), max(counts)
+    counts.clear()
+    t_wva(table * 10, 1.0)  # searched in blocks: no array grows with the table
+    assert max(counts) == largest
+    counts.clear()
+    t_wva(table + [1e-30], 1.0)  # d is infinite: one whole-grid row, no coarse cells
+    assert sparse < sum(counts) <= sparse + _GRID_POINTS
+
+
+def test_empty_table_gives_empty_arrays():
+    advances, angles = t_wva([], 1.0)
+    assert advances.shape == angles.shape == (0,)
 
 
 def test_best_advance_at_unit_transmission():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fastlight.cli
-from fastlight import FitFailureError, load_config
+from fastlight import ApproximationWarning, FitFailureError, load_config
 from fastlight.atomic_response import kramers_kronig_residual, transfer_exponent
 from fastlight.cli import main
 
@@ -187,6 +187,30 @@ def test_loss_scaling_table(tmp_path):
     assert table["t_wva_norm"][1] == pytest.approx(0.638284155326, rel=1e-6)
     summary = _read_kv(out / "loss_scaling_summary.csv")
     assert 0.04 < float(summary["crossover_transmission"]) < 0.06
+
+
+def test_loss_scaling_warns_once_below_the_accuracy_floor(tmp_path):
+    # t_wva's advance is low by 3.7e-5 relative at T = 1e-16 and by 20% at
+    # 1e-20; the rows are still written, and the command warns once
+    cfg = _write_config(tmp_path, dict(QUICK_START, transmission_list=[0.05, 1e-16, 1e-20]))
+    out = tmp_path / "out"
+    with pytest.warns(ApproximationWarning) as record:
+        assert main(["loss-scaling", "--config", cfg, "--out", str(out)]) == 0
+    assert [str(w.message) for w in record] == [
+        "2 transmission(s) below 2e-07, the lowest 1e-20: "
+        "t_wva_s and t_wva_norm are not accurate to the printed digits there"
+    ]
+    assert len((out / "loss_scaling.csv").read_text(encoding="utf-8").splitlines()) == 4
+
+
+@pytest.mark.parametrize("transmissions", [None, [0.005, 0.95]])
+def test_loss_scaling_is_silent_above_the_accuracy_floor(tmp_path, transmissions):
+    # pyproject.toml's filterwarnings = ["error"] fails any warning; None
+    # runs the quick-start list
+    argv = ["loss-scaling", "--out", str(tmp_path / "out")]
+    if transmissions is not None:
+        argv += ["--config", _write_config(tmp_path, dict(QUICK_START, transmission_list=transmissions))]
+    assert main(argv) == 0
 
 
 def test_sweep_theta_tracks_weak_value(tmp_path):
