@@ -20,9 +20,13 @@ The maximum is bracketed on a 2000-cell angle grid and refined by
 golden-section search.  A coarse pass over every 32nd cell and one window
 around its winner, about 130 cells per row, pick the same cell that a scan
 of all 2000 would.  ``t_wva`` also takes a sequence of transmissions and
-searches it with one coarse and one window evaluation per block of 64 rows.
+searches it with one coarse and one window evaluation per block of 64 rows;
+each row of such a table call gets the bits of a scalar call.
 t_wva beats t_atom at strong loss (small T) and loses at mild loss; the two
-cross near T ~ 5-6 %, independent of gamma'.
+cross near T ~ 5-6 %, independent of gamma'.  ``crossover`` bisects for that
+throughput: it predicts the bisection's path from cheap estimates of the
+gap's sign, reads the exact gaps along it with one table call, and walks
+the bisection on those, calling ``t_wva`` again only off the predicted path.
 """
 
 from __future__ import annotations
@@ -43,12 +47,15 @@ from .errors import (
 from .pulse_engine import Envelope
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_QUARTER_PI = math.pi / 4
+_SQRT2 = math.sqrt(2.0)
 _GRID_POINTS = 2000
 _COARSE_STRIDE = 32
 _COARSE = np.append(np.arange(0, _GRID_POINTS - 1, _COARSE_STRIDE), _GRID_POINTS - 1)
-_INDEX = np.arange(float(_GRID_POINTS))
 _TABLE_ROWS = 64  # rows searched together: peak memory does not grow with the table
 _THETA_TOLERANCE = 1e-9
+_ESTIMATE_TOLERANCE = 1e-4  # rad: enough for crossover's guess of a gap's sign
+_CROSSOVER_BRACKET = (1e-3, 0.5)
 _MIN_PEAK_SAMPLES = 10
 _CONVERGED = (1, 2, 3, 4)  # MINPACK's success codes; 0 and 5-8 are failures
 _MAX_EVALUATIONS = 100  # residual evaluations per Gaussian fit
@@ -189,37 +196,39 @@ def _seconds(normalized: float, gamma_prime: float) -> float:
 
 def _advance_objective(theta: float, transmission: float) -> float:
     """2 gamma' t of the post-selected scheme at throughput ``transmission``."""
-    s = math.sin(theta + math.pi / 4)
+    s = math.sin(theta + _QUARTER_PI)
     if s <= 0.0:
         return -math.inf
     arg = 2 * s * s / transmission - 1.0
     if arg < 1.0:
         return -math.inf  # would need line gain (T~ > 1) to hit the target
-    a_w = math.cos(theta) / (math.sqrt(2.0) * s)
+    a_w = math.cos(theta) / (_SQRT2 * s)
     return a_w * math.log(arg)
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> tuple[float, float]:
+def _golden_max(transmission: float, a: float, b: float, tol: float) -> tuple[float, float]:
+    """Golden-section maximum of ``_advance_objective`` at ``transmission``
+    on [a, b], to ``tol`` rad: (theta, objective there)."""
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = _advance_objective(c, transmission), _advance_objective(d, transmission)
     while (b - a) > tol:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
-            fc = f(c)
+            fc = _advance_objective(c, transmission)
         else:
             a, c, fc = c, d, fd
             d = a + _INVPHI * (b - a)
-            fd = f(d)
+            fd = _advance_objective(d, transmission)
     x = 0.5 * (a + b)
-    return x, f(x)
+    return x, _advance_objective(x, transmission)
 
 
 def _grid_ends(transmission: float) -> tuple[float, float]:
     """The feasible interval's ends, the first and last of the grid's angles."""
     root = math.asin(math.sqrt(transmission))
-    return root - math.pi / 4, min(math.pi / 2, 3 * math.pi / 4 - root)
+    return root - _QUARTER_PI, min(math.pi / 2, 3 * math.pi / 4 - root)
 
 
 def _grid(transmission: float) -> np.ndarray:
@@ -230,13 +239,10 @@ def _grid(transmission: float) -> np.ndarray:
 
 
 def _angles(index: np.ndarray, lo, step, hi) -> np.ndarray:
-    """Cells ``index`` (ascending, along the last axis) of grids from ``lo``
-    to ``hi``, with ``np.linspace``'s own arithmetic: index * step + lo,
-    step = (hi - lo) / 1999, and the last cell is hi."""
-    theta = index * step + lo
-    if index[-1] == _GRID_POINTS - 1:
-        theta[..., -1:] = hi
-    return theta
+    """Cells ``index`` of grids from ``lo`` to ``hi``, broadcast together,
+    with ``np.linspace``'s own arithmetic: index * step + lo, step = (hi -
+    lo) / 1999, and the last cell is hi."""
+    return np.where(index == _GRID_POINTS - 1, hi, index * step + lo)
 
 
 def _cells(theta: np.ndarray, transmission) -> np.ndarray:
@@ -249,9 +255,9 @@ def _cells(theta: np.ndarray, transmission) -> np.ndarray:
     they keep infeasible ones free of division by zero and of the log of a
     negative number.
     """
-    s = np.sin(theta + math.pi / 4)
+    s = np.sin(theta + _QUARTER_PI)
     arg = 2 * s * s / transmission - 1.0
-    a_w = np.cos(theta) / (math.sqrt(2.0) * np.maximum(s, sys.float_info.min))
+    a_w = np.cos(theta) / (_SQRT2 * np.maximum(s, sys.float_info.min))
     return np.where(arg >= 1.0, a_w * np.log(np.maximum(arg, 1.0)), -math.inf)
 
 
@@ -295,7 +301,8 @@ def _winning_cells(transmissions: list) -> list:
     next, and the first maximum of that span is the row's winner.  Usually
     that span is the two coarse intervals around the coarse winner; if d is
     infinite or M - 2d <= 0 it is the whole grid.  The spans are laid end to
-    end in one flat array, so a whole-grid row widens no other row's span.
+    end in one flat array, so a whole-grid row widens no other row's span,
+    and each span's first maximum is read from that array at once.
 
     The winner equals the full-grid argmax because of three premises:
 
@@ -323,38 +330,36 @@ def _winning_cells(transmissions: list) -> list:
     first and last cells read below M - 2d unless they are the grid's ends,
     so k - 1 and k + 1 lie in the span too.
     """
-    rows = []  # lo, step, hi and 2d of each transmission's grid
-    for t in transmissions:
-        lo, hi = _grid_ends(t)
-        rows.append((lo, (hi - lo) / (_GRID_POINTS - 1), hi, 2 * _rounding_bound(t)))
-    # lo, step, hi, 2d and T of the rows whose d is finite
-    p = np.array([(*row, t) for row, t in zip(rows, transmissions) if row[3] < math.inf])
-    p = p.reshape(-1, 5)
-    coarse = iter(_cells(_angles(_COARSE, p[:, 0:1], p[:, 1:2], p[:, 2:3]), p[:, 4:5]))
-    spans, pieces = [], []
-    for lo, step, hi, margin in rows:
-        a, b = 0, _GRID_POINTS - 1
-        if margin < math.inf:
-            values = next(coarse)
-            floor = values[values.argmax()] - margin
-            if floor > 0.0:  # coarse cell j is min(j * stride, 1999)
-                near = values >= floor
-                a = _COARSE_STRIDE * max(int(near.argmax()) - 1, 0)
-                b = min(_COARSE_STRIDE * (_COARSE.size - int(near[::-1].argmax())), b)
-        spans.append((a, b + 1))
-        pieces.append(_angles(_INDEX[a : b + 1], lo, step, hi))
+    if not transmissions:
+        return []
+    t = np.array(transmissions)
+    lo, hi = np.array([_grid_ends(x) for x in transmissions]).T
+    step = (hi - lo) / (_GRID_POINTS - 1)
+    margin = np.array([2 * _rounding_bound(x) for x in transmissions])
+    # span [a, b] of each row: the whole grid unless its coarse pass narrows it
+    a = np.zeros(t.size, dtype=int)
+    b = np.full(t.size, _GRID_POINTS - 1)
+    finite = np.flatnonzero(margin < math.inf)
+    column = finite[:, None]
+    coarse = _cells(_angles(_COARSE, lo[column], step[column], hi[column]), t[column])
+    floor = coarse.max(axis=1) - margin[finite]
+    near = coarse >= floor[:, None]
+    first = np.maximum(near.argmax(axis=1) - 1, 0)
+    last = _COARSE.size - near[:, ::-1].argmax(axis=1)
+    narrow = floor > 0.0
+    a[finite[narrow]] = _COARSE_STRIDE * first[narrow]  # coarse cell j is min(j * stride, 1999)
+    b[finite[narrow]] = np.minimum(_COARSE_STRIDE * last[narrow], _GRID_POINTS - 1)
 
-    theta = np.concatenate(pieces)
-    values = _cells(theta, np.repeat(transmissions, [b - a for a, b in spans]))
-    cells, start = [], 0
-    for a, b in spans:
-        j = start + int(values[start : start + b - a].argmax())
-        k = a + j - start
-        cells.append(
-            (theta.item(j), theta.item(j - (k > 0)), theta.item(j + (k < _GRID_POINTS - 1)))
-        )
-        start += b - a
-    return cells
+    sizes = b - a + 1
+    starts = np.cumsum(sizes) - sizes
+    index = np.arange(sizes.sum()) - np.repeat(starts - a, sizes)
+    theta = _angles(index, *(np.repeat(x, sizes) for x in (lo, step, hi)))
+    values = _cells(theta, np.repeat(t, sizes))
+    # the first maximum of each span: its first cell that equals the span's maximum
+    hits = np.flatnonzero(values == np.repeat(np.maximum.reduceat(values, starts), sizes))
+    j = hits[np.searchsorted(hits, starts)]
+    k = index[j]
+    return list(zip(*(theta[c].tolist() for c in (j, j - (k > 0), j + (k < _GRID_POINTS - 1)))))
 
 
 def t_wva(transmission, gamma_prime: float) -> tuple:
@@ -370,9 +375,12 @@ def t_wva(transmission, gamma_prime: float) -> tuple:
     scalar ``_advance_objective``.  numpy's sin and log can differ from
     math's by an ulp in a cell, so only the choice of the winning cell
     depends on numpy; it matched a scalar scan on 3006 transmissions in
-    [1e-4, 0.999].  The grid is built in theta, and theta + pi/4 cancels
-    near the dark port, so the advance loses digits as T falls: ``cli``
-    warns below the transmission where they reach the printed 13.
+    [1e-4, 0.999].  The advance loses digits at both ends of the range, and
+    ``cli`` warns outside [2e-7, 0.99], where its error can pass 5e-14
+    relative, half a unit in the 13th printed digit.  As T falls, the grid
+    is built in theta and theta + pi/4 cancels near the dark port; as T
+    nears 1, ln(2 sin^2(theta + pi/4)/T - 1) takes the log of a number next
+    to 1 formed by subtraction.  T = 1 itself is exact.
     """
     scalar = isinstance(transmission, float) or np.ndim(transmission) == 0
     table = [transmission] if scalar else list(transmission)
@@ -386,12 +394,8 @@ def t_wva(transmission, gamma_prime: float) -> tuple:
     for i in range(0, len(table), _TABLE_ROWS):
         block = table[i : i + _TABLE_ROWS]
         for t, (cell, a, b) in zip(block, _winning_cells(block)):
-
-            def objective(theta):
-                return _advance_objective(theta, t)
-
-            best_theta, best_value = cell, objective(cell)
-            theta_g, value_g = _golden_max(objective, a, b, _THETA_TOLERANCE)
+            best_theta, best_value = cell, _advance_objective(cell, t)
+            theta_g, value_g = _golden_max(t, a, b, _THETA_TOLERANCE)
             if value_g > best_value:
                 best_theta, best_value = theta_g, value_g
             if not math.isfinite(best_value) or best_value < 0.0:
@@ -403,6 +407,29 @@ def t_wva(transmission, gamma_prime: float) -> tuple:
     return np.array(advances), np.array(angles)
 
 
+def _gap_estimate_positive(transmission: float) -> bool:
+    """A cheap guess whether t_wva beats t_atom at ``transmission``: the
+    objective's maximum by golden-section search to 1e-4 rad over the whole
+    feasible interval, where it is unimodal (``_winning_cells``)."""
+    best = _golden_max(transmission, *_grid_ends(transmission), _ESTIMATE_TOLERANCE)[1]
+    return best > -math.log(transmission)
+
+
+def _bisect(positive) -> tuple[float, list]:
+    """Bisect ``_CROSSOVER_BRACKET`` to 1e-5 in T, moving the lower end to
+    each midpoint where ``positive`` holds: (the root, the midpoints)."""
+    lo, hi = _CROSSOVER_BRACKET
+    path = []
+    while hi - lo > 1e-5:
+        mid = 0.5 * (lo + hi)
+        path.append(mid)
+        if positive(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi), path
+
+
 def crossover(gamma_prime: float) -> float:
     """Throughput where the post-selected advance stops beating the bare line.
 
@@ -410,21 +437,25 @@ def crossover(gamma_prime: float) -> float:
     advances scale as 1/gamma', so the gap's sign, and the root, do not
     depend on gamma'; a gamma' so extreme that the advances would round to
     0 or overflow raises ParameterError from ``t_wva``.
+
+    The bisection's 16 midpoints are predicted first, from
+    ``_gap_estimate_positive``, and ``t_wva`` is called once on the bracket
+    ends and the predicted midpoints; a table call gives each row the bits
+    of a scalar call.  The bisection then walks on those exact gaps, and a
+    midpoint off the predicted path gets its own call, so the result never
+    depends on the prediction.
     """
     check_positive("gamma_prime", gamma_prime)
+    table = [*_CROSSOVER_BRACKET, *_bisect(_gap_estimate_positive)[1]]
+    advances = dict(zip(table, t_wva(table, gamma_prime)[0].tolist()))
 
     def gap(t):
-        return t_wva(t, gamma_prime)[0] - t_atom(t, gamma_prime)
+        advance = advances[t] if t in advances else t_wva(t, gamma_prime)[0]
+        return advance - t_atom(t, gamma_prime)
 
-    lo, hi = 1e-3, 0.5
+    lo, hi = _CROSSOVER_BRACKET
     if not gap(lo) > 0.0 >= gap(hi):
         raise NumericalError(
             "advance gap does not change sign over transmission in [1e-3, 0.5]"
         )
-    while hi - lo > 1e-5:
-        mid = 0.5 * (lo + hi)
-        if gap(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda t: gap(t) > 0.0)[0]

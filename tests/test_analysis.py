@@ -31,7 +31,6 @@ from fastlight import analysis
 from fastlight.analysis import (
     _COARSE,
     _GRID_POINTS,
-    _INDEX,
     _advance_objective,
     _angles,
     _cells,
@@ -316,14 +315,10 @@ def _full_grid_t_wva(total, gamma_prime):
     a_w = np.cos(grid[feasible]) / (math.sqrt(2.0) * s[feasible])
     values[feasible] = a_w * np.log(arg[feasible])
     k = int(np.argmax(values))
-
-    def objective(theta):
-        return _advance_objective(theta, total)
-
     best_theta = float(grid[k])
-    best_value = objective(best_theta)
+    best_value = _advance_objective(best_theta, total)
     a, b = grid[max(k - 1, 0)], grid[min(k + 1, 1999)]
-    theta_g, value_g = _golden_max(objective, float(a), float(b), 1e-9)
+    theta_g, value_g = _golden_max(total, float(a), float(b), 1e-9)
     if value_g > best_value:
         best_theta, best_value = theta_g, value_g
     if not math.isfinite(best_value) or best_value < 0.0:
@@ -418,9 +413,10 @@ def test_search_cells_are_the_grid_cells_bit_for_bit(total):
     lo, hi = _grid_ends(total)
     step = (hi - lo) / (_GRID_POINTS - 1)
     grid = _grid(total)
-    assert _bits(_angles(_INDEX, lo, step, hi)) == _bits(grid)
+    index = np.arange(_GRID_POINTS)
+    assert _bits(_angles(index, lo, step, hi)) == _bits(grid)
     for a, b in [(0, 65), (960, 1025), (1920, 2000), (1999, 2000)]:
-        assert _bits(_angles(_INDEX[a:b], lo, step, hi)) == _bits(grid[a:b])
+        assert _bits(_angles(index[a:b], lo, step, hi)) == _bits(grid[a:b])
     column = np.array([[lo, step, hi]] * 3)
     table = _angles(_COARSE, column[:, 0:1], column[:, 1:2], column[:, 2:3])
     assert all(_bits(row) == _bits(grid[_COARSE]) for row in table)
@@ -491,6 +487,35 @@ def test_table_search_stays_sparse(monkeypatch):
     assert sparse < sum(counts) <= sparse + _GRID_POINTS
 
 
+def test_table_search_takes_the_first_of_tied_maxima(monkeypatch):
+    # np.argmax's first maximum: cell values rounded to 0.1 tie over a broad
+    # plateau at every row's top, and rounding keeps the objective unimodal
+    def rounded(theta, total):
+        return np.round(_cells(theta, total), 1)
+
+    monkeypatch.setattr(analysis, "_cells", rounded)
+    totals = [0.02, 0.0566, 0.5, 0.9]
+    for total, cells in zip(totals, _winning_cells(totals)):
+        grid = _grid(total)
+        values = rounded(grid, total)
+        assert np.count_nonzero(values == values.max()) > 2
+        k = int(np.argmax(values))
+        expected = (grid[k], grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)])
+        assert _bits(cells) == _bits(expected), total
+
+
+@pytest.mark.parametrize("totals", [[1e-30], [1e-30, 1e-300], []])
+def test_table_search_of_whole_grid_rows_alone(totals):
+    # every row's d is infinite: no coarse cells, one whole-grid span per row
+    cells = _winning_cells(totals)
+    assert len(cells) == len(totals)
+    for total, row in zip(totals, cells):
+        grid = _grid(total)
+        k = int(np.argmax(_cells(grid, total)))
+        expected = (grid[k], grid[max(k - 1, 0)], grid[min(k + 1, _GRID_POINTS - 1)])
+        assert _bits(row) == _bits(expected), total
+
+
 def test_empty_table_gives_empty_arrays():
     advances, angles = t_wva([], 1.0)
     assert advances.shape == angles.shape == (0,)
@@ -546,3 +571,78 @@ def test_crossover_needs_one_bracket_at_every_rate():
     for extreme in (5e-324, 1e-320, 1e308, sys.float_info.max):
         with pytest.raises(ParameterError, match=r"^gamma_prime: .* out of float range$"):
             crossover(extreme)
+
+
+def _sequential_crossover(gamma_prime):
+    """crossover as a plain bisection: the reference for the predicted path
+    checked by one table call.  Each gap is one scalar t_wva call, made in
+    the order the bisection asks for it."""
+
+    def gap(total):
+        return t_wva(total, gamma_prime)[0] - t_atom(total, gamma_prime)
+
+    lo, hi = 1e-3, 0.5
+    if not gap(lo) > 0.0 >= gap(hi):
+        raise NumericalError("advance gap does not change sign")
+    while hi - lo > 1e-5:
+        mid = 0.5 * (lo + hi)
+        if gap(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+_CROSSOVER_RATES = [
+    *(10.0**exponent for exponent in range(-300, 301, 25)),
+    1.0,
+    3.3,
+    1.24e6,
+    default_config().reduced_line().gamma_prime,
+]
+_OUT_OF_RANGE_RATES = [5e-324, 1e-320, 1e308, sys.float_info.max]
+
+
+def _crossover_outcome(function, rate):
+    try:
+        return float(function(rate)).hex()
+    except ParameterError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("rate", [*_CROSSOVER_RATES, *_OUT_OF_RANGE_RATES])
+def test_crossover_matches_sequential_bisection_bit_for_bit(rate):
+    assert _crossover_outcome(crossover, rate) == _crossover_outcome(_sequential_crossover, rate)
+    if rate in _OUT_OF_RANGE_RATES:
+        assert "out of float range" in _crossover_outcome(crossover, rate)
+
+
+def _t_wva_rows(monkeypatch):
+    """The rows of each t_wva call that analysis makes from now on."""
+    rows = []
+
+    def counted(totals, gamma_prime):
+        rows.append(1 if np.ndim(totals) == 0 else len(totals))
+        return t_wva(totals, gamma_prime)
+
+    monkeypatch.setattr(analysis, "t_wva", counted)
+    return rows
+
+
+@pytest.mark.parametrize("guess", [True, False])
+def test_crossover_does_not_rest_on_its_prediction(monkeypatch, guess):
+    # a predictor that is always wrong past some step: every midpoint off the
+    # predicted path gets its own call, and the root keeps its bits
+    monkeypatch.setattr(analysis, "_gap_estimate_positive", lambda total: guess)
+    rows = _t_wva_rows(monkeypatch)
+    for rate in [1.0, 1.24e6, 1e-250, 1e250]:
+        rows.clear()
+        assert float(crossover(rate)).hex() == float(_sequential_crossover(rate)).hex()
+        assert rows[0] == 18 and len(rows) > 1
+
+
+def test_crossover_makes_one_table_call(monkeypatch):
+    rows = _t_wva_rows(monkeypatch)
+    tstar = crossover(default_config().reduced_line().gamma_prime)
+    assert tstar == pytest.approx(CROSSOVER_TRANSMISSION, rel=1e-13)
+    assert rows == [18]  # the bracket ends and 16 midpoints

@@ -197,16 +197,39 @@ def test_loss_scaling_warns_once_below_the_accuracy_floor(tmp_path):
     with pytest.warns(ApproximationWarning) as record:
         assert main(["loss-scaling", "--config", cfg, "--out", str(out)]) == 0
     assert [str(w.message) for w in record] == [
-        "2 transmission(s) below 2e-07, the lowest 1e-20: "
+        "2 transmission(s) outside [2e-07, 0.99], the worst 1e-20: "
         "t_wva_s and t_wva_norm are not accurate to the printed digits there"
     ]
     assert len((out / "loss_scaling.csv").read_text(encoding="utf-8").splitlines()) == 4
 
 
-@pytest.mark.parametrize("transmissions", [None, [0.005, 0.95]])
+@pytest.mark.parametrize(
+    "transmissions, count, worst",
+    [
+        ([0.5, 0.995, 0.9999999], 2, "0.9999999"),
+        ([1e-8, 0.995], 2, "1e-08"),  # 1.3 decades below the floor, 0.3 above the ceiling
+        ([1e-9, 1 - 1e-12, 0.5, 1e-20], 3, "1e-20"),
+    ],
+)
+def test_loss_scaling_warns_once_on_both_sides_of_the_accurate_range(
+    tmp_path, transmissions, count, worst
+):
+    # t_wva's advance errs by 5.5e-14 relative at T = 1 - 10^-2.55 and by
+    # 2.0e-9 at 1 - 1e-7: one warning names every row outside [floor,
+    # ceiling] and the row farthest outside
+    cfg = _write_config(tmp_path, dict(QUICK_START, transmission_list=transmissions))
+    with pytest.warns(ApproximationWarning) as record:
+        assert main(["loss-scaling", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert [str(w.message) for w in record] == [
+        f"{count} transmission(s) outside [2e-07, 0.99], the worst {worst}: "
+        "t_wva_s and t_wva_norm are not accurate to the printed digits there"
+    ]
+
+
+@pytest.mark.parametrize("transmissions", [None, [0.005, 0.95], [2e-7, 0.99, 1.0]])
 def test_loss_scaling_is_silent_above_the_accuracy_floor(tmp_path, transmissions):
     # pyproject.toml's filterwarnings = ["error"] fails any warning; None
-    # runs the quick-start list
+    # runs the quick-start list, and T = 1 is exact (no loss, no advance)
     argv = ["loss-scaling", "--out", str(tmp_path / "out")]
     if transmissions is not None:
         argv += ["--config", _write_config(tmp_path, dict(QUICK_START, transmission_list=transmissions))]
