@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +48,7 @@ from .atomic_response import (
     transmission,
 )
 from .config import RunConfig, default_config, load_config
-from .errors import ApproximationWarning, NumericalError, ParameterError, check_angle_deg
+from .errors import NumericalError, ParameterError, check_angle_deg
 from .pulse_engine import (
     NUMBER_FORMAT,
     default_grid,
@@ -67,21 +66,6 @@ _KK_HALF_SPAN = 40.0
 _KK_POINTS = 1 << 14
 _DARK_PORT_GUARD_DEG = 0.01
 _MAX_SWEEP_COUNT = 1 << 20
-# Outside [floor, ceiling] t_wva's advance can err by more than 5e-14
-# relative, half a unit in the last digit that %.12e prints (at worst).
-# Against a 50-digit maximum of the same objective:
-# - below the floor, theta + pi/4 cancels near the dark port, where the
-#   optimum sits: the error reads 5.0e-14 at T = 1.37e-7, 7.1e-14 at 1e-8,
-#   6.8e-9 at 1e-12, 3.7e-5 at 1e-16 and 20% at 1e-20, and stays below
-#   3.5e-14 on 1500 log-spaced T in [2e-7, 1e-5];
-# - above the ceiling, ln(2 s^2/T - 1) takes the log of a number next to 1
-#   formed by subtraction: the error first reaches 5e-14 at T = 0.99412,
-#   reads 5.5e-14 at 1 - 10^-2.55 and 2.0e-9 at 1 - 1e-7, and stays below
-#   4.2e-14 on 2000 log-spaced 1 - T in [0.01, 0.02] and 1.2e-14 on 500 in
-#   [0.02, 0.5].
-# T = 1 itself is exact: no loss, no advance.
-_T_WVA_ACCURACY_FLOOR = 2e-7
-_T_WVA_ACCURACY_CEILING = 0.99
 # sweep_theta.csv and loss_scaling_summary.csv: subsets, in order, of the
 # propagate_summary.csv and crossover.csv quantities
 _SWEEP_COLUMNS = (
@@ -280,12 +264,11 @@ def cmd_sweep_theta(args) -> int:
 def _crossover_summary(gp: float) -> dict:
     """The break-even throughput, the best angle and both advances there."""
     tstar = crossover(gp)
-    advance_star, theta_star = t_wva(tstar, gp)
     return {
-        "crossover_transmission": tstar,
-        "theta_opt_deg_at_crossover": float(np.rad2deg(theta_star)),
-        "advance_at_crossover_s": advance_star,
-        "advance_norm_at_crossover": 2 * gp * advance_star,
+        "crossover_transmission": float(tstar),
+        "theta_opt_deg_at_crossover": float(np.rad2deg(tstar.theta)),
+        "advance_at_crossover_s": tstar.advance,
+        "advance_norm_at_crossover": 2 * gp * tstar.advance,
         "t_atom_at_crossover_s": t_atom(tstar, gp),
         "gamma_prime_rad_per_s": gp,
     }
@@ -307,16 +290,6 @@ def cmd_loss_scaling(args) -> int:
                 "t_atom_s": advance_atom,
                 "t_wva_s": advance_wva,
             }
-        )
-    floor, ceiling = _T_WVA_ACCURACY_FLOOR, _T_WVA_ACCURACY_CEILING
-    outside = [t for t in cfg.transmission_list if t < floor or ceiling < t < 1.0]
-    if outside:
-        # the row farthest outside, by T below the floor or 1 - T above the ceiling
-        worst = max(outside, key=lambda t: max(floor / t, (1.0 - ceiling) / (1.0 - t)))
-        warnings.warn(
-            f"{len(outside)} transmission(s) outside [{floor:g}, {ceiling:g}], the worst "
-            f"{worst!r}: t_wva_s and t_wva_norm are not accurate to the printed digits there",
-            ApproximationWarning,
         )
     summary = _crossover_summary(gp)
     out = _out_dir(cfg, args)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import fastlight.cli
-from fastlight import ApproximationWarning, FitFailureError, load_config
+from fastlight import FitFailureError, load_config
 from fastlight.atomic_response import kramers_kronig_residual, transfer_exponent
 from fastlight.cli import main
 
@@ -160,14 +160,14 @@ def test_physical_kk_residual_describes_the_propagated_line(tmp_path):
 def test_crossover_reports_break_even(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["crossover", "--out", str(out)]) == 0
-    assert "crossover transmission: 0.056595" in capsys.readouterr().out
+    assert "crossover transmission: 0.056596" in capsys.readouterr().out
     values = _read_kv(out / "crossover.csv")
     assert float(values["crossover_transmission"]) == pytest.approx(
-        0.056594612, abs=1e-5
+        0.0565960430519634, rel=1e-12
     )
     # at the break-even point both schemes advance by the same amount
     assert float(values["advance_at_crossover_s"]) == pytest.approx(
-        float(values["t_atom_at_crossover_s"]), rel=1e-3
+        float(values["t_atom_at_crossover_s"]), rel=1e-12
     )
 
 
@@ -189,47 +189,14 @@ def test_loss_scaling_table(tmp_path):
     assert 0.04 < float(summary["crossover_transmission"]) < 0.06
 
 
-def test_loss_scaling_warns_once_below_the_accuracy_floor(tmp_path):
-    # t_wva's advance is low by 3.7e-5 relative at T = 1e-16 and by 20% at
-    # 1e-20; the rows are still written, and the command warns once
-    cfg = _write_config(tmp_path, dict(QUICK_START, transmission_list=[0.05, 1e-16, 1e-20]))
-    out = tmp_path / "out"
-    with pytest.warns(ApproximationWarning) as record:
-        assert main(["loss-scaling", "--config", cfg, "--out", str(out)]) == 0
-    assert [str(w.message) for w in record] == [
-        "2 transmission(s) outside [2e-07, 0.99], the worst 1e-20: "
-        "t_wva_s and t_wva_norm are not accurate to the printed digits there"
-    ]
-    assert len((out / "loss_scaling.csv").read_text(encoding="utf-8").splitlines()) == 4
-
-
 @pytest.mark.parametrize(
-    "transmissions, count, worst",
-    [
-        ([0.5, 0.995, 0.9999999], 2, "0.9999999"),
-        ([1e-8, 0.995], 2, "1e-08"),  # 1.3 decades below the floor, 0.3 above the ceiling
-        ([1e-9, 1 - 1e-12, 0.5, 1e-20], 3, "1e-20"),
-    ],
+    "transmissions",
+    [None, [0.005, 0.95], [2e-7, 0.99, 1.0], [sys.float_info.min, 1e-20, 1 - 1e-12, 1 - 2.0**-53]],
 )
-def test_loss_scaling_warns_once_on_both_sides_of_the_accurate_range(
-    tmp_path, transmissions, count, worst
-):
-    # t_wva's advance errs by 5.5e-14 relative at T = 1 - 10^-2.55 and by
-    # 2.0e-9 at 1 - 1e-7: one warning names every row outside [floor,
-    # ceiling] and the row farthest outside
-    cfg = _write_config(tmp_path, dict(QUICK_START, transmission_list=transmissions))
-    with pytest.warns(ApproximationWarning) as record:
-        assert main(["loss-scaling", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
-    assert [str(w.message) for w in record] == [
-        f"{count} transmission(s) outside [2e-07, 0.99], the worst {worst}: "
-        "t_wva_s and t_wva_norm are not accurate to the printed digits there"
-    ]
-
-
-@pytest.mark.parametrize("transmissions", [None, [0.005, 0.95], [2e-7, 0.99, 1.0]])
-def test_loss_scaling_is_silent_above_the_accuracy_floor(tmp_path, transmissions):
-    # pyproject.toml's filterwarnings = ["error"] fails any warning; None
-    # runs the quick-start list, and T = 1 is exact (no loss, no advance)
+def test_loss_scaling_is_silent_at_every_transmission(tmp_path, transmissions):
+    # pyproject.toml's filterwarnings = ["error"] fails any warning, numpy's
+    # floating-point warnings included; None runs the quick-start list.
+    # t_wva is exact to rounding at every normal T, so no row is flagged.
     argv = ["loss-scaling", "--out", str(tmp_path / "out")]
     if transmissions is not None:
         argv += ["--config", _write_config(tmp_path, dict(QUICK_START, transmission_list=transmissions))]
@@ -260,7 +227,7 @@ def test_quick_start_stdout(tmp_path, capsys):
         "trace_v.csv, trace_postselected_theta_-40.00.csv, "
         f"trace_postselected_theta_-50.00.csv, propagate_summary.csv in {out}\n"
         f"wrote {out / 'loss_scaling.csv'} and {out / 'loss_scaling_summary.csv'}\n"
-        "crossover transmission: 0.056595\n"
+        "crossover transmission: 0.056596\n"
         f"wrote {out / 'crossover.csv'}\n"
     )
 

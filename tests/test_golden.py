@@ -16,7 +16,6 @@ import json
 import numpy as np
 import pytest
 
-from fastlight import ApproximationWarning
 from fastlight.cli import main
 
 QUICK_START_SHA256 = {
@@ -32,9 +31,9 @@ QUICK_START_SHA256 = {
     ),
     "propagate_summary.csv": "0ca8f7d490f9c8dbeeb2126ddccfac52bb208f011ae91169366d5f46c4944193",
     "sweep_theta.csv": "beb786b3232ee7bdecdcbe698cdc6fa5237ce091b3e221e31906c8af064fb18b",
-    "loss_scaling.csv": "1edd6d727e3ef3c592620ff8b6a0e8d5a303aae9369a326de64c19c31561bd16",
-    "loss_scaling_summary.csv": "2c02190c2f871517dbb3524ba7d199cd197bc7b8566c0a0d209117365b605bd8",
-    "crossover.csv": "7732d2790b42deed74142723b3c569cae18981ea3bcb35d87463d864de4c7264",
+    "loss_scaling.csv": "2ec7b6bef8591e6da441c17d8140cb3fd7f88b4c434078fb16a2767365e931e8",
+    "loss_scaling_summary.csv": "64f2ef5234d9a9f0869e49214d1291bcb8247b3a461902fd508a50945ac82ff8",
+    "crossover.csv": "6f59059ff9bf42756f9ed620e00756b8a5041a334ac403ff981ad7d195301a23",
 }
 
 # The physical-mode example of the README.
@@ -88,8 +87,8 @@ DENSE_BUDGET = {
 }
 
 DENSE_BUDGET_SHA256 = {
-    "loss_scaling.csv": "5e090357f02ae149028e6277b00faa7d332b8c5be65c97d2a11e1d24355d3cd9",
-    "loss_scaling_summary.csv": "2c02190c2f871517dbb3524ba7d199cd197bc7b8566c0a0d209117365b605bd8",
+    "loss_scaling.csv": "bc19b9b9356713affa1f7132d5f94551fc6fc3c9f2c89c5a5dddc2517fc0ad3a",
+    "loss_scaling_summary.csv": "64f2ef5234d9a9f0869e49214d1291bcb8247b3a461902fd508a50945ac82ff8",
 }
 
 
@@ -137,9 +136,7 @@ def test_dense_loss_scaling_csvs_are_byte_identical_to_golden(tmp_path):
     path = tmp_path / "run.json"
     path.write_text(json.dumps(DENSE_BUDGET), encoding="utf-8")
     out = tmp_path / "out"
-    # 0.999999 lies above the accuracy ceiling: the row is written, and flagged
-    with pytest.warns(ApproximationWarning, match=r"^1 transmission\(s\) outside .* 0\.999999:"):
-        assert main(["loss-scaling", "--config", str(path), "--out", str(out)]) == 0
+    assert main(["loss-scaling", "--config", str(path), "--out", str(out)]) == 0
     assert _digests(out) == DENSE_BUDGET_SHA256
 
 
