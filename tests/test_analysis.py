@@ -1,5 +1,6 @@
 """Arrival-time estimation and the loss-vs-advance trade-off."""
 
+import functools
 import math
 import sys
 
@@ -12,6 +13,7 @@ from scipy.optimize import least_squares, leastsq
 
 from fastlight import (
     FitFailureError,
+    NumericalError,
     ParameterError,
     ReducedLine,
     centroid,
@@ -349,6 +351,100 @@ def test_crossover_carries_t_wva_at_its_root_bit_for_bit():
         assert _bits((tstar.advance, tstar.theta)) == _bits(t_wva(float(tstar), rate))
 
 
+_GRID_CELLS = 2000
+
+
+def _full_grid(total):
+    """The objective on 2000 evenly spaced angles phi = theta + pi/4 across
+    the feasible interval, and those phi: the reference the root-find must
+    match or beat.  A_w ln(2 sin^2(phi)/T - 1) is written in phi alone, as
+    (1 + cot phi)/2 log1p(2((1 - T) - cos^2 phi)/T), so each cell is the
+    objective at its float phi to rounding; cells that round outside the
+    interval read -inf.  T = 1 has the one feasible angle phi = pi/2."""
+    if total == 1.0:
+        return np.zeros(1), np.array([math.pi / 2])
+    rest = 1.0 - total
+    lo = math.atan2(math.sqrt(total), math.sqrt(rest))
+    phi = np.linspace(lo, min(3 * math.pi / 4, math.pi - lo), _GRID_CELLS)
+    cos = np.cos(phi)
+    arg = 2 * (rest - cos * cos) / total
+    feasible = arg >= 0.0
+    h = np.log1p(np.where(feasible, arg, 0.0))
+    return np.where(feasible, (1.0 + cos / np.sin(phi)) / 2 * h, -np.inf), phi
+
+
+def _assert_matches_full_grid(total, advance, theta):
+    # the normalized advance is at least every cell, and the angle lies
+    # between the grid winner's neighbours, where a unimodal objective peaks
+    values, phi = _full_grid(total)
+    k = int(np.argmax(values))
+    assert advance >= values[k], total
+    lo, hi = phi[max(k - 1, 0)], phi[min(k + 1, len(phi) - 1)]
+    assert lo - math.pi / 4 <= theta <= hi - math.pi / 4, total
+
+
+def _objective(theta, total):
+    """A_w ln(2 sin^2(phi)/T - 1) at one angle, in math's scalars, with phi =
+    theta + pi/4 and A_w = (1 + cot phi)/2.  The log's argument is 1 +
+    2 (sin^2 phi - T)/T; the difference is formed from sin^2 phi below T =
+    1/2 and as (1 - T) - cos^2 phi above, where neither cancels."""
+    phi = theta + math.pi / 4
+    cos, sin = math.cos(phi), math.sin(phi)
+    excess = sin * sin - total if total < 0.5 else (1.0 - total) - cos * cos
+    return (1.0 + cos / sin) / 2 * math.log1p(2 * excess / total)
+
+
+@pytest.mark.parametrize("total", [1e-4, 0.005, 0.0566, 0.5, 0.95, 0.999999])
+def test_vectorised_scan_matches_scalar_objective(total):
+    # the table's advance is the scalar objective at the table's angle
+    advances, angles = t_wva([total], 0.5)
+    np.testing.assert_array_max_ulp(advances[0], _objective(float(angles[0]), total), maxulp=4)
+
+
+def test_search_matches_full_grid_on_log_spaced_transmissions():
+    totals = np.geomspace(1e-8, 1 - 1e-6, 3000).tolist()
+    for total, advance, theta in zip(totals, *t_wva(totals, 0.5)):
+        _assert_matches_full_grid(total, advance, theta)
+
+
+@pytest.mark.parametrize("k", range(6, 16))
+def test_search_matches_full_grid_next_to_unit_transmission(k):
+    total = 1 - 10.0**-k
+    _assert_matches_full_grid(total, *t_wva(total, 0.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True))
+def test_search_matches_full_grid_on_drawn_transmissions(total):
+    if total < sys.float_info.min:
+        with pytest.raises(ParameterError, match="must be a normal float"):
+            t_wva(total, 0.5)
+    else:
+        _assert_matches_full_grid(total, *t_wva(total, 0.5))
+
+
+@pytest.mark.parametrize(
+    "total", [1e-24, 1e-12, 1e-8, 1e-4, 0.0566, 0.5, 0.999, 1 - 1e-9, 1 - 2.0**-53]
+)
+def test_rounding_bound_covers_every_cell(total):
+    # t_wva's rounding bound, 4 ulp of its advance, covers every cell: no
+    # angle of the full grid has an exact objective above the advance plus
+    # the bound, and where a cell reads infeasible the exact objective lies
+    # below the bound.  Exact: 40 digits at the cell's float phi.
+    mpmath = pytest.importorskip("mpmath")
+    advance, _ = t_wva(total, 0.5)
+    bound = 4 * np.spacing(advance)
+    values, phi = _full_grid(total)
+    with mpmath.workdps(40):
+        for angle, value in zip(phi[::5], values[::5]):
+            angle = mpmath.mpf(float(angle))
+            s = mpmath.sin(angle)
+            exact = (1 + mpmath.cot(angle)) / 2 * mpmath.log(2 * s * s / total - 1)
+            assert exact <= advance + bound, (total, float(angle))
+            if not math.isfinite(value):
+                assert exact <= bound, (total, float(angle))
+
+
 # T = 1, the smallest normal float, rows near the dark port and rows next to
 # 1 along with everyday transmissions
 _EDGE_TRANSMISSIONS = [1.0, sys.float_info.min, 1e-300, 1e-30, 1e-26, 1e-16, 1 - 1e-12, 1 - 2.0**-53]
@@ -381,6 +477,23 @@ def test_table_matches_one_call_per_transmission_bit_for_bit(totals):
     assert advances.dtype == angles.dtype == np.float64
     table = [_bits(row) for row in zip(advances, angles)]
     assert table == [_bits(t_wva(total, 1.3e6)) for total in totals]
+
+
+def test_table_search_picks_the_full_grid_winner_and_its_neighbours():
+    totals = [*_EDGE_TRANSMISSIONS, *np.geomspace(1e-12, 1 - 1e-9, 300).tolist()]
+    for total, advance, theta in zip(totals, *t_wva(totals, 0.5)):
+        _assert_matches_full_grid(total, advance, theta)
+
+
+@pytest.mark.parametrize("totals", [[1e-30], [1e-30, 1e-300], []])
+def test_table_search_of_whole_grid_rows_alone(totals):
+    # tables of rows next to the dark port alone: each row has its own
+    # call's bits and matches its full grid
+    advances, angles = t_wva(totals, 0.5)
+    assert len(advances) == len(angles) == len(totals)
+    for total, advance, theta in zip(totals, advances, angles):
+        assert _bits((advance, theta)) == _bits(t_wva(total, 0.5)), total
+        _assert_matches_full_grid(total, advance, theta)
 
 
 _BAD_TRANSMISSIONS = st.one_of(
@@ -465,3 +578,69 @@ def test_crossover_needs_one_bracket_at_every_rate():
             crossover(extreme)
 
 
+
+
+def _float_bits(x):
+    return int(np.float64(x).view(np.int64))
+
+
+def _bits_float(i):
+    return float(np.int64(i).view(np.float64))
+
+
+@functools.cache
+def _bisected_root():
+    """The root of f*(T) + ln T by plain bisection over the float bits of T
+    in [1e-3, 0.5], one scalar t_wva call per gap, made in the order the
+    bisection asks for it; at gamma' = 1/2 t_wva returns the normalized
+    advance f*.  The bisection ends on two adjacent floats and keeps the one
+    whose gap is nearer 0, the upper one on a tie."""
+
+    def gap(total):
+        return t_wva(total, 0.5)[0] + math.log(total)
+
+    lo, hi = _float_bits(1e-3), _float_bits(0.5)
+    if not gap(_bits_float(lo)) > 0.0 >= gap(_bits_float(hi)):
+        raise NumericalError("advance gap does not change sign")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if gap(_bits_float(mid)) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    lo, hi = _bits_float(lo), _bits_float(hi)
+    return lo if abs(gap(lo)) < abs(gap(hi)) else hi
+
+
+def _sequential_crossover(gamma_prime):
+    """crossover as a plain bisection: the reference for the Newton root.
+    The root is found in normalized units, so it is the same at every
+    gamma'; t_wva at the root turns its advance into seconds and refuses a
+    gamma' that takes the advance out of float range."""
+    root = _bisected_root()
+    t_wva(root, gamma_prime)
+    return root
+
+
+_CROSSOVER_RATES = [
+    *(10.0**exponent for exponent in range(-300, 301, 25)),
+    1.0,
+    3.3,
+    1.24e6,
+    default_config().reduced_line().gamma_prime,
+]
+_OUT_OF_RANGE_RATES = [5e-324, 1e-320, 1e308, sys.float_info.max]
+
+
+def _crossover_outcome(function, rate):
+    try:
+        return float(function(rate)).hex()
+    except ParameterError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("rate", [*_CROSSOVER_RATES, *_OUT_OF_RANGE_RATES])
+def test_crossover_matches_sequential_bisection_bit_for_bit(rate):
+    assert _crossover_outcome(crossover, rate) == _crossover_outcome(_sequential_crossover, rate)
+    if rate in _OUT_OF_RANGE_RATES:
+        assert "out of float range" in _crossover_outcome(crossover, rate)
