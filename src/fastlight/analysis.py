@@ -186,15 +186,15 @@ def t_atom(transmission: float, gamma_prime: float) -> float:
 
 def _seconds(normalized: float, gamma_prime: float) -> float:
     """t from 2 gamma' t; a gamma' that takes a nonzero t out of float range is refused."""
-    advance = normalized / (2 * gamma_prime)
+    advance = normalized / (2 * float(gamma_prime))  # a numpy scalar warns on overflow
     if normalized and not 0.0 < advance < math.inf:
         raise ParameterError(
-            f"gamma_prime: {gamma_prime!r} rad/s puts the advance out of float range"
+            f"gamma_prime: {float(gamma_prime)!r} rad/s puts the advance out of float range"
         )
     return advance
 
 
-def _optimum(t: np.ndarray) -> tuple:
+def _optimum(t) -> tuple:
     """Per normal transmission T in (0, 1]: the best normalized advance
     2 gamma' t_wva, its angle theta and its c = cot(theta + pi/4).
 
@@ -203,7 +203,8 @@ def _optimum(t: np.ndarray) -> tuple:
     is kept inside [0, c_max], where G changes sign once.  Five steps reach
     the root to rounding at every T tried, from the smallest normal float
     to 1 - 2^-53; the sixth is spare.  Each row's arithmetic is elementwise,
-    so a row gets the same bits in a table as alone.
+    so a row gets the same bits in a table, alone, or as a numpy float64
+    scalar, which runs the same ufuncs through numpy's scalar arithmetic.
     """
     r = 1.0 - t
     c_max = np.sqrt(r / t)
@@ -228,7 +229,8 @@ def t_wva(transmission, gamma_prime: float) -> tuple:
     Returns (advance in seconds, optimal analyzer angle in radians).  Given
     a 1-d sequence of transmissions, returns the advances and the angles as
     two float64 arrays, with the same bits as one call per transmission; a
-    bad transmission raises what the first one raises alone.
+    bad transmission raises what the first one raises alone.  One
+    transmission runs on numpy scalars and gets a table row's bits.
 
     The optimum is the one root of G(c) = (2 - z) h - 4 c (1 + c)/(1 + c^2)
     on [0, sqrt((1 - T)/T)] (module docstring), and theta = atan2(1, c) -
@@ -245,11 +247,11 @@ def t_wva(transmission, gamma_prime: float) -> tuple:
         if t < sys.float_info.min:
             raise ParameterError(f"transmission: must be a normal float; got {float(t)!r}")
     check_positive("gamma_prime", gamma_prime)
-    normalized, angles, _ = _optimum(np.array(table, dtype=float))
-    advances = [_seconds(x, gamma_prime) for x in normalized.tolist()]
     if scalar:
-        return advances[0], float(angles[0])
-    return np.array(advances), angles
+        normalized, angle, _ = _optimum(np.float64(transmission))
+        return _seconds(float(normalized), gamma_prime), float(angle)
+    normalized, angles, _ = _optimum(np.array(table, dtype=float))
+    return np.array([_seconds(x, gamma_prime) for x in normalized.tolist()]), angles
 
 
 class Crossover(float):
@@ -271,16 +273,16 @@ def crossover(gamma_prime: float) -> Crossover:
     50-digit root.  The search runs in normalized units, so the root has
     the same bits at every gamma'; gamma' enters only the advance attached
     to the result, and a gamma' that takes it out of float range raises
-    ParameterError.
+    ParameterError.  The walk runs on numpy scalars, with a table row's bits.
     """
     check_positive("gamma_prime", gamma_prime)
-    t = np.array([_CROSSOVER_START])
+    t = np.float64(_CROSSOVER_START)
     for _ in range(_CROSSOVER_STEPS):
         normalized, _, c = _optimum(t)
         z = t * (1.0 + c * c)
         t = t - (normalized + np.log(t)) * t / (1.0 - (1.0 + c) / (2.0 - z))
     normalized, theta, _ = _optimum(t)
-    result = Crossover(t[0])
-    result.advance = _seconds(float(normalized[0]), gamma_prime)
-    result.theta = float(theta[0])
+    result = Crossover(t)
+    result.advance = _seconds(float(normalized), gamma_prime)
+    result.theta = float(theta)
     return result

@@ -278,22 +278,18 @@ def cmd_loss_scaling(args) -> int:
     cfg = _load(args)
     gp = cfg.reduced_line().gamma_prime
     advances_wva, thetas = t_wva(cfg.transmission_list, gp)
-    rows = []
-    for t, advance_wva, theta in zip(cfg.transmission_list, advances_wva.tolist(), thetas.tolist()):
-        advance_atom = t_atom(t, gp)
-        rows.append(
-            {
-                "transmission": t,
-                "t_atom_norm": 2 * gp * advance_atom,
-                "t_wva_norm": 2 * gp * advance_wva,
-                "theta_opt_deg": float(np.rad2deg(theta)),
-                "t_atom_s": advance_atom,
-                "t_wva_s": advance_wva,
-            }
-        )
+    advances_atom = np.array([t_atom(t, gp) for t in cfg.transmission_list])
+    columns = {
+        "transmission": cfg.transmission_list,
+        "t_atom_norm": 2 * gp * advances_atom,
+        "t_wva_norm": 2 * gp * advances_wva,
+        "theta_opt_deg": np.rad2deg(thetas),
+        "t_atom_s": advances_atom,
+        "t_wva_s": advances_wva,
+    }
     summary = _crossover_summary(gp)
     out = _out_dir(cfg, args)
-    _write_rows(out / "loss_scaling.csv", rows)
+    write_csv(out / "loss_scaling.csv", columns)
     _write_kv(out / "loss_scaling_summary.csv", {key: summary[key] for key in _LOSS_SUMMARY_KEYS})
     print(f"wrote {out / 'loss_scaling.csv'} and {out / 'loss_scaling_summary.csv'}")
     return 0

@@ -3,11 +3,12 @@
 import functools
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares, leastsq
 
@@ -644,3 +645,65 @@ def test_crossover_matches_sequential_bisection_bit_for_bit(rate):
     assert _crossover_outcome(crossover, rate) == _crossover_outcome(_sequential_crossover, rate)
     if rate in _OUT_OF_RANGE_RATES:
         assert "out of float range" in _crossover_outcome(crossover, rate)
+
+
+def _array_walk(gamma_prime):
+    """crossover's Newton walk as it was written on one-element arrays: the
+    reference for the walk on numpy scalars."""
+    t = np.array([0.05])
+    for _ in range(5):
+        normalized, _, c = analysis._optimum(t)
+        z = t * (1.0 + c * c)
+        t = t - (normalized + np.log(t)) * t / (1.0 - (1.0 + c) / (2.0 - z))
+    normalized, theta, _ = analysis._optimum(t)
+    return t[0], analysis._seconds(float(normalized[0]), gamma_prime), theta[0]
+
+
+@pytest.mark.parametrize("rate", _CROSSOVER_RATES)
+def test_scalar_walk_matches_array_walk_bit_for_bit(rate):
+    tstar = crossover(rate)
+    assert _bits((tstar, tstar.advance, tstar.theta)) == _bits(_array_walk(rate))
+
+
+_NORMAL_TRANSMISSIONS = st.one_of(
+    st.floats(sys.float_info.min, 1.0),
+    st.sampled_from([sys.float_info.min, 1 - 2.0**-53, 1.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_NORMAL_TRANSMISSIONS, min_size=1, max_size=8))
+@example([sys.float_info.min, 1 - 2.0**-53, 1.0])
+def test_scalar_optimum_matches_one_row_and_table_bit_for_bit(totals):
+    table = analysis._optimum(np.array(totals))
+    for row, total in enumerate(totals):
+        scalar = analysis._optimum(np.float64(total))
+        assert all(np.ndim(x) == 0 for x in scalar)
+        one_row = [x[0] for x in analysis._optimum(np.array([total]))]
+        assert _bits(scalar) == _bits(one_row) == _bits(x[row] for x in table), total
+
+
+@pytest.mark.parametrize("rate", _OUT_OF_RANGE_RATES)
+def test_numpy_scalar_rate_is_refused_like_a_float(rate):
+    # 2 gamma' overflows at the top rates: on a numpy scalar that warns,
+    # and the message would print np.float64(...)
+    for function in (lambda gp: t_atom(0.02, gp), lambda gp: t_wva(0.02, gp), crossover):
+        with pytest.raises(ParameterError) as as_float:
+            function(rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError) as as_numpy:
+                function(np.float64(rate))
+        assert str(as_numpy.value) == str(as_float.value)
+        assert str(as_float.value) == f"gamma_prime: {rate!r} rad/s puts the advance out of float range"
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.24e6, np.float64(1.24e6)])
+def test_no_numpy_scalar_leaks_out(rate):
+    tstar = crossover(rate)
+    assert type(tstar) is analysis.Crossover and not isinstance(tstar, np.generic)
+    assert type(tstar.advance) is float and type(tstar.theta) is float
+    for total in [0.02, np.float64(0.02), 1.0, sys.float_info.min]:
+        advance, theta = t_wva(total, rate)
+        assert type(advance) is float and type(theta) is float
+    assert "np." not in f"{tstar!r} {tstar.advance!r} {tstar.theta!r} {t_wva(0.02, rate)!r}"
