@@ -229,8 +229,7 @@ def t_wva(transmission, gamma_prime: float) -> tuple:
     Returns (advance in seconds, optimal analyzer angle in radians).  Given
     a 1-d sequence of transmissions, returns the advances and the angles as
     two float64 arrays, with the same bits as one call per transmission; a
-    bad transmission raises what the first one raises alone.  One
-    transmission runs on numpy scalars and gets a table row's bits.
+    bad transmission raises what the first one raises alone.
 
     The optimum is the one root of G(c) = (2 - z) h - 4 c (1 + c)/(1 + c^2)
     on [0, sqrt((1 - T)/T)] (module docstring), and theta = atan2(1, c) -
@@ -247,11 +246,11 @@ def t_wva(transmission, gamma_prime: float) -> tuple:
         if t < sys.float_info.min:
             raise ParameterError(f"transmission: must be a normal float; got {float(t)!r}")
     check_positive("gamma_prime", gamma_prime)
-    if scalar:
-        normalized, angle, _ = _optimum(np.float64(transmission))
-        return _seconds(float(normalized), gamma_prime), float(angle)
     normalized, angles, _ = _optimum(np.array(table, dtype=float))
-    return np.array([_seconds(x, gamma_prime) for x in normalized.tolist()]), angles
+    advances = [_seconds(x, gamma_prime) for x in normalized.tolist()]
+    if scalar:
+        return advances[0], float(angles[0])
+    return np.array(advances), angles
 
 
 class Crossover(float):
