@@ -28,6 +28,9 @@ numerical failure nothing is written.
 from __future__ import annotations
 
 import argparse
+import os
+import pickle
+import signal
 import sys
 from pathlib import Path
 
@@ -66,6 +69,16 @@ _KK_HALF_SPAN = 40.0
 _KK_POINTS = 1 << 14
 _DARK_PORT_GUARD_DEG = 0.01
 _MAX_SWEEP_COUNT = 1 << 20
+# Fewest analyzer angles worth a process of their own.  Two processes
+# against one, timed in one warm process at 4096 samples on a 2-CPU machine
+# (medians of 7 to 21 alternated pairs per session): at 96 angles (48 each)
+# the split was slower in every session, at 128 (64 each) in 2 of 5, and
+# from 160 (80 each) it took 0.66-0.73 of the time in every session.  Below
+# that, the fork, the copy-on-write faults that follow it in both processes
+# and the pickled rows cost about what the angles save.  propagate's angle
+# lists and short sweeps stay in one process.
+_MIN_ANGLES_PER_PROCESS = 80
+_FORK_WARNS_WITH_THREADS = sys.version_info >= (3, 12)
 # sweep_theta.csv and loss_scaling_summary.csv: subsets, in order, of the
 # propagate_summary.csv and crossover.csv quantities
 _SWEEP_COLUMNS = (
@@ -187,11 +200,11 @@ def _trace_names(thetas_deg) -> list:
     return list(names)
 
 
-def _selected_rows(propagated, line, t_tilde, thetas_deg) -> list:
+def _angle_rows(propagated, line, t_tilde, center_v, thetas_deg) -> list:
     """One ``propagate_summary.csv`` row per analyzer angle: post-select, fit
-    the arrival, and divide its advance over the reference (V) arm by the
-    line's own advance ``line.t0`` to get the amplification."""
-    center_v = fit_gaussian(propagated.v).center
+    the arrival, and divide its advance over the reference (V) arm, centred
+    at ``center_v``, by the line's own advance ``line.t0`` to get the
+    amplification."""
     rows = []
     for theta_deg in thetas_deg:
         theta = np.deg2rad(theta_deg)
@@ -214,6 +227,111 @@ def _selected_rows(propagated, line, t_tilde, thetas_deg) -> list:
                 "fit_residual_rms": fit.residual_rms,
             }
         )
+    return rows
+
+
+def _process_count(n_angles: int) -> int:
+    """How many processes fit ``n_angles`` angles: one per usable CPU while
+    each gets at least ``_MIN_ANGLES_PER_PROCESS``; one where ``os.fork`` or
+    the CPU affinity is missing, or where forking would warn because the
+    process has other threads (Python >= 3.12)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    if _FORK_WARNS_WITH_THREADS and _has_other_threads():
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n_angles // _MIN_ANGLES_PER_PROCESS))
+
+
+def _has_other_threads() -> bool:
+    """Whether the OS counts more than one thread in this process, as Python
+    >= 3.12 does before it warns on a fork; without /proc, assume so."""
+    try:
+        return len(os.listdir("/proc/self/task")) > 1
+    except OSError:
+        return True
+
+
+def _fork_chunk(fit_chunk, chunk) -> tuple:
+    """Fork a child that fits ``chunk`` and writes, as one pickle, its rows
+    or the exception that stopped it; return its pid and the read end of
+    its pipe."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory: exit 2 like any OSError
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:  # the child: never returns into the caller's stack
+        status = 1
+        try:
+            os.close(read_fd)
+            try:
+                result = fit_chunk(chunk)
+            except Exception as exc:  # re-raised by the parent, in angle order
+                result = exc
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(result))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _child_result(pid: int, read_fd: int, chunk):
+    """Read a forked child's pickle and reap the child; a child that ended
+    without a whole result reads as a NumericalError naming its angles."""
+    with open(read_fd, "rb", closefd=False) as pipe:
+        data = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    try:
+        return pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):  # the child died before replying
+        code = os.waitstatus_to_exitcode(status)
+        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+        return NumericalError(
+            f"the process fitting analyzer angles {chunk[0]:g} to {chunk[-1]:g} deg "
+            f"ended without a result ({how})"
+        )
+
+
+def _selected_rows(propagated, line, t_tilde, thetas_deg) -> list:
+    """``_angle_rows`` for every angle, after one fit of the V arm.
+
+    Long angle lists are split into contiguous chunks, one per process (see
+    ``_process_count``).  This process fits the first chunk while forked
+    children fit the others; the rows are joined in angle order, so they
+    are the rows one process would build.  If chunks fail, the error of the
+    first failing chunk, the one nearest the first angle, is raised.  Every
+    child is reaped before this returns or raises.
+    """
+    center_v = fit_gaussian(propagated.v).center
+
+    def fit_chunk(chunk):
+        return _angle_rows(propagated, line, t_tilde, center_v, chunk)
+
+    n = _process_count(len(thetas_deg))
+    bounds = [len(thetas_deg) * i // n for i in range(n + 1)]
+    chunks = [thetas_deg[a:b] for a, b in zip(bounds, bounds[1:])]
+    children = []  # (pid, read end of its pipe), in chunk order
+    results = []  # rows or an exception, one per reaped child
+    try:
+        for chunk in chunks[1:]:
+            children.append(_fork_chunk(fit_chunk, chunk))
+        rows = fit_chunk(chunks[0])
+        for (pid, read_fd), chunk in zip(children, chunks[1:]):
+            results.append(_child_result(pid, read_fd, chunk))
+    finally:
+        for pid, _ in children[len(results):]:  # a fork or the first chunk failed: end the rest
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for _, read_fd in children:
+            os.close(read_fd)
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+        rows += result
     return rows
 
 

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import pickle
 import sys
 import warnings
 
@@ -124,6 +125,18 @@ def test_fit_failure_carries_centroid_fallback(monkeypatch):
     fallback = excinfo.value.fallback
     assert fallback.method == "centroid"
     assert fallback.center == centroid(out.h).center
+
+
+def test_fit_failure_survives_pickling():
+    # a forked sweep-theta process sends its fit failure to the parent as a
+    # pickle; both the message and the fallback must come back (the fallback
+    # rides in the instance __dict__, which exceptions pickle with their args)
+    fallback = centroid(_gaussian_pulse())
+    error = pickle.loads(pickle.dumps(FitFailureError("fit failed at -20 deg", fallback=fallback)))
+    assert type(error) is FitFailureError
+    assert str(error) == "fit failed at -20 deg"
+    assert error.fallback == fallback
+    assert pickle.loads(pickle.dumps(FitFailureError("no fallback"))).fallback is None
 
 
 def test_fit_on_distorted_pulse_regression():

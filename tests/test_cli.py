@@ -3,8 +3,10 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -487,3 +489,146 @@ def test_marginal_detuning_warns_once_per_command(tmp_path):
     assert warned[0].endswith(
         "ApproximationWarning: |Delta|/Gamma = 50 is below 100; the Lorentzian limit is marginal"
     )
+
+
+# sweep-theta over several processes: cli._selected_rows forks one child per
+# extra chunk of angles once each gets at least _MIN_ANGLES_PER_PROCESS.
+# Two or three usable CPUs are claimed whatever the machine has; forking
+# more processes than CPUs only slows the test down.
+SPLIT_START, SPLIT_STOP = -84.7, -5.0
+
+
+def _sweep_argv(count, out):
+    return [
+        "sweep-theta", "--start", repr(SPLIT_START), "--stop", repr(SPLIT_STOP),
+        "--count", str(count), "--out", str(out),
+    ]
+
+
+def _claim_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _count_forks(monkeypatch):
+    """The pids of the children forked from now on."""
+    forks, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_process_count_follows_cpus_chunk_size_and_fork(monkeypatch):
+    minimum = fastlight.cli._MIN_ANGLES_PER_PROCESS
+    _claim_cpus(monkeypatch, 64)
+    # propagate's configured angles and the benchmark's warm-up sweep
+    assert fastlight.cli._process_count(8) == 1
+    assert fastlight.cli._process_count(24) == 1
+    assert fastlight.cli._process_count(2 * minimum - 1) == 1
+    assert fastlight.cli._process_count(2 * minimum) == 2
+    assert fastlight.cli._process_count(1000) == min(64, 1000 // minimum)
+    _claim_cpus(monkeypatch, 1)
+    assert fastlight.cli._process_count(1000) == 1
+    _claim_cpus(monkeypatch, 2)
+    monkeypatch.delattr(os, "fork")
+    assert fastlight.cli._process_count(1000) == 1
+
+
+def test_one_process_where_fork_would_warn(monkeypatch):
+    # Python >= 3.12 warns when a process with other threads forks
+    _claim_cpus(monkeypatch, 2)
+    monkeypatch.setattr(fastlight.cli, "_FORK_WARNS_WITH_THREADS", False)
+    assert fastlight.cli._process_count(1000) == 2
+    monkeypatch.setattr(fastlight.cli, "_FORK_WARNS_WITH_THREADS", True)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert fastlight.cli._process_count(1000) == 1
+    finally:
+        release.set()
+        thread.join()
+
+
+@pytest.mark.parametrize("cpus, count", [(2, 200), (3, 257)])
+def test_split_sweep_writes_the_one_process_bytes(tmp_path, monkeypatch, cpus, count):
+    _claim_cpus(monkeypatch, 1)
+    assert main(_sweep_argv(count, tmp_path / "one")) == 0
+    _claim_cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    assert main(_sweep_argv(count, tmp_path / "split")) == 0
+    assert len(forks) == cpus - 1
+    _assert_no_child_left()
+    one = (tmp_path / "one" / "sweep_theta.csv").read_bytes()
+    assert (tmp_path / "split" / "sweep_theta.csv").read_bytes() == one
+    assert one.count(b"\n") == count + 1
+
+
+# 257 angles over 3 processes: chunks [0, 85), [85, 171) and [171, 257)
+@pytest.mark.parametrize(
+    "failing", [[150], [200, 100], [100, 10]], ids=["one_child", "two_children", "parent_first"]
+)
+def test_split_sweep_raises_the_first_angles_failure(tmp_path, monkeypatch, capsys, failing):
+    thetas = np.linspace(SPLIT_START, SPLIT_STOP, 257)
+    post_select = fastlight.cli.post_select
+
+    def fail_at_chosen_angles(propagated, theta):
+        for index in failing:
+            if abs(np.rad2deg(theta) - thetas[index]) < 1e-9:
+                raise FitFailureError(f"forced failure at angle {index}", fallback=None)
+        return post_select(propagated, theta)
+
+    monkeypatch.setattr(fastlight.cli, "post_select", fail_at_chosen_angles)
+    expected = f"error: forced failure at angle {min(failing)}\n"
+    for cpus in (1, 3):
+        _claim_cpus(monkeypatch, cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(_sweep_argv(257, out)) == 3
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+        _assert_no_child_left()
+
+
+def test_killed_child_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+    post_select = fastlight.cli.post_select
+
+    def die_in_child(propagated, theta):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return post_select(propagated, theta)
+
+    monkeypatch.setattr(fastlight.cli, "post_select", die_in_child)
+    _claim_cpus(monkeypatch, 2)
+    out = tmp_path / "out"
+    assert main(_sweep_argv(200, out)) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: the process fitting analyzer angles -44.6497 to -5 deg ")
+    assert err.endswith(" ended without a result (killed by signal 9)\n")
+    assert not out.exists()
+    _assert_no_child_left()
+
+
+def test_failed_fork_exits_2_and_closes_its_pipe(tmp_path, monkeypatch, capsys):
+    def no_fork():
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    _claim_cpus(monkeypatch, 2)
+    monkeypatch.setattr(os, "fork", no_fork)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    out = tmp_path / "out"
+    assert main(_sweep_argv(200, out)) == 2
+    assert capsys.readouterr().err == "error: [Errno 11] Resource temporarily unavailable\n"
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert not out.exists()
