@@ -181,7 +181,7 @@ def t_atom(transmission: float, gamma_prime: float) -> float:
     """Bare-line peak advance at intensity transmission T: -ln(T)/(2 gamma')."""
     check_transmission("transmission", transmission)
     check_positive("gamma_prime", gamma_prime)
-    return _seconds(-math.log(transmission), gamma_prime)
+    return _seconds(0.0 - math.log(transmission), gamma_prime)  # +0.0 at T = 1
 
 
 def _seconds(normalized: float, gamma_prime: float) -> float:

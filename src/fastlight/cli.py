@@ -16,8 +16,8 @@ Subcommands:
 Every command reads an optional JSON config (--config; a built-in
 quick-start is used otherwise) and writes CSV files into the output
 directory (--out overrides the configured one).  Output is byte-identical
-across reruns of the same configuration: fixed column orders, fixed 12-digit
-scientific formatting, no timestamps.
+across reruns of the same configuration: fixed column orders, every number
+in ``%.12e`` (13 significant digits), no timestamps.
 
 Exit codes: 0 success, 2 invalid parameters or config (a ParameterError, or
 an unusable --out or --config path), 3 a NumericalError.  Every result is

@@ -50,10 +50,7 @@ NUMBER_FORMAT = "%.12e"  # every number in every CSV file the package writes
 _BLOCK_ROWS = 4096  # bounds the working arrays, so peak memory does not grow with the table
 _REGULAR = (1e-290, 1e290)  # |x| strictly inside scales to 13 digits without over- or underflow
 _POWERS_FROM = -280  # the powers-of-ten table runs from 10^-280 to 10^305
-_COARSE_BAND = 2.5e-3  # a scaled fraction this close to 1/2 is formed again in double-double
-_TIE_BAND = 1e-15  # and then, this close to 1/2, takes the fallback (see _format_rows)
-_VELTKAMP = 134217729.0  # 2^27 + 1: splits a double into two halves of 26 bits
-_POW_BAND = 0.45  # a square whose error reaches this many ulp is left to pow (see _squares)
+_DOUBT = 2.3e-16  # bounds the relative error of a scaled cell (see _format_rows)
 _EXPONENTS_FROM = -324  # the exponent table runs from e-324 to e+308
 # One cell: byte 0 the separator ("\n" before a row's first cell, "," before
 # the others), 1 the sign, 2 the leading digit, 3 ".", 4-15 twelve digits,
@@ -301,39 +298,17 @@ def propagate_lorentzian(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedP
 
 @functools.cache
 def _tables() -> tuple:
-    """The powers of ten 10^k from k = _POWERS_FROM as one (4, n) array of
-    rows hi, hi_h, hi_l, lo; the ASCII digits of 0000 to 9999 as one uint32
-    word each; and the exponent fields "e-324" to "e+308" as one 8-byte
-    word each.
-
-    hi is 10^k correctly rounded (Python parses "1e{k}" to the nearest
-    double); hi_h keeps its high 26 significant bits (the low 27 mantissa
-    bits masked off) and hi_l = hi - hi_h, exactly, the other 27; lo is
-    10^k - hi, formed exactly in integers and rounded once.
+    """The powers of ten 10^k from k = _POWERS_FROM, each the double nearest
+    10^k (Python parses "1e{k}" correctly rounded); the ASCII digits of 0000
+    to 9999 as one uint32 word each; and the exponent fields "e-324" to
+    "e+308" as one 8-byte word each.
     """
-    hi, lo = [], []
-    for k in range(_POWERS_FROM, 306):
-        h = float(f"1e{k}")
-        n, d = h.as_integer_ratio()
-        up, down = 10 ** max(k, 0), 10 ** max(-k, 0)
-        hi.append(h)
-        lo.append((up * d - n * down) / (d * down))  # int / int rounds once
-    hi = np.array(hi)
-    hi_h = (hi.view(np.uint64) & ~np.uint64((1 << 27) - 1)).view(float)
+    powers = np.array([float(f"1e{k}") for k in range(_POWERS_FROM, 306)])
     d = np.arange(10, dtype=np.uint8) + ord("0")
     places = np.broadcast_arrays(d[:, None, None, None], d[:, None, None], d[:, None], d)
     words = np.stack(places, axis=-1).reshape(10000, 4).view(np.uint32).ravel()
     exponents = [f"e{k:+03d}".ljust(8).encode() for k in range(_EXPONENTS_FROM, 309)]
-    powers = np.stack([hi, hi_h, hi - hi_h, np.array(lo)])
     return powers, words, np.array(exponents).view(np.uint64)
-
-
-def _split(a: np.ndarray) -> tuple:
-    """Veltkamp's split of a (|a| < 1e290): a = high + low exactly, each
-    with at most 26 significant bits."""
-    c = a * _VELTKAMP
-    high = c - (c - a)
-    return high, a - high
 
 
 def _format_rows(table: np.ndarray) -> bytes:
@@ -343,23 +318,16 @@ def _format_rows(table: np.ndarray) -> bytes:
     A finite x with a = |x| inside _REGULAR prints as M * 10^(E-12), with M
     the 13-digit integer nearest v = a * 10^(12-E), ties to even.  E starts
     as floor(log10 a) and is corrected once, so that p = RN(a * hi) lies in
-    [1e12, 1e13]; (hi, lo) is the table pair of k = 12 - E.  hi and p are
-    each rounded once, so |p - v| <= 2^-52 1e13 < _COARSE_BAND, and
-    M = rint(p) wherever |p - M| < 1/2 - _COARSE_BAND.  The other cells
-    (about one in 200) form v again to within 6e-19.  Dekker's product of
-    a's Veltkamp halves and hi's masked halves (each partial product fits
-    in 53 bits) gives err = a * hi - p exactly; |10^k - hi - lo| <=
-    2^-106 hi; so p + low, with low = RN(err + RN(a * lo)), misses v by at
-    most 2^-106 1e13 + 2^-62 + 2^-62 (a * lo's error and the two roundings;
-    |a * lo|, |err| < 2^-9).  frac = RN((p - M) + low) lies within 0.51 of
-    0 and its rounding adds at most 2^-54, so frac misses v - M by less
-    than 6e-17 < _TIE_BAND.  Where |frac| is farther than _TIE_BAND from
-    1/2, M + rint(frac) is the M that Python prints.  Zeros, nan and inf
-    are written directly.  The other cells (near-ties, and a outside
-    _REGULAR) are printed by NUMBER_FORMAT itself and their digits parsed
-    back, so every cell leaves through the same byte layout.
+    [1e12, 1e13], with hi = RN(10^(12-E)) from the table.  hi and p are each
+    rounded once, so with u = 2^-53, |p - v| <= (2u + u^2)/(1 - u)^2 p <
+    2.3e-16 p = _DOUBT p.  Where |p - rint(p)| <= 1/2 - _DOUBT p, v lies
+    less than 1/2 from rint(p), which is then M.  Zeros, nan and inf are
+    written directly.  The other cells (near-ties, about one in 700 of a
+    propagated trace, and a outside _REGULAR) are printed by NUMBER_FORMAT
+    itself and their digits parsed back, so every cell leaves through the
+    same byte layout.
     """
-    (hi, hi_h, hi_l, lo), words, exponents = _tables()
+    powers, words, exponents = _tables()
     x = table.ravel()
     nan, inf, zero = np.isnan(x), np.isinf(x), x == 0.0
     a = np.abs(x)
@@ -367,30 +335,22 @@ def _format_rows(table: np.ndarray) -> bytes:
     a = np.where(regular, a, 1.0)  # log10 never sees 0, nan or inf; 1.0 gives M = 1e12, E = 0
     e = np.floor(np.log10(a)).astype(np.int64)
     k = (12 - _POWERS_FROM) - e  # the table index of 10^(12-E)
-    p = a * hi[k]
+    p = a * powers[k]
     off = np.flatnonzero((p < 1e12) | (p >= 1e13))  # log10 rounded across a power of ten
     step = np.where(p[off] < 1e12, 1, -1)
     e[off] -= step
     k[off] += step
-    p[off] = a[off] * hi[k[off]]
+    p[off] = a[off] * powers[k[off]]
     m = np.rint(p)
-    near = np.flatnonzero(np.abs(p - m) > 0.5 - _COARSE_BAND)  # M in doubt: refine
-    a, k, p = a[near], k[near], p[near]
-    a_h, a_l = _split(a)
-    b_h, b_l = hi_h[k], hi_l[k]
-    err = ((a_h * b_h - p) + a_h * b_l + a_l * b_h) + a_l * b_l
-    frac = (p - m[near]) + (err + a * lo[k])
-    m[near] += np.rint(frac)
+    odd = np.flatnonzero(~(regular | zero | nan | inf) | (np.abs(p - m) > 0.5 - _DOUBT * p))
     m = m.astype(np.int64)
     carry = m == 10**13
     m[carry] = 10**12
     e += carry
     m[zero] = 0
-    fallback = ~(regular | zero | nan | inf)
-    fallback[near[np.abs(np.abs(frac) - 0.5) <= _TIE_BAND]] = True
-    for i in np.flatnonzero(fallback).tolist():
-        mantissa, exponent = (NUMBER_FORMAT % x[i]).split("e")
-        m[i], e[i] = int(mantissa.lstrip("-").replace(".", "")), int(exponent)
+    printed = [(NUMBER_FORMAT % v).replace(".", "").split("e") for v in x[odd].tolist()]
+    m[odd] = [abs(int(digits)) for digits, _ in printed]
+    e[odd] = [int(exponent) for _, exponent in printed]
 
     cells = np.tile(_CELL, (x.size, 1))
     cells[:: table.shape[1], 0] = ord("\n")
@@ -410,28 +370,6 @@ def _format_rows(table: np.ndarray) -> bytes:
     keep[:, 20] = np.abs(e) >= 100
     keep[nan | inf, 5:] = False
     return cells.ravel()[keep.ravel()].tobytes()
-
-
-def _squares(h: np.ndarray) -> np.ndarray:
-    """libm pow(h, 2) of each h >= 0: what Python's float ``h**2`` returns.
-
-    pow in glibc (2.28 on) and musl is within 0.54 ulp of h^2, so it returns
-    the double nearest h^2 wherever that lies within 0.46 ulp of h^2 and is
-    not a power of two (where the gap below is half the gap above).  Dekker's
-    product gives that double, s = RN(h * h), and its exact error; the cells
-    where the error reaches _POW_BAND ulp, s is a power of two, or h lies
-    outside (1e-130, 1e130) (the error's terms would leave the normal range),
-    and nan or inf, are Python's ``h**2``.
-    """
-    inside = (h > 1e-130) & (h < 1e130)
-    a = np.where(inside, h, 1.0)
-    s = a * a
-    h_h, h_l = _split(a)
-    err = ((h_h * h_h - s) + 2 * h_h * h_l) + h_l * h_l
-    power_of_two = (s.view(np.uint64) << np.uint64(12)) == 0
-    odd = np.flatnonzero(~inside | power_of_two | (np.abs(err) >= _POW_BAND * np.spacing(s)))
-    s[odd] = [v**2 for v in h[odd].tolist()]
-    return s
 
 
 def write_csv(path, columns: dict) -> None:
@@ -455,8 +393,9 @@ def write_envelope_csv(envelope: Envelope, path) -> None:
     """Envelope dump: columns t_seconds, re, im, intensity."""
     re, im = envelope.samples.real, envelope.samples.imag
     # The intensity is Python's abs(z) ** 2: np.hypot rounds |z| exactly as
-    # complex abs() does, and _squares returns libm pow(h, 2), which is not
-    # always h * h (numpy's square) and can differ in the 13th printed digit.
-    intensity = _squares(np.hypot(re, im))
+    # complex abs() does, and float_power calls libm pow(h, 2) as Python's **
+    # does; h * h (numpy's square, and np.power's) differs from it in the last
+    # bit now and then, which can show in the 13th printed digit.
+    intensity = np.float_power(np.hypot(re, im), 2.0)
     columns = {"t_seconds": envelope.times, "re": re, "im": im, "intensity": intensity}
     write_csv(path, columns)

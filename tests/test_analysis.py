@@ -238,6 +238,7 @@ def test_fit_matches_least_squares_bit_for_bit():
 def test_bare_line_advance_value():
     assert t_atom(0.05, 0.5) == pytest.approx(math.log(20.0), rel=1e-12)
     assert t_atom(1.0, 2.0e6) == 0.0
+    assert math.copysign(1.0, t_atom(1.0, 2.0e6)) == 1.0  # +0.0, not -log(1) = -0.0
 
 
 @pytest.mark.parametrize("bad_t", [0.0, -0.1, 1.5, math.nan])

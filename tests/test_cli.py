@@ -191,6 +191,16 @@ def test_loss_scaling_table(tmp_path):
     assert 0.04 < float(summary["crossover_transmission"]) < 0.06
 
 
+def test_loss_free_row_prints_a_positive_zero_advance(tmp_path):
+    cfg = _write_config(tmp_path, dict(QUICK_START, transmission_list=[1, 0.5]))
+    out = tmp_path / "out"
+    assert main(["loss-scaling", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "loss_scaling.csv", encoding="utf-8", newline="") as fh:
+        row = next(csv.DictReader(fh))
+    for column in ("t_atom_norm", "t_atom_s", "t_wva_norm"):
+        assert row[column] == "0.000000000000e+00", column
+
+
 @pytest.mark.parametrize(
     "transmissions",
     [None, [0.005, 0.95], [2e-7, 0.99, 1.0], [sys.float_info.min, 1e-20, 1 - 1e-12, 1 - 2.0**-53]],
