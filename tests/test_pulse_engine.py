@@ -344,10 +344,30 @@ def test_every_float_formats_like_python(values):
     _assert_formats_like_python(values)
 
 
-def test_powers_of_ten_are_correctly_rounded():
+def test_power_pairs_are_exact():
+    # each pair (k, hi) of the powers row, in exact arithmetic: hi is the
+    # double nearest 10^k, for every k from _POWERS_FROM to 305
     powers, _, _ = pulse_engine._tables()
+    assert len(powers) == 306 - pulse_engine._POWERS_FROM
     for k, h in enumerate(powers.tolist(), start=pulse_engine._POWERS_FROM):
         exact = Fraction(10) ** k
         error = abs(Fraction(h) - exact)
         neighbours = np.nextafter(h, [0.0, np.inf]).tolist()
         assert all(error <= abs(Fraction(n) - exact) for n in neighbours), k
+
+
+@pytest.mark.parametrize("work", [np.longdouble, np.float64])
+def test_powers_of_ten_are_correctly_rounded(work):
+    # hi = RN(10^k) keeps the scaled product p = a * hi, rounded once to the
+    # working dtype, within _DOUBT p of a * 10^k, the bound _format_rows'
+    # rounding test rests on; a dtype wider than float64 keeps it too
+    powers, _, _ = pulse_engine._tables()
+    doubt = Fraction(pulse_engine._DOUBT)
+    rng = np.random.default_rng(41)
+    for k, h in enumerate(powers.tolist(), start=pulse_engine._POWERS_FROM):
+        mantissas = [1.0, 9.999999999999998, *rng.uniform(1.0, 10.0, 4).tolist()]
+        for mantissa in mantissas:
+            a = float(f"{mantissa!r}e{12 - k}")  # a * 10^k lies in [1e12, 1e13]
+            p = work(a) * work(h)
+            error = abs(Fraction(*p.as_integer_ratio()) - Fraction(a) * Fraction(10) ** k)
+            assert error <= doubt * Fraction(*p.as_integer_ratio()), (k, a)
