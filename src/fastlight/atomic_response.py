@@ -89,11 +89,12 @@ class MediumSpec:
         check_positive("Gamma", self.Gamma)
         if not (self.omega_c_rabi >= 0):
             raise ParameterError("omega_c_rabi: must be >= 0")
-        if not np.isfinite(self.Delta):
-            raise ParameterError("Delta: must be finite")
         if not (self.length >= 0):
             raise ParameterError("length: must be >= 0")
         check_positive("omega0", self.omega0)
+        for name in ("omega_c_rabi", "Delta", "Gamma"):
+            _check_square(name, getattr(self, name))
+        _check_square("gamma' = gamma + power broadening", gamma_effective(self))
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,12 @@ class ReducedLine:
         if not (self.t0 >= 0) or not np.isfinite(self.t0):
             raise ParameterError("t0: must be finite and >= 0")
         check_positive("gamma_prime", self.gamma_prime)
+
+
+def _check_square(name: str, value: float) -> None:
+    """Raise ParameterError naming ``name`` where ``value**2`` overflows."""
+    if not abs(value) < 2.0**512:  # x**2 is finite exactly below 2^512
+        raise ParameterError(f"{name}: {value:.3e} rad/s has no finite square (limit 2^512)")
 
 
 def light_shift(spec: MediumSpec) -> float:
@@ -196,10 +203,19 @@ def _lorentzian(strength, x, gp):
     return strength * (x + 1j * gp) / (x**2 + gp**2)
 
 
-def _chi_lorentzian_raw(delta_prime, spec: MediumSpec):
-    delta_prime = np.asarray(delta_prime, dtype=float)
-    scale = spec.beta * spec.omega_c_rabi**2 / (4 * spec.Delta**2)
-    return _lorentzian(scale, delta_prime, gamma_effective(spec))
+def _lorentzian_slope(strength, x, gp):
+    """d/dx Re ``_lorentzian`` = strength (gp^2 - x^2)/(x^2 + gp^2)^2; NumericalError,
+    not a slope of 0 or nan, where a square overflows or x is infinite."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return strength * (gp**2 - x**2) / (x**2 + gp**2) ** 2
+    except ArithmeticError:
+        raise NumericalError("line slope out of float range: |x| or gamma' above ~1e77") from None
+
+
+def _chi_strength(spec: MediumSpec) -> float:
+    """S = beta |Omega_c|^2 / (4 Delta^2), the strength of chi's Lorentzian."""
+    return spec.beta * spec.omega_c_rabi**2 / (4 * spec.Delta**2)
 
 
 def chi_lorentzian(delta_prime, spec: MediumSpec):
@@ -209,7 +225,7 @@ def chi_lorentzian(delta_prime, spec: MediumSpec):
     Requires |Delta| >= 10 Gamma (hard error); warns below 100 Gamma.
     """
     _require_far_detuned(spec, "chi_lorentzian")
-    out = _chi_lorentzian_raw(delta_prime, spec)
+    out = _lorentzian(_chi_strength(spec), np.asarray(delta_prime, float), gamma_effective(spec))
     return out if out.ndim else complex(out)
 
 
@@ -230,25 +246,14 @@ def refractive_index(chi):
 
 
 def group_index(delta_prime, spec: MediumSpec):
-    """Group index n_g = Re(n) + omega * dRe(n)/d(delta') by central difference.
-
-    The step is h = max(1e-4 * gamma', |delta'| * 1e-6) per point.  At line
-    centre this reproduces the closed form 1 + beta (|Omega_c|^2/8 Delta^2)
-    omega/gamma'^2 to much better than 1e-6 relative.
-    """
+    """Group index n_g = Re(n) + omega dRe(n)/d(delta'), with dRe(n)/d(delta')
+    half the slope of chi's Lorentzian: 1 + beta (|Omega_c|^2/8 Delta^2)
+    omega/gamma'^2 at line centre.  NumericalError if |delta'| or gamma' > ~1e77."""
     _require_far_detuned(spec, "group_index")
     delta_prime = np.asarray(delta_prime, dtype=float)
-    gp = gamma_effective(spec)
-    h = np.maximum(1e-4 * gp, np.abs(delta_prime) * 1e-6)
-    if np.any(delta_prime + h == delta_prime):
-        raise NumericalError(
-            "finite-difference step underflowed (delta' + h == delta'); "
-            "gamma' or delta' is out of floating-point range"
-        )
-    n_mid = np.real(refractive_index(_chi_lorentzian_raw(delta_prime, spec)))
-    n_hi = np.real(refractive_index(_chi_lorentzian_raw(delta_prime + h, spec)))
-    n_lo = np.real(refractive_index(_chi_lorentzian_raw(delta_prime - h, spec)))
-    out = n_mid + spec.omega0 * (n_hi - n_lo) / (2 * h)
+    strength, gp = _chi_strength(spec), gamma_effective(spec)
+    slope = _lorentzian_slope(strength, delta_prime, gp)  # refuses what chi would overflow on
+    out = refractive_index(_lorentzian(strength, delta_prime, gp)).real + spec.omega0 / 2 * slope
     return out if out.ndim else float(out)
 
 
@@ -291,8 +296,8 @@ def transfer_exponent(om, line: ReducedLine):
     spectral phase, Im Phi the field-loss exponent (gamma' t0 at centre, so
     the intensity transmission there is exp(-2 gamma' t0)).
     """
-    gp = line.gamma_prime
-    return _lorentzian(line.t0 * gp**2, om, gp)
+    _check_square("gamma_prime", line.gamma_prime)  # the loss budget never squares it
+    return _lorentzian(line.t0 * line.gamma_prime**2, om, line.gamma_prime)
 
 
 def phase_slope(om, line: ReducedLine):
@@ -300,8 +305,8 @@ def phase_slope(om, line: ReducedLine):
 
     Equals ``line.t0`` at centre and changes sign at |Om| = gamma'.
     """
-    gp = line.gamma_prime
-    return line.t0 * gp**2 * (gp**2 - om**2) / (om**2 + gp**2) ** 2
+    _check_square("gamma_prime", line.gamma_prime)
+    return _lorentzian_slope(line.t0 * line.gamma_prime**2, om, line.gamma_prime)
 
 
 def _taper_ends(values: np.ndarray, fraction: float) -> np.ndarray:
@@ -378,11 +383,7 @@ def kk_check(spec: MediumSpec, delta_prime_grid: np.ndarray) -> float:
     grid = np.asarray(delta_prime_grid, dtype=float)
     gp = gamma_effective(spec)
     if grid.size < _KK_MIN_POINTS:
-        raise ParameterError(
-            f"KK check needs >= {_KK_MIN_POINTS} points; got {grid.size}"
-        )
-    if grid.size and (-grid[0] < _KK_MIN_HALF_SPAN * gp or grid[-1] < _KK_MIN_HALF_SPAN * gp):
-        raise ParameterError(
-            f"KK check needs >= {_KK_MIN_HALF_SPAN:g} gamma' of span on each side"
-        )
+        raise ParameterError(f"KK check needs >= {_KK_MIN_POINTS} points; got {grid.size}")
+    if -grid[0] < _KK_MIN_HALF_SPAN * gp or grid[-1] < _KK_MIN_HALF_SPAN * gp:
+        raise ParameterError(f"KK check needs >= {_KK_MIN_HALF_SPAN:g} gamma' of span on each side")
     return kramers_kronig_residual(grid, chi_lorentzian(grid, spec))

@@ -46,7 +46,6 @@ from .atomic_response import (
     light_shift,
     phase_slope,
     power_broadening,
-    refractive_index,
     transfer_exponent,
     transmission,
 )
@@ -119,13 +118,14 @@ def cmd_spectrum(args) -> int:
     line = cfg.reduced_line()
     gp = line.gamma_prime
     delta = np.linspace(-_SPECTRUM_HALF_SPAN * gp, _SPECTRUM_HALF_SPAN * gp, cfg.spectrum_points)
+    slope = phase_slope(delta, line)  # first: it refuses a line too wide for the other columns
     phi = transfer_exponent(delta, line)
     kk_grid = np.linspace(-_KK_HALF_SPAN * gp, _KK_HALF_SPAN * gp, _KK_POINTS)
     columns = {
         "delta_prime_rad_per_s": delta,
         "loss_exponent_field": phi.imag,
         "phase_rad": phi.real,
-        "group_advance_s": phase_slope(delta, line),
+        "group_advance_s": slope,
     }
     summary = {
         "mode": cfg.mode,
@@ -137,13 +137,13 @@ def cmd_spectrum(args) -> int:
         spec = cfg.medium.medium_spec()
         chi = chi_lorentzian(delta, spec)
         columns["chi_im"] = chi.imag
-        columns["re_n_minus_1"] = refractive_index(chi).real - 1.0
+        columns["re_n_minus_1"] = chi.real / 2
         columns["group_index"] = group_index(delta, spec)
         summary["kk_residual"] = kk_check(spec, kk_grid)
         summary["light_shift_rad_per_s"] = light_shift(spec)
         summary["power_broadening_rad_per_s"] = power_broadening(spec)
         summary["alpha_per_m"] = absorption(spec)
-        summary["group_index_line_center"] = float(group_index(0.0, spec))
+        summary["group_index_line_center"] = group_index(0.0, spec)
     else:
         summary["kk_residual"] = kramers_kronig_residual(kk_grid, transfer_exponent(kk_grid, line))
     out = _out_dir(cfg, args)

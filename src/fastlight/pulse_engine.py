@@ -42,6 +42,7 @@ _BOUNDARY_FRACTION = 1e-6
 _MIN_SAMPLES = 256
 _MAX_SAMPLES = 1 << 22  # 64 MiB per complex array; far beyond any useful grid
 _MAX_SPAN = 1e150  # seconds; squared times and widths on a shorter grid stay finite
+_MIN_STEP = 1e-150  # seconds; squared frequencies on a coarser grid stay finite
 _MIN_SPAN_SIGMAS = 16.0
 _BANDWIDTH_GUARD = 10.0  # warn when pulse bandwidth exceeds this many gamma'
 NUMBER_FORMAT = "%.12e"  # every number in every CSV file the package writes
@@ -77,11 +78,10 @@ class TimeGrid:
                 f"n_samples: must be a power-of-two integer >= {_MIN_SAMPLES} "
                 f"and <= {_MAX_SAMPLES}; got {n}"
             )
-        check_positive("dt", self.dt)
-        if not self.span < _MAX_SPAN:
+        if not (self.span < _MAX_SPAN and self.dt >= _MIN_STEP):
             raise ParameterError(
-                f"grid span: must be below {_MAX_SPAN:g} s, so that squared times "
-                f"stay finite; got {self.span:.3e} s"
+                f"grid: span must be below {_MAX_SPAN:g} s and step at least {_MIN_STEP:g} s, "
+                f"so that squares stay finite; got span {self.span:.3e} s, step {self.dt:.3e} s"
             )
         if not np.isfinite(self.t_start):
             raise ParameterError("t_start: must be finite")
@@ -183,16 +183,15 @@ def make_gaussian(grid: TimeGrid, sigma: float, center: float, amplitude: float)
     """
     check_positive("sigma", sigma)
     check_positive("amplitude", amplitude)
+    if not 4 * sigma**2 > 0:
+        raise ParameterError(f"sigma: {sigma:.3e} s is too short; its square underflows to 0")
     if grid.span < _MIN_SPAN_SIGMAS * sigma:
-        raise ParameterError(
-            f"grid span {grid.span:.3e} s is below {_MIN_SPAN_SIGMAS:g} sigma"
-        )
+        raise ParameterError(f"grid span {grid.span:.3e} s is below {_MIN_SPAN_SIGMAS:g} sigma")
     lo = grid.t_start + grid.span / 4
     hi = grid.t_start + 3 * grid.span / 4
     if not (lo <= center <= hi):
         raise ParameterError(
-            "center: must lie in the middle half of the grid "
-            f"[{lo:.3e}, {hi:.3e}] s"
+            f"center: must lie in the middle half of the grid [{lo:.3e}, {hi:.3e}] s"
         )
     t = grid.times
     samples = amplitude * np.exp(-((t - center) ** 2) / (4 * sigma**2))

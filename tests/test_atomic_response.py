@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 import scipy.constants
@@ -33,8 +36,9 @@ from fastlight.atomic_response import (
     refractive_index,
     transfer_exponent,
 )
-from fastlight.cli import _KK_HALF_SPAN, _KK_POINTS
+from fastlight.cli import _KK_HALF_SPAN, _KK_POINTS, _SPECTRUM_HALF_SPAN, main
 from fastlight.config import parse_config
+from fastlight.pulse_engine import NUMBER_FORMAT
 
 # Frozen values for the example_spec fixture (beta=1, gamma=0.01, Gamma=1,
 # Omega_c=0.2, Delta=100, omega0=1e5):
@@ -171,8 +175,60 @@ def test_group_index_sign_flips_at_line_width(example_spec):
 
 
 def test_group_index_rejects_infinite_detuning(example_spec):
-    with pytest.raises(NumericalError, match="step underflowed"):
+    with pytest.raises(NumericalError, match="out of float range"):
         group_index(np.inf, example_spec)
+
+
+@pytest.mark.parametrize("delta_prime", [-np.inf, 1e200, [0.0, 1e200]])
+def test_group_index_refuses_detunings_beyond_float_squares_without_warning(
+    example_spec, delta_prime
+):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="out of float range"):
+            group_index(delta_prime, example_spec)
+
+
+def _lorentzian_reference(spec, delta_prime, mpmath):
+    """Re chi/2 and n_g at each detuning, to 40 digits: chi = S (x + i gamma')
+    / (x^2 + gamma'^2) with S = beta Omega_c^2 / (4 Delta^2), and n_g = 1 +
+    Re chi/2 + (omega0/2) dRe chi/dx, from the spec's floats and gamma' as
+    the package rounds it."""
+    with mpmath.workdps(40):
+        mpf = mpmath.mpf
+        strength = mpf(spec.beta) * mpf(spec.omega_c_rabi) ** 2 / (4 * mpf(spec.Delta) ** 2)
+        gp, omega0 = mpf(gamma_effective(spec)), mpf(spec.omega0)
+        half_re_chi, n_g = [], []
+        for x in map(mpf, np.asarray(delta_prime, dtype=float).tolist()):
+            den = x**2 + gp**2
+            half_re_chi.append(strength * x / den / 2)
+            n_g.append(1 + half_re_chi[-1] + omega0 / 2 * strength * (gp**2 - x**2) / den**2)
+    return half_re_chi, n_g
+
+
+def _readme_spectrum_grid():
+    """The README medium and the physical spectrum's 1601-point grid."""
+    spec = parse_config(README_MEDIUM).medium.medium_spec()
+    gp = gamma_effective(spec)
+    return spec, np.linspace(-_SPECTRUM_HALF_SPAN * gp, _SPECTRUM_HALF_SPAN * gp, 1601)
+
+
+@pytest.mark.parametrize("medium", ["example", "readme"])
+def test_group_index_and_index_match_a_40_digit_lorentzian(example_spec, medium):
+    mpmath = pytest.importorskip("mpmath")
+    if medium == "readme":
+        spec, delta = _readme_spectrum_grid()
+    else:
+        spec, gp = example_spec, gamma_effective(example_spec)
+        delta = np.linspace(-10 * gp, 10 * gp, 1601)
+    delta = np.append(delta, 0.0)  # and line centre itself
+    half_re_chi, n_g = _lorentzian_reference(spec, delta, mpmath)
+    scale = max(abs(n - 1) for n in n_g)
+    computed = group_index(delta, spec).tolist() + [group_index(0.0, spec)]
+    assert max(abs(mpmath.mpf(a) - b) for a, b in zip(computed, n_g + n_g[-1:])) <= 1e-14 * scale
+    index = chi_lorentzian(delta, spec).real / 2
+    pairs = zip(index.tolist(), half_re_chi)
+    assert all(abs(mpmath.mpf(a) - b) <= 1e-15 * abs(b) for a, b in pairs)
 
 
 def test_group_advance_frozen(demo_spec):
@@ -248,6 +304,10 @@ def test_far_detuning_soft_warning():
         ("Gamma", 0.0),
         ("omega_c_rabi", -0.1),
         ("Delta", np.inf),
+        ("Delta", -1e200),
+        ("omega_c_rabi", 1e200),
+        ("Gamma", 1e200),
+        ("gamma", 1e200),
         ("length", -1.0),
         ("omega0", 0.0),
     ],
@@ -333,6 +393,33 @@ README_MEDIUM = {
         "wavelength_nm": 794.98,
     }
 }
+
+
+def test_physical_spectrum_prints_the_40_digit_lorentzian(tmp_path):
+    # each printed cell within half a unit of its 13th digit of the
+    # reference, give or take the bound on the float it prints
+    mpmath = pytest.importorskip("mpmath")
+    spec, delta = _readme_spectrum_grid()
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(README_MEDIUM), encoding="utf-8")
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path)]) == 0
+    header, *rows = (tmp_path / "spectrum.csv").read_text(encoding="utf-8").splitlines()
+    table = dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+    assert list(table["delta_prime_rad_per_s"]) == [NUMBER_FORMAT % x for x in delta]
+    half_re_chi, n_g = _lorentzian_reference(spec, delta, mpmath)
+    scale = max(abs(n - 1) for n in n_g)
+
+    def off(cell, reference, bound):
+        unit = mpmath.mpf(10) ** (int(cell.split("e")[1]) - 12)
+        return abs(mpmath.mpf(cell) - reference) > unit / 2 + bound
+
+    assert not any(off(c, r, 1e-14 * scale) for c, r in zip(table["group_index"], n_g))
+    assert not any(off(c, r, 1e-15 * abs(r)) for c, r in zip(table["re_n_minus_1"], half_re_chi))
+    lines = (tmp_path / "spectrum_summary.csv").read_text(encoding="utf-8").splitlines()
+    summary = dict(line.split(",") for line in lines)
+    (center,) = _lorentzian_reference(spec, [0.0], mpmath)[1]
+    printed = summary["group_index_line_center"]
+    assert printed == NUMBER_FORMAT % float(center) == "8.410501845088e+02"
 
 
 def test_hilbert_matches_scipy_on_readme_medium():

@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -373,6 +374,60 @@ def test_parameter_problems_exit_2(tmp_path, capsys, argv):
     assert err.startswith("error:") and err.count("\n") == 1
     if default_out:
         assert not (tmp_path / "out").exists()
+
+
+# line parameters whose float square overflows, and pulses whose grid step
+# would overflow squared frequencies or whose width squared underflows to 0
+WIDE_LINE = {"line": {"t0_us": 1e-160, "gamma_prime_rad_per_us": 1e150}}
+HUGE_DELTA = {"medium": {**MEDIUM, "Delta_rad_per_us": 1e200}}
+del HUGE_DELTA["medium"]["Delta_mhz"]
+HUGE_RABI = {"medium": {**MEDIUM, "omega_c_rabi_rad_per_us": 1e200}}
+del HUGE_RABI["medium"]["omega_c_rabi_mhz"]
+SQUARE_OVERFLOWS = [
+    *[(command, WIDE_LINE, "gamma_prime") for command in ("spectrum", "propagate")],
+    *[
+        (command, config, name)
+        for config, name in ((HUGE_DELTA, "medium.Delta"), (HUGE_RABI, "medium.omega_c_rabi"))
+        for command in ("spectrum", "propagate", "sweep-theta", "loss-scaling", "crossover")
+    ],
+    ("propagate", dict(QUICK_START, pulse={"sigma_us": 1e-160}), "grid"),
+    ("propagate", dict(QUICK_START, pulse={"sigma_us": 1e-150}), "grid"),
+    ("sweep-theta", dict(QUICK_START, pulse={"sigma_us": 1e-150}), "grid"),
+    # a wide grid lets the step pass while sigma^2 still underflows
+    ("propagate", dict(QUICK_START, pulse={"sigma_us": 1e-160}, grid={"span_sigmas": 1e20}),
+     "sigma"),
+]
+
+
+@pytest.mark.parametrize("command, config, name", SQUARE_OVERFLOWS)
+def test_squares_out_of_float_range_exit_2_naming_the_parameter(
+    tmp_path, capsys, command, config, name
+):
+    cfg = _write_config(tmp_path, config)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {name}") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma_us", [1e-160, 1e-150])
+def test_too_short_pulse_exits_2_under_python_warnings_as_errors(tmp_path, sigma_us):
+    cfg = _write_config(tmp_path, dict(QUICK_START, pulse={"sigma_us": sigma_us}))
+    out = tmp_path / "out"
+    argv = ["propagate", "--config", cfg, "--out", str(out)]
+    child = _run_fresh("-W", "error", "-m", "fastlight.cli", *argv)
+    assert child.returncode == 2
+    assert child.stderr.startswith("error: grid") and child.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["loss-scaling", "crossover"])
+def test_loss_budget_runs_on_a_line_too_wide_to_square(tmp_path, command):
+    cfg = _write_config(tmp_path, WIDE_LINE)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("thetas", [[-40.001, -40.004], [-30.0, -20.0, -30.0]])

@@ -1,4 +1,5 @@
-"""Every module-level private name in the package is used somewhere in it."""
+"""Every module-level private name in the package is used somewhere in it,
+and every name a module imports is used in that module."""
 
 import ast
 from pathlib import Path
@@ -39,4 +40,27 @@ def test_every_private_name_is_used():
         f"{module}:{name}" for module, tree in trees.items() for name in _defined(tree)
         if name not in used
     ]
+    assert not unused
+
+
+def _imported(tree: ast.Module) -> list:
+    """Names a module binds by import; ``from __future__`` binds none."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def test_every_import_is_used_in_its_module():
+    # __init__ imports to re-export
+    unused = []
+    for path in SOURCES:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{name}" for name in _imported(tree) if name not in read]
     assert not unused

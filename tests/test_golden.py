@@ -4,7 +4,12 @@ quick-start line under ``propagation: "ideal"``, the loss-scaling CSVs on a
 dense transmission list, and a 1000-angle sweep shaped like the angle-sweep
 benchmark.
 
-Refactors must leave these bytes unchanged.  The digests were taken with
+Refactors must leave these bytes unchanged.  Two digests were re-frozen
+when the physical spectrum's group index and index moved from finite
+differences to the closed-form Lorentzian: ``PHYSICAL_SHA256["spectrum.csv"]``
+(its ``group_index`` and ``re_n_minus_1`` columns) and
+``PHYSICAL_SHA256["spectrum_summary.csv"]`` (its ``group_index_line_center``
+row); every other column and row kept its bytes.  The digests were taken with
 numpy 2.4.6 and scipy 1.17.1; another numpy or scipy build may round a last
 printed digit differently, in which case a mismatch points at the
 environment rather than the code.
@@ -50,8 +55,8 @@ README_MEDIUM = {
 }
 
 PHYSICAL_SHA256 = {
-    "spectrum.csv": "d82a25a084206e961597be54a545d529f48294f6c90d2053e7d0caf35f573129",
-    "spectrum_summary.csv": "58ba0478a4b506a061c8ac0f595f4caa99264342c7169e095d1586b54046b297",
+    "spectrum.csv": "2ec91e9e969dbe739dd85ef7a47e7daf0980126f5d014e0785c6e4c5773029f6",
+    "spectrum_summary.csv": "1079d3d92c281eaa09ad66d51b14051831cc80db47433113a6992e6bb9e7ae02",
     "trace_h.csv": "4d872c6d2de9fea1a1767c90433ee997254f45425cf03902eed54c723c843da4",
     "trace_v.csv": "fbcf844474a09c95bdd53c4227eef513afa33da07857a953a47b57d192336645",
     "trace_postselected_theta_-40.00.csv": (

@@ -34,7 +34,7 @@ def _quick_state(t_tilde=0.5, sigma=SIGMA, n_samples=4096):
 
 
 @pytest.mark.parametrize(
-    "n_samples,dt", [(100, 1.0), (300, 1.0), (4096, 0.0), (4096, -1.0)]
+    "n_samples,dt", [(100, 1.0), (300, 1.0), (4096, 0.0), (4096, -1.0), (4096, 1e-160)]
 )
 def test_time_grid_validation(n_samples, dt):
     with pytest.raises(ParameterError):
@@ -94,6 +94,10 @@ def test_gaussian_rejects_bad_geometry():
     # center legal but tails no longer negligible at the boundary
     with pytest.raises(NumericalError, match="make_gaussian: envelope reaches the grid boundary"):
         make_gaussian(grid, 1.9 * SIGMA, 7.9 * SIGMA, 1.0)
+    # the grid step passes; 4 sigma^2 rounds to 0, which would divide by zero
+    fine = TimeGrid(n_samples=4096, dt=1e-150, t_start=-2048e-150)
+    with pytest.raises(ParameterError, match="sigma: .* square underflows"):
+        make_gaussian(fine, 1e-163, 0.0, 1.0)
 
 
 def test_envelope_samples_are_immutable():
