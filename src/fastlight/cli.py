@@ -28,14 +28,13 @@ numerical failure nothing is written.
 from __future__ import annotations
 
 import argparse
-import os
-import pickle
-import signal
 import sys
 from pathlib import Path
 
 import numpy as np
 
+from ._csvout import write_csv, write_kv
+from ._fork import ordered_map
 from .analysis import crossover, fit_gaussian, t_atom, t_wva
 from .atomic_response import (
     absorption,
@@ -52,13 +51,10 @@ from .atomic_response import (
 from .config import RunConfig, default_config, load_config
 from .errors import NumericalError, ParameterError, check_angle_deg
 from .pulse_engine import (
-    NUMBER_FORMAT,
-    default_grid,
     make_gaussian,
     prepare_input,
     propagate_ideal,
     propagate_lorentzian,
-    write_csv,
     write_envelope_csv,
 )
 from .weak_value import post_select, total_transmission, weak_value
@@ -77,7 +73,6 @@ _MAX_SWEEP_COUNT = 1 << 20
 # and the pickled rows cost about what the angles save.  propagate's angle
 # lists and short sweeps stay in one process.
 _MIN_ANGLES_PER_PROCESS = 80
-_FORK_WARNS_WITH_THREADS = sys.version_info >= (3, 12)
 # sweep_theta.csv and loss_scaling_summary.csv: subsets, in order, of the
 # propagate_summary.csv and crossover.csv quantities
 _SWEEP_COLUMNS = (
@@ -91,14 +86,6 @@ _LOSS_SUMMARY_KEYS = (
 def _write_rows(path: Path, rows: list, columns=None) -> None:
     """One line per ``{column: number}`` row, in ``columns`` (default: the first row's keys)."""
     write_csv(path, {key: [row[key] for row in rows] for key in columns or rows[0]})
-
-
-def _write_kv(path: Path, values: dict) -> None:
-    lines = ["quantity,value"] + [
-        "%s,%s" % (key, value if isinstance(value, str) else NUMBER_FORMAT % value)
-        for key, value in values.items()
-    ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def _out_dir(cfg: RunConfig, args) -> Path:
@@ -148,7 +135,7 @@ def cmd_spectrum(args) -> int:
         summary["kk_residual"] = kramers_kronig_residual(kk_grid, transfer_exponent(kk_grid, line))
     out = _out_dir(cfg, args)
     write_csv(out / "spectrum.csv", columns)
-    _write_kv(out / "spectrum_summary.csv", summary)
+    write_kv(out / "spectrum_summary.csv", summary)
     print(f"wrote {out / 'spectrum.csv'} and {out / 'spectrum_summary.csv'}")
     return 0
 
@@ -173,9 +160,7 @@ def _propagated_state(cfg: RunConfig):
         raise ParameterError(
             "line advance t0 must be > 0 to measure an arrival shift"
         )
-    sigma = cfg.pulse_sigma_s()
-    grid = default_grid(sigma, cfg.grid.n_samples, cfg.grid.span_sigmas)
-    source = make_gaussian(grid, sigma, 0.0, cfg.pulse.amplitude)
+    source = make_gaussian(cfg.time_grid, cfg.pulse_sigma_s(), 0.0, cfg.pulse.amplitude)
     t_tilde = transmission(line)
     state = prepare_input(source, t_tilde)
     if cfg.propagation == "ideal":
@@ -230,109 +215,18 @@ def _angle_rows(propagated, line, t_tilde, center_v, thetas_deg) -> list:
     return rows
 
 
-def _process_count(n_angles: int) -> int:
-    """How many processes fit ``n_angles`` angles: one per usable CPU while
-    each gets at least ``_MIN_ANGLES_PER_PROCESS``; one where ``os.fork`` or
-    the CPU affinity is missing, or where forking would warn because the
-    process has other threads (Python >= 3.12)."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return 1
-    if _FORK_WARNS_WITH_THREADS and _has_other_threads():
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n_angles // _MIN_ANGLES_PER_PROCESS))
-
-
-def _has_other_threads() -> bool:
-    """Whether the OS counts more than one thread in this process, as Python
-    >= 3.12 does before it warns on a fork; without /proc, assume so."""
-    try:
-        return len(os.listdir("/proc/self/task")) > 1
-    except OSError:
-        return True
-
-
-def _fork_chunk(fit_chunk, chunk) -> tuple:
-    """Fork a child that fits ``chunk`` and writes, as one pickle, its rows
-    or the exception that stopped it; return its pid and the read end of
-    its pipe."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # out of processes or memory: exit 2 like any OSError
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:  # the child: never returns into the caller's stack
-        status = 1
-        try:
-            os.close(read_fd)
-            try:
-                result = fit_chunk(chunk)
-            except Exception as exc:  # re-raised by the parent, in angle order
-                result = exc
-            with os.fdopen(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(result))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    return pid, read_fd
-
-
-def _child_result(pid: int, read_fd: int, chunk):
-    """Read a forked child's pickle and reap the child; a child that ended
-    without a whole result reads as a NumericalError naming its angles."""
-    with open(read_fd, "rb", closefd=False) as pipe:
-        data = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    try:
-        return pickle.loads(data)
-    except (EOFError, pickle.UnpicklingError):  # the child died before replying
-        code = os.waitstatus_to_exitcode(status)
-        how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
-        return NumericalError(
-            f"the process fitting analyzer angles {chunk[0]:g} to {chunk[-1]:g} deg "
-            f"ended without a result ({how})"
-        )
-
-
 def _selected_rows(propagated, line, t_tilde, thetas_deg) -> list:
-    """``_angle_rows`` for every angle, after one fit of the V arm.
-
-    Long angle lists are split into contiguous chunks, one per process (see
-    ``_process_count``).  This process fits the first chunk while forked
-    children fit the others; the rows are joined in angle order, so they
-    are the rows one process would build.  If chunks fail, the error of the
-    first failing chunk, the one nearest the first angle, is raised.  Every
-    child is reaped before this returns or raises.
-    """
+    """``_angle_rows`` for every angle, after one fit of the V arm; long angle
+    lists are fitted a chunk per process, and joined in order, by ``ordered_map``."""
     center_v = fit_gaussian(propagated.v).center
 
     def fit_chunk(chunk):
         return _angle_rows(propagated, line, t_tilde, center_v, chunk)
 
-    n = _process_count(len(thetas_deg))
-    bounds = [len(thetas_deg) * i // n for i in range(n + 1)]
-    chunks = [thetas_deg[a:b] for a, b in zip(bounds, bounds[1:])]
-    children = []  # (pid, read end of its pipe), in chunk order
-    results = []  # rows or an exception, one per reaped child
-    try:
-        for chunk in chunks[1:]:
-            children.append(_fork_chunk(fit_chunk, chunk))
-        rows = fit_chunk(chunks[0])
-        for (pid, read_fd), chunk in zip(children, chunks[1:]):
-            results.append(_child_result(pid, read_fd, chunk))
-    finally:
-        for pid, _ in children[len(results):]:  # a fork or the first chunk failed: end the rest
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        for _, read_fd in children:
-            os.close(read_fd)
-    for result in results:
-        if isinstance(result, Exception):
-            raise result
-        rows += result
-    return rows
+    def describe(chunk):
+        return f"fitting analyzer angles {chunk[0]:g} to {chunk[-1]:g} deg"
+
+    return ordered_map(fit_chunk, thetas_deg, _MIN_ANGLES_PER_PROCESS, describe)
 
 
 def cmd_propagate(args) -> int:
@@ -408,7 +302,7 @@ def cmd_loss_scaling(args) -> int:
     summary = _crossover_summary(gp)
     out = _out_dir(cfg, args)
     write_csv(out / "loss_scaling.csv", columns)
-    _write_kv(out / "loss_scaling_summary.csv", {key: summary[key] for key in _LOSS_SUMMARY_KEYS})
+    write_kv(out / "loss_scaling_summary.csv", {key: summary[key] for key in _LOSS_SUMMARY_KEYS})
     print(f"wrote {out / 'loss_scaling.csv'} and {out / 'loss_scaling_summary.csv'}")
     return 0
 
@@ -417,7 +311,7 @@ def cmd_crossover(args) -> int:
     cfg = _load(args)
     summary = _crossover_summary(cfg.reduced_line().gamma_prime)
     out = _out_dir(cfg, args)
-    _write_kv(out / "crossover.csv", summary)
+    write_kv(out / "crossover.csv", summary)
     print(f"crossover transmission: {summary['crossover_transmission']:.6f}")
     print(f"wrote {out / 'crossover.csv'}")
     return 0

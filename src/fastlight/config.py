@@ -11,19 +11,22 @@ The line is given by exactly one section, and that section is the model:
 ``line`` drives the pipeline from (t0, gamma') directly ("reduced"), while
 ``medium`` derives them from the vapor parameters ("physical").  Bounds live
 in the core objects: a config section that has a core counterpart builds it
-when constructed, so bad values fail at load time.  ``serialize_config`` always
-emits the canonical keys, so parse(serialize(cfg)) reproduces cfg exactly.
+when constructed, so bad values fail at load time; the time grid takes the
+pulse width and the grid section, so ``RunConfig`` builds it.
+``serialize_config`` always emits the canonical keys, so
+parse(serialize(cfg)) reproduces cfg exactly.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .atomic_response import C_LIGHT, MediumSpec, ReducedLine, group_advance
 from .errors import ParameterError, check_angle_deg, check_positive, check_transmission
-from .pulse_engine import default_grid
+from .pulse_engine import TimeGrid, check_grid_shape, default_grid
 
 _US = 1e-6  # seconds per microsecond
 _RAD_PER_US = 1e6  # rad/s per rad/us
@@ -95,7 +98,7 @@ class GridConfig:
     span_sigmas: float = 32.0
 
     def __post_init__(self):
-        default_grid(1.0, self.n_samples, self.span_sigmas)
+        check_grid_shape(self.n_samples, self.span_sigmas)
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,13 @@ class RunConfig:
             )
         object.__setattr__(self, "theta_list_deg", tuple(self.theta_list_deg))
         object.__setattr__(self, "transmission_list", tuple(self.transmission_list))
+        try:
+            self.time_grid  # built now, so that a bad grid fails at load time
+        except ParameterError as exc:
+            raise ParameterError(
+                f"{exc}, from pulse.sigma_us = {self.pulse.sigma_us:g} and "
+                f"grid.span_sigmas = {self.grid.span_sigmas:g}"
+            ) from None
 
     @property
     def mode(self) -> str:
@@ -146,6 +156,11 @@ class RunConfig:
 
     def pulse_sigma_s(self) -> float:
         return self.pulse.sigma_us * _US
+
+    @functools.cached_property
+    def time_grid(self) -> TimeGrid:
+        """The run's grid: grid.n_samples points over grid.span_sigmas pulse widths."""
+        return default_grid(self.pulse_sigma_s(), self.grid.n_samples, self.grid.span_sigmas)
 
 
 def default_config() -> RunConfig:

@@ -17,16 +17,14 @@ from fastlight import (
     kk_check,
     transmission,
 )
+from fastlight._csvout import NUMBER_FORMAT
 from fastlight.atomic_response import (
     _KK_PAD_FACTOR,
     _KK_TAPER_FRACTION,
     C_LIGHT,
     _hilbert_imag,
     _taper_ends,
-    background_susceptibility,
-    chi_full,
     chi_lorentzian,
-    chi_resonant,
     gamma_effective,
     group_index,
     kramers_kronig_residual,
@@ -38,7 +36,7 @@ from fastlight.atomic_response import (
 )
 from fastlight.cli import _KK_HALF_SPAN, _KK_POINTS, _SPECTRUM_HALF_SPAN, main
 from fastlight.config import parse_config
-from fastlight.pulse_engine import NUMBER_FORMAT
+from reference_chi import background_susceptibility, chi_full, chi_resonant
 
 # Frozen values for the example_spec fixture (beta=1, gamma=0.01, Gamma=1,
 # Omega_c=0.2, Delta=100, omega0=1e5):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import fastlight.cli
-from fastlight import FitFailureError, load_config
+from fastlight import FitFailureError, _fork, load_config
 from fastlight.atomic_response import kramers_kronig_residual, transfer_exponent
 from fastlight.cli import main
 
@@ -424,6 +424,36 @@ def test_too_short_pulse_exits_2_under_python_warnings_as_errors(tmp_path, sigma
     assert not out.exists()
 
 
+GRID_LIMITS = (
+    "error: grid: span must be below 1e+150 s and step at least 1e-150 s, so that squares "
+    "stay finite; got span {span} s, step {step} s, from pulse.sigma_us = {sigma} and "
+    "grid.span_sigmas = {spans}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "command", ["spectrum", "propagate", "sweep-theta", "loss-scaling", "crossover"]
+)
+def test_every_command_checks_the_grid_of_its_own_pulse_at_load(tmp_path, capsys, command):
+    # span and step are the configured pulse width times span_sigmas, not a
+    # 1 s width's: each command refuses the first two grids at load time
+    refused = [
+        ({"sigma_us": 1e-160}, {}, dict(span="3.200e-165", step="7.812e-169", sigma="1e-160",
+                                        spans="32")),
+        ({}, {"span_sigmas": 1e240}, dict(span="2.800e+235", step="6.836e+231", sigma="28",
+                                          spans="1e+240")),
+    ]
+    for pulse, grid, numbers in refused:
+        cfg = _write_config(tmp_path, dict(QUICK_START, pulse=pulse, grid=grid))
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == GRID_LIMITS.format(**numbers)
+        assert not (tmp_path / "out").exists()
+    # a 28 us pulse over 1e152 widths spans 2.8e147 s, inside the bound
+    cfg = _write_config(tmp_path, dict(QUICK_START, grid={"span_sigmas": 1e152}))
+    main([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert not capsys.readouterr().err.startswith("error: grid")
+
+
 @pytest.mark.parametrize("command", ["loss-scaling", "crossover"])
 def test_loss_budget_runs_on_a_line_too_wide_to_square(tmp_path, command):
     cfg = _write_config(tmp_path, WIDE_LINE)
@@ -597,29 +627,29 @@ def test_process_count_follows_cpus_chunk_size_and_fork(monkeypatch):
     minimum = fastlight.cli._MIN_ANGLES_PER_PROCESS
     _claim_cpus(monkeypatch, 64)
     # propagate's configured angles and the benchmark's warm-up sweep
-    assert fastlight.cli._process_count(8) == 1
-    assert fastlight.cli._process_count(24) == 1
-    assert fastlight.cli._process_count(2 * minimum - 1) == 1
-    assert fastlight.cli._process_count(2 * minimum) == 2
-    assert fastlight.cli._process_count(1000) == min(64, 1000 // minimum)
+    assert _fork._process_count(8, minimum) == 1
+    assert _fork._process_count(24, minimum) == 1
+    assert _fork._process_count(2 * minimum - 1, minimum) == 1
+    assert _fork._process_count(2 * minimum, minimum) == 2
+    assert _fork._process_count(1000, minimum) == min(64, 1000 // minimum)
     _claim_cpus(monkeypatch, 1)
-    assert fastlight.cli._process_count(1000) == 1
+    assert _fork._process_count(1000, minimum) == 1
     _claim_cpus(monkeypatch, 2)
     monkeypatch.delattr(os, "fork")
-    assert fastlight.cli._process_count(1000) == 1
+    assert _fork._process_count(1000, minimum) == 1
 
 
 def test_one_process_where_fork_would_warn(monkeypatch):
     # Python >= 3.12 warns when a process with other threads forks
     _claim_cpus(monkeypatch, 2)
-    monkeypatch.setattr(fastlight.cli, "_FORK_WARNS_WITH_THREADS", False)
-    assert fastlight.cli._process_count(1000) == 2
-    monkeypatch.setattr(fastlight.cli, "_FORK_WARNS_WITH_THREADS", True)
+    monkeypatch.setattr(_fork, "_FORK_WARNS_WITH_THREADS", False)
+    assert _fork._process_count(1000, fastlight.cli._MIN_ANGLES_PER_PROCESS) == 2
+    monkeypatch.setattr(_fork, "_FORK_WARNS_WITH_THREADS", True)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert fastlight.cli._process_count(1000) == 1
+        assert _fork._process_count(1000, fastlight.cli._MIN_ANGLES_PER_PROCESS) == 1
     finally:
         release.set()
         thread.join()

@@ -1,5 +1,6 @@
-"""Every module-level private name in the package is used somewhere in it,
-and every name a module imports is used in that module."""
+"""Every module-level name in the package, private or public, is used
+somewhere in it, and every name a module imports is used in that module.
+A name that ``__init__`` re-exports counts as used."""
 
 import ast
 from pathlib import Path
@@ -10,14 +11,14 @@ SOURCES = sorted(Path(fastlight.__file__).parent.glob("*.py"))
 
 
 def _defined(tree: ast.Module) -> list:
-    """Private names bound at module level: functions, classes and assignments."""
+    """Names bound at module level: functions, classes and assignments."""
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.append(node.name)
         elif isinstance(node, ast.Assign):
             names += [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
-    return [n for n in names if n.startswith("_") and not n.endswith("__")]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
 
 
 def _used(tree: ast.Module) -> set:

@@ -18,11 +18,12 @@ from fastlight import (
     prepare_input,
     propagate_ideal,
     propagate_lorentzian,
-    pulse_engine,
     transmission,
 )
+from fastlight import _csvout
+from fastlight._csvout import NUMBER_FORMAT, write_csv
 from fastlight.atomic_response import transfer_exponent
-from fastlight.pulse_engine import NUMBER_FORMAT, Envelope, TimeGrid, write_csv, write_envelope_csv
+from fastlight.pulse_engine import Envelope, TimeGrid, write_envelope_csv
 
 SIGMA = 28e-6
 
@@ -244,15 +245,15 @@ def test_envelope_csv_round_trip(tmp_path):
 
 
 def test_multi_block_table_matches_rowwise_writer(tmp_path):
-    rows = 2 * pulse_engine._BLOCK_ROWS + 3
+    rows = 2 * _csvout._BLOCK_ROWS + 3
     rng = np.random.default_rng(5)
     columns = {
         "a": np.linspace(-1.0, 1.0, rows),
         "b": rng.standard_normal(rows) * 10.0 ** rng.integers(-200, 200, rows),
         "c": rng.standard_normal(rows),
     }
-    columns["a"][pulse_engine._BLOCK_ROWS] = -0.0
-    columns["b"][[7, pulse_engine._BLOCK_ROWS - 1]] = [np.nan, -np.inf]
+    columns["a"][_csvout._BLOCK_ROWS] = -0.0
+    columns["b"][[7, _csvout._BLOCK_ROWS - 1]] = [np.nan, -np.inf]
     columns["c"][-1] = -1.5e-123
     path = tmp_path / "table.csv"
     write_csv(path, columns)
@@ -326,7 +327,7 @@ def _hard_cases() -> list:
 def _assert_formats_like_python(values) -> None:
     table = np.array(values, dtype=float).reshape(-1, 1)
     expected = "".join("\n" + NUMBER_FORMAT % x for x in values).encode()
-    assert pulse_engine._format_rows(table) == expected
+    assert _csvout._format_rows(table) == expected
 
 
 def test_hard_cases_format_like_python():
@@ -351,9 +352,9 @@ def test_every_float_formats_like_python(values):
 def test_power_pairs_are_exact():
     # each pair (k, hi) of the powers row, in exact arithmetic: hi is the
     # double nearest 10^k, for every k from _POWERS_FROM to 305
-    powers, _, _ = pulse_engine._tables()
-    assert len(powers) == 306 - pulse_engine._POWERS_FROM
-    for k, h in enumerate(powers.tolist(), start=pulse_engine._POWERS_FROM):
+    powers, _, _ = _csvout._tables()
+    assert len(powers) == 306 - _csvout._POWERS_FROM
+    for k, h in enumerate(powers.tolist(), start=_csvout._POWERS_FROM):
         exact = Fraction(10) ** k
         error = abs(Fraction(h) - exact)
         neighbours = np.nextafter(h, [0.0, np.inf]).tolist()
@@ -365,10 +366,10 @@ def test_powers_of_ten_are_correctly_rounded(work):
     # hi = RN(10^k) keeps the scaled product p = a * hi, rounded once to the
     # working dtype, within _DOUBT p of a * 10^k, the bound _format_rows'
     # rounding test rests on; a dtype wider than float64 keeps it too
-    powers, _, _ = pulse_engine._tables()
-    doubt = Fraction(pulse_engine._DOUBT)
+    powers, _, _ = _csvout._tables()
+    doubt = Fraction(_csvout._DOUBT)
     rng = np.random.default_rng(41)
-    for k, h in enumerate(powers.tolist(), start=pulse_engine._POWERS_FROM):
+    for k, h in enumerate(powers.tolist(), start=_csvout._POWERS_FROM):
         mantissas = [1.0, 9.999999999999998, *rng.uniform(1.0, 10.0, 4).tolist()]
         for mantissa in mantissas:
             a = float(f"{mantissa!r}e{12 - k}")  # a * 10^k lies in [1e12, 1e13]
