@@ -73,6 +73,15 @@ _MAX_SWEEP_COUNT = 1 << 20
 # and the pickled rows cost about what the angles save.  propagate's angle
 # lists and short sweeps stay in one process.
 _MIN_ANGLES_PER_PROCESS = 80
+# Fewest trace CSV rows worth a process of their own; a file of n_samples
+# rows is the unit, so each process gets at least ceil(this / n_samples)
+# files.  Two processes against one, timed in one warm process on a 2-CPU
+# machine (medians of 9 to 15 alternated pairs, files of 1024 to 2^16 rows,
+# with and without 60 MB more of the parent's memory to copy on write): at
+# 2048 and 4096 rows each the split was 1.1-2.1 times as slow, at 8192 it
+# took 0.84-1.03 of the time, at 16384 0.68-0.79 and from 32768 0.54-0.79.
+# propagate's quick-start (4 files of 4096 rows) stays in one process.
+_MIN_TRACE_ROWS_PER_PROCESS = 1 << 15
 # sweep_theta.csv and loss_scaling_summary.csv: subsets, in order, of the
 # propagate_summary.csv and crossover.csv quantities
 _SWEEP_COLUMNS = (
@@ -170,9 +179,9 @@ def _propagated_state(cfg: RunConfig):
     return line, t_tilde, propagated
 
 
-def _trace_names(thetas_deg) -> list:
-    """One post-selected trace file name per angle, in order; two angles
-    that would share a file are refused."""
+def _trace_names(thetas_deg) -> dict:
+    """``{file name: angle}``, one post-selected trace per angle, in order;
+    two angles that would share a file are refused."""
     names = {}
     for theta_deg in thetas_deg:
         name = f"trace_postselected_theta_{theta_deg:.2f}.csv"
@@ -182,7 +191,7 @@ def _trace_names(thetas_deg) -> list:
                 f"write {name}, whose name carries the angle to 0.01 deg"
             )
         names[name] = theta_deg
-    return list(names)
+    return names
 
 
 def _angle_rows(propagated, line, t_tilde, center_v, thetas_deg) -> list:
@@ -229,6 +238,29 @@ def _selected_rows(propagated, line, t_tilde, thetas_deg) -> list:
     return ordered_map(fit_chunk, thetas_deg, _MIN_ANGLES_PER_PROCESS, describe)
 
 
+def _write_traces(propagated, angle_of: dict, out: Path) -> list:
+    """Write ``trace_h.csv``, ``trace_v.csv`` and the post-selected trace of
+    each ``{file name: angle in deg}`` into ``out``, and return the names in
+    that order; large trace sets are written a chunk of files per process by
+    ``ordered_map``, each process rebuilding its own post-selected envelopes."""
+    arms = {"trace_h.csv": propagated.h, "trace_v.csv": propagated.v}
+
+    def write_chunk(names):
+        for name in names:
+            if name in arms:
+                envelope = arms[name]
+            else:
+                envelope = post_select(propagated, np.deg2rad(angle_of[name])).envelope
+            write_envelope_csv(envelope, out / name)
+        return names
+
+    def describe(names):
+        return f"writing {names[0]} to {names[-1]} in {out}"
+
+    files_per_process = -(-_MIN_TRACE_ROWS_PER_PROCESS // propagated.h.grid.n_samples)
+    return ordered_map(write_chunk, [*arms, *angle_of], files_per_process, describe)
+
+
 def cmd_propagate(args) -> int:
     cfg = _load(args)
     thetas = [args.theta] if args.theta is not None else list(cfg.theta_list_deg)
@@ -242,12 +274,13 @@ def cmd_propagate(args) -> int:
     rows = _selected_rows(propagated, line, t_tilde, thetas)
 
     out = _out_dir(cfg, args)
-    write_envelope_csv(propagated.h, out / "trace_h.csv")
-    write_envelope_csv(propagated.v, out / "trace_v.csv")
-    for theta_deg, name in zip(thetas, trace_names):
-        write_envelope_csv(post_select(propagated, np.deg2rad(theta_deg)).envelope, out / name)
+    # a failed write (exit 2) or a writer process that dies (exit 3) leaves no
+    # propagate_summary.csv, but trace files of any chunk: in one process the
+    # files before the failing one, after a split also those of the other
+    # chunks, and the file a killed writer was in the middle of, cut short
+    written = _write_traces(propagated, trace_names, out)
     _write_rows(out / "propagate_summary.csv", rows)
-    written = ["trace_h.csv", "trace_v.csv", *trace_names, "propagate_summary.csv"]
+    written.append("propagate_summary.csv")
     print(
         f"H advance {rows[0]['center_v_s'] - center_h:.6e} s over t0 {line.t0:.6e} s; "
         f"wrote {', '.join(written)} in {out}"

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import signal
 import subprocess
@@ -625,16 +626,21 @@ def _assert_no_child_left():
 
 def test_process_count_follows_cpus_chunk_size_and_fork(monkeypatch):
     minimum = fastlight.cli._MIN_ANGLES_PER_PROCESS
+    rows = fastlight.cli._MIN_TRACE_ROWS_PER_PROCESS
     _claim_cpus(monkeypatch, 64)
-    # propagate's configured angles and the benchmark's warm-up sweep
+    # the fits of propagate's configured angles and of the benchmark's warm-up sweep
     assert _fork._process_count(8, minimum) == 1
     assert _fork._process_count(24, minimum) == 1
+    # propagate's trace writes: the quick-start's 4 files of 4096 rows
+    assert _fork._process_count(4, math.ceil(rows / 4096)) == 1
     assert _fork._process_count(2 * minimum - 1, minimum) == 1
     assert _fork._process_count(2 * minimum, minimum) == 2
     assert _fork._process_count(1000, minimum) == min(64, 1000 // minimum)
     _claim_cpus(monkeypatch, 1)
     assert _fork._process_count(1000, minimum) == 1
     _claim_cpus(monkeypatch, 2)
+    # the traces benchmark: 10 files of 2^16 rows
+    assert _fork._process_count(10, math.ceil(rows / 2**16)) == 2
     monkeypatch.delattr(os, "fork")
     assert _fork._process_count(1000, minimum) == 1
 
@@ -727,3 +733,75 @@ def test_failed_fork_exits_2_and_closes_its_pipe(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: [Errno 11] Resource temporarily unavailable\n"
     assert len(os.listdir("/proc/self/fd")) == open_fds
     assert not out.exists()
+
+
+# propagate on a 1024-sample grid writes 8 trace files, and with the rows
+# threshold lowered to 2 files' worth, 2 or 3 claimed CPUs split them into
+# chunks [0, 4) and [4, 8), or [0, 2), [2, 5) and [5, 8)
+SPLIT_TRACES = dict(
+    QUICK_START, grid={"n_samples": 1024}, theta_list_deg=[-80.0, -60.0, -40.0, -30.0, -20.0, -10.0]
+)
+TRACE_FILES = [
+    "trace_h.csv", "trace_v.csv",
+    *[f"trace_postselected_theta_{theta:.2f}.csv" for theta in SPLIT_TRACES["theta_list_deg"]],
+]
+
+
+def _split_traces(tmp_path, monkeypatch):
+    """The propagate arguments of SPLIT_TRACES, with the rows threshold lowered."""
+    monkeypatch.setattr(fastlight.cli, "_MIN_TRACE_ROWS_PER_PROCESS", 2 * 1024)
+    return ["propagate", "--config", _write_config(tmp_path, SPLIT_TRACES)]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_split_propagate_writes_the_one_process_bytes(tmp_path, monkeypatch, cpus):
+    argv = _split_traces(tmp_path, monkeypatch)
+    _claim_cpus(monkeypatch, 1)
+    assert main([*argv, "--out", str(tmp_path / "one")]) == 0
+    _claim_cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    assert main([*argv, "--out", str(tmp_path / "split")]) == 0
+    assert len(forks) == cpus - 1
+    _assert_no_child_left()
+    names = sorted(path.name for path in (tmp_path / "one").iterdir())
+    assert names == sorted([*TRACE_FILES, "propagate_summary.csv"])
+    assert sorted(path.name for path in (tmp_path / "split").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+@pytest.mark.parametrize("blocked", [6, 1], ids=["child", "parent"])
+def test_split_propagate_exits_2_naming_the_trace_it_cannot_write(
+    tmp_path, monkeypatch, capsys, blocked
+):
+    argv = _split_traces(tmp_path, monkeypatch)
+    _claim_cpus(monkeypatch, 2)
+    out = tmp_path / "out"
+    path = out / TRACE_FILES[blocked]
+    path.mkdir(parents=True)
+    assert main([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: {str(path)!r}\n"
+    assert not (out / "propagate_summary.csv").exists()
+    _assert_no_child_left()
+
+
+def test_killed_writer_child_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
+    argv = _split_traces(tmp_path, monkeypatch)
+    parent = os.getpid()
+    write_envelope_csv = fastlight.cli.write_envelope_csv
+
+    def die_in_child(envelope, path):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        write_envelope_csv(envelope, path)
+
+    monkeypatch.setattr(fastlight.cli, "write_envelope_csv", die_in_child)
+    _claim_cpus(monkeypatch, 2)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: the process writing {TRACE_FILES[4]} to {TRACE_FILES[7]} in {out}"
+        " ended without a result (killed by signal 9)\n"
+    )
+    assert not (out / "propagate_summary.csv").exists()
+    _assert_no_child_left()
