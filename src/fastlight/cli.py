@@ -21,8 +21,9 @@ in ``%.12e`` (13 significant digits), no timestamps.
 
 Exit codes: 0 success, 2 invalid parameters or config (a ParameterError, or
 an unusable --out or --config path), 3 a NumericalError.  Every result is
-computed before the output directory is created, so on a bad input or a
-numerical failure nothing is written.
+computed before the output directory is created, so a bad input or a failed
+computation writes nothing.  A failed write (exit 2) or a propagate writer
+process that dies (exit 3) leaves the directory and any files written so far.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ _MAX_SWEEP_COUNT = 1 << 20
 # the split was slower in every session, at 128 (64 each) in 2 of 5, and
 # from 160 (80 each) it took 0.66-0.73 of the time in every session.  Below
 # that, the fork, the copy-on-write faults that follow it in both processes
-# and the pickled rows cost about what the angles save.  propagate's angle
+# and the pickled results cost about what the angles save.  propagate's angle
 # lists and short sweeps stay in one process.
 _MIN_ANGLES_PER_PROCESS = 80
 # Fewest trace CSV rows worth a process of their own; a file of n_samples
@@ -92,21 +93,20 @@ _LOSS_SUMMARY_KEYS = (
 )
 
 
-def _write_rows(path: Path, rows: list, columns=None) -> None:
-    """One line per ``{column: number}`` row, in ``columns`` (default: the first row's keys)."""
-    write_csv(path, {key: [row[key] for row in rows] for key in columns or rows[0]})
-
-
 def _out_dir(cfg: RunConfig, args) -> Path:
     """Create the output directory; commands call this only once every result
-    is computed, so a command that exits 2 or 3 creates nothing."""
-    out = Path(args.out) if args.out else Path(cfg.output_dir)
+    is computed, so a bad input or a failed computation creates nothing."""
+    out = Path(args.out if args.out is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
 def _load(args) -> RunConfig:
-    return load_config(args.config) if args.config else default_config()
+    """--config's run or the quick-start; an empty path would be the working directory."""
+    for flag, path in (("--config", args.config), ("--out", args.out)):
+        if path == "":
+            raise ParameterError(f"{flag}: must be a non-empty path")
+    return load_config(args.config) if args.config is not None else default_config()
 
 
 def cmd_spectrum(args) -> int:
@@ -155,7 +155,7 @@ def _check_analyzer_angles(thetas_deg) -> None:
         check_angle_deg("analyzer angle", theta_deg)
         if abs(theta_deg - (-45.0)) < _DARK_PORT_GUARD_DEG:
             raise ParameterError(
-                f"analyzer angle {theta_deg:g} deg is within "
+                f"analyzer angle {float(theta_deg)!r} deg is within "
                 f"{_DARK_PORT_GUARD_DEG:g} deg of the dark port at -45 deg, where "
                 "the weak value diverges; move the angle away from -45 deg"
             )
@@ -194,48 +194,44 @@ def _trace_names(thetas_deg) -> dict:
     return names
 
 
-def _angle_rows(propagated, line, t_tilde, center_v, thetas_deg) -> list:
-    """One ``propagate_summary.csv`` row per analyzer angle: post-select, fit
-    the arrival, and divide its advance over the reference (V) arm, centred
-    at ``center_v``, by the line's own advance ``line.t0`` to get the
-    amplification."""
-    rows = []
-    for theta_deg in thetas_deg:
-        theta = np.deg2rad(theta_deg)
-        a_w = weak_value(theta)
-        selected = post_select(propagated, theta)
-        fit = fit_gaussian(selected.envelope)
-        advance = center_v - fit.center
-        amplification = advance / line.t0
-        rows.append(
-            {
-                "theta_deg": theta_deg,
-                "weak_value": a_w,
-                "center_v_s": center_v,
-                "center_selected_s": fit.center,
-                "advance_s": advance,
-                "amplification_fitted": amplification,
-                "relative_deviation": abs(amplification - a_w) / abs(a_w),
-                "throughput_measured": selected.throughput,
-                "throughput_predicted": total_transmission(t_tilde, theta),
-                "fit_residual_rms": fit.residual_rms,
-            }
-        )
-    return rows
+def _fit_angle(propagated, theta_deg) -> tuple:
+    """The fitted arrival centre and residual, and the throughput, at one analyzer angle."""
+    selected = post_select(propagated, np.deg2rad(theta_deg))
+    fit = fit_gaussian(selected.envelope)
+    return fit.center, fit.residual_rms, selected.throughput
 
 
-def _selected_rows(propagated, line, t_tilde, thetas_deg) -> list:
-    """``_angle_rows`` for every angle, after one fit of the V arm; long angle
-    lists are fitted a chunk per process, and joined in order, by ``ordered_map``."""
+def _angle_table(propagated, line, t_tilde, thetas_deg) -> dict:
+    """The ``propagate_summary.csv`` columns, a row per analyzer angle.  Only the
+    fits need the propagated pulse: they go through ``ordered_map``, a chunk of
+    angles per process.  The amplification is the advance over the reference (V)
+    arm in units of the line's own advance ``line.t0``."""
     center_v = fit_gaussian(propagated.v).center
 
     def fit_chunk(chunk):
-        return _angle_rows(propagated, line, t_tilde, center_v, chunk)
+        return [_fit_angle(propagated, theta_deg) for theta_deg in chunk]
 
     def describe(chunk):
         return f"fitting analyzer angles {chunk[0]:g} to {chunk[-1]:g} deg"
 
-    return ordered_map(fit_chunk, thetas_deg, _MIN_ANGLES_PER_PROCESS, describe)
+    fits = ordered_map(fit_chunk, thetas_deg, _MIN_ANGLES_PER_PROCESS, describe)
+    centers, residuals, throughputs = np.array(fits).T
+    thetas = [np.deg2rad(theta_deg) for theta_deg in thetas_deg]
+    a_w = np.array([weak_value(theta) for theta in thetas])
+    advance = center_v - centers
+    amplification = advance / line.t0
+    return {
+        "theta_deg": thetas_deg,
+        "weak_value": a_w,
+        "center_v_s": np.full(len(thetas), center_v),
+        "center_selected_s": centers,
+        "advance_s": advance,
+        "amplification_fitted": amplification,
+        "relative_deviation": np.abs(amplification - a_w) / np.abs(a_w),
+        "throughput_measured": throughputs,
+        "throughput_predicted": [total_transmission(t_tilde, theta) for theta in thetas],
+        "fit_residual_rms": residuals,
+    }
 
 
 def _write_traces(propagated, angle_of: dict, out: Path) -> list:
@@ -271,7 +267,7 @@ def cmd_propagate(args) -> int:
     # partial output; the post-selected envelopes are rebuilt for writing
     # rather than held, one grid-sized array per angle
     center_h = fit_gaussian(propagated.h).center
-    rows = _selected_rows(propagated, line, t_tilde, thetas)
+    table = _angle_table(propagated, line, t_tilde, thetas)
 
     out = _out_dir(cfg, args)
     # a failed write (exit 2) or a writer process that dies (exit 3) leaves no
@@ -279,10 +275,10 @@ def cmd_propagate(args) -> int:
     # files before the failing one, after a split also those of the other
     # chunks, and the file a killed writer was in the middle of, cut short
     written = _write_traces(propagated, trace_names, out)
-    _write_rows(out / "propagate_summary.csv", rows)
+    write_csv(out / "propagate_summary.csv", table)
     written.append("propagate_summary.csv")
     print(
-        f"H advance {rows[0]['center_v_s'] - center_h:.6e} s over t0 {line.t0:.6e} s; "
+        f"H advance {table['center_v_s'][0] - center_h:.6e} s over t0 {line.t0:.6e} s; "
         f"wrote {', '.join(written)} in {out}"
     )
     return 0
@@ -299,9 +295,9 @@ def cmd_sweep_theta(args) -> int:
     thetas = [float(t) for t in np.linspace(args.start, args.stop, args.count)]
     _check_analyzer_angles(thetas)
     line, t_tilde, propagated = _propagated_state(cfg)
-    rows = _selected_rows(propagated, line, t_tilde, thetas)
+    table = _angle_table(propagated, line, t_tilde, thetas)
     out = _out_dir(cfg, args)
-    _write_rows(out / "sweep_theta.csv", rows, _SWEEP_COLUMNS)
+    write_csv(out / "sweep_theta.csv", {key: table[key] for key in _SWEEP_COLUMNS})
     print(f"wrote {out / 'sweep_theta.csv'} ({args.count} angles)")
     return 0
 

@@ -315,6 +315,8 @@ def test_loss_scaling_summary_rows_are_crossover_rows(tmp_path):
         ["spectrum", "--config", "{tmp}/moded.json"],
         ["loss-scaling", "--config", "{tmp}/wide_line.json"],
         ["crossover", "--config", "{tmp}/wide_line.json"],
+        ["crossover", "--config", ""],
+        ["crossover", "--out", ""],
     ],
 )
 def test_parameter_problems_exit_2(tmp_path, capsys, argv):
@@ -480,7 +482,7 @@ def test_spectrum_accepts_a_line_without_advance(tmp_path):
     assert float(_read_kv(out / "spectrum_summary.csv")["t0_s"]) == 0.0
 
 
-@pytest.mark.parametrize("theta", ["100", "-90"])
+@pytest.mark.parametrize("theta", ["100", "-90", "-45.0000001"])
 def test_out_of_range_angle_is_named_in_degrees(tmp_path, capsys, theta):
     out = tmp_path / "out"
     assert main(["propagate", "--theta", theta, "--out", str(out)]) == 2
@@ -488,6 +490,16 @@ def test_out_of_range_angle_is_named_in_degrees(tmp_path, capsys, theta):
     assert err.startswith("error:") and err.count("\n") == 1
     assert f"{float(theta)!r} deg" in err and "np.float64" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--out"])
+def test_empty_path_is_refused_by_its_flag(tmp_path, capsys, monkeypatch, flag):
+    # Path("") is the working directory: neither it nor the config's
+    # output_dir below it may receive the output
+    monkeypatch.chdir(tmp_path)
+    assert main(["crossover", flag, ""]) == 2
+    assert capsys.readouterr().err == f"error: {flag}: must be a non-empty path\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("flag", ["--start", "--stop"])
@@ -587,7 +599,7 @@ def test_marginal_detuning_warns_once_per_command(tmp_path):
     )
 
 
-# sweep-theta over several processes: cli._selected_rows forks one child per
+# sweep-theta over several processes: cli._angle_table forks one child per
 # extra chunk of angles once each gets at least _MIN_ANGLES_PER_PROCESS.
 # Two or three usable CPUs are claimed whatever the machine has; forking
 # more processes than CPUs only slows the test down.
