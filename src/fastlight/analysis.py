@@ -32,9 +32,10 @@ rises up to c = 1 + sqrt 2.  Beyond it psi >= 1 forces h <= 4m < 2c, so
 on [0, sqrt((1 - T)/T)], where G(0) > 0 > G(c_max); f' has G's sign.
 t_wva beats t_atom at strong loss (small T) and loses at mild loss; the two
 cross near T ~ 5-6 %, independent of gamma'.  ``crossover`` finds that
-throughput as the root of f*(T) + ln T.  Everything runs in normalized
-units, 2 gamma' t; gamma' enters only when an advance is turned into
-seconds.
+throughput as the root of f*(T) + ln T and returns it as a plain float, the
+same at every gamma'; ``t_wva`` and ``t_atom`` at it give the advances and
+the angle there.  Everything runs in normalized units, 2 gamma' t; gamma'
+enters only when an advance is turned into seconds.
 """
 
 from __future__ import annotations
@@ -246,33 +247,26 @@ def t_wva(transmission, gamma_prime: float) -> tuple:
         if t < sys.float_info.min:
             raise ParameterError(f"transmission: must be a normal float; got {float(t)!r}")
     check_positive("gamma_prime", gamma_prime)
-    normalized, angles, _ = _optimum(np.array(table, dtype=float))
-    advances = [_seconds(x, gamma_prime) for x in normalized.tolist()]
     if scalar:
-        return advances[0], float(angles[0])
-    return np.array(advances), angles
+        normalized, angle, _ = _optimum(np.float64(transmission))
+        return _seconds(float(normalized), gamma_prime), float(angle)
+    normalized, angles, _ = _optimum(np.array(table, dtype=float))
+    return np.array([_seconds(x, gamma_prime) for x in normalized.tolist()]), angles
 
 
-class Crossover(float):
-    """The break-even throughput T*, a float that carries ``t_wva(T*)``:
-    ``advance`` in seconds and ``theta`` in radians, with its bits."""
-
-    advance: float
-    theta: float
-
-
-def crossover(gamma_prime: float) -> Crossover:
-    """Throughput where the post-selected advance stops beating the bare line.
+def crossover(gamma_prime: float) -> float:
+    """Throughput T* where the post-selected advance stops beating the bare line.
 
     The root in T of F(T) = f*(T) + ln T, where f* is the best normalized
     advance: Newton steps in T from T = 0.05, where F > 0, with slope
     dF/dT = (1 - (1 + c)/(2 - z))/T (by the envelope theorem, df*/dT is the
     objective's partial derivative at the optimal c).  Five steps reach the
     root to rounding: 0.056596043051963384, 1.1e-15 relative from a
-    50-digit root.  The search runs in normalized units, so the root has
-    the same bits at every gamma'; gamma' enters only the advance attached
-    to the result, and a gamma' that takes it out of float range raises
-    ParameterError.  The walk runs on numpy scalars, with a table row's bits.
+    50-digit root.  The walk runs in normalized units on numpy float64
+    scalars, with a table row's bits, so T* is the same float at every
+    positive gamma'.  ``t_wva(T*, gamma_prime)`` gives the advance and the
+    angle there, and refuses a gamma' that takes the advance out of float
+    range.
     """
     check_positive("gamma_prime", gamma_prime)
     t = np.float64(_CROSSOVER_START)
@@ -280,8 +274,4 @@ def crossover(gamma_prime: float) -> Crossover:
         normalized, _, c = _optimum(t)
         z = t * (1.0 + c * c)
         t = t - (normalized + np.log(t)) * t / (1.0 - (1.0 + c) / (2.0 - z))
-    normalized, theta, _ = _optimum(t)
-    result = Crossover(t)
-    result.advance = _seconds(float(normalized), gamma_prime)
-    result.theta = float(theta)
-    return result
+    return float(t)

@@ -184,7 +184,8 @@ def _trace_names(thetas_deg) -> dict:
     two angles that would share a file are refused."""
     names = {}
     for theta_deg in thetas_deg:
-        name = f"trace_postselected_theta_{theta_deg:.2f}.csv"
+        # rounded first, so that 0.0, -0.0 and -0.001 share "0.00"
+        name = f"trace_postselected_theta_{round(theta_deg, 2) + 0.0:.2f}.csv"
         if name in names:
             raise ParameterError(
                 f"analyzer angles {names[name]!r} and {theta_deg!r} deg would both "
@@ -305,11 +306,12 @@ def cmd_sweep_theta(args) -> int:
 def _crossover_summary(gp: float) -> dict:
     """The break-even throughput, the best angle and both advances there."""
     tstar = crossover(gp)
+    advance, theta = t_wva(tstar, gp)
     return {
-        "crossover_transmission": float(tstar),
-        "theta_opt_deg_at_crossover": float(np.rad2deg(tstar.theta)),
-        "advance_at_crossover_s": tstar.advance,
-        "advance_norm_at_crossover": 2 * gp * tstar.advance,
+        "crossover_transmission": tstar,
+        "theta_opt_deg_at_crossover": float(np.rad2deg(theta)),
+        "advance_at_crossover_s": advance,
+        "advance_norm_at_crossover": 2 * gp * advance,
         "t_atom_at_crossover_s": t_atom(tstar, gp),
         "gamma_prime_rad_per_s": gp,
     }

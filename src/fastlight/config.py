@@ -305,4 +305,8 @@ def load_config(path) -> RunConfig:
         raise ParameterError(f"config file is not UTF-8 text: {path}") from None
     except json.JSONDecodeError as exc:
         raise ParameterError(f"config file is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParameterError(f"config file nests too deeply to parse: {path}") from None
+    except ValueError as exc:  # an integer literal beyond int's digit limit, a NUL in the path
+        raise ParameterError(f"config file cannot be read: {exc}") from None
     return parse_config(data)

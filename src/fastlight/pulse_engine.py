@@ -220,14 +220,13 @@ def _baseband_frequencies(grid: TimeGrid) -> np.ndarray:
     return 2 * np.pi * np.fft.fftfreq(grid.n_samples, grid.dt)
 
 
-def _spectral_width(samples: np.ndarray, grid: TimeGrid) -> float:
-    """Intensity-weighted std of the baseband spectrum (rad/s).
+def _spectral_width(spectrum: np.ndarray, om: np.ndarray) -> float:
+    """Intensity-weighted std (rad/s) of a baseband spectrum sampled at ``om``.
 
     The weights are normalised to a unit peak before squaring, so that a
     bright pulse's weights do not overflow.
     """
-    om = _baseband_frequencies(grid)
-    magnitude = np.abs(np.fft.fft(samples))
+    magnitude = np.abs(spectrum)
     peak = magnitude.max()
     if peak == 0.0:
         return 0.0
@@ -238,11 +237,11 @@ def _spectral_width(samples: np.ndarray, grid: TimeGrid) -> float:
 
 
 def _filter_h(
-    pulse: PolarizedPulse, transfer: np.ndarray, gain: float, context: str
+    pulse: PolarizedPulse, spectrum: np.ndarray, transfer: np.ndarray, gain: float, context: str
 ) -> PolarizedPulse:
-    """Multiply the H spectrum by ``transfer`` and the filtered H by ``gain``;
-    V and the reference energy pass through unchanged."""
-    h_out = np.fft.ifft(np.fft.fft(pulse.h.samples) * transfer) * gain
+    """Multiply ``spectrum``, the FFT of H, by ``transfer`` and the filtered H
+    by ``gain``; V and the reference energy pass through unchanged."""
+    h_out = np.fft.ifft(spectrum * transfer) * gain
     _check_no_wraparound(h_out, context)
     return PolarizedPulse(Envelope(pulse.h.grid, h_out), pulse.v, pulse.reference_energy)
 
@@ -262,7 +261,8 @@ def propagate_ideal(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedPulse:
             f"{grid.span:.3e} s"
         )
     shift = np.exp(1j * _baseband_frequencies(grid) * line.t0)
-    return _filter_h(pulse, shift, np.sqrt(transmission(line)), "propagate_ideal")
+    spectrum = np.fft.fft(pulse.h.samples)
+    return _filter_h(pulse, spectrum, shift, np.sqrt(transmission(line)), "propagate_ideal")
 
 
 def propagate_lorentzian(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedPulse:
@@ -277,8 +277,9 @@ def propagate_lorentzian(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedP
     """
     if line.t0 == 0.0:
         return pulse
-    grid = pulse.h.grid
-    bandwidth = _spectral_width(pulse.h.samples, grid)
+    om = _baseband_frequencies(pulse.h.grid)
+    spectrum = np.fft.fft(pulse.h.samples)
+    bandwidth = _spectral_width(spectrum, om)
     if bandwidth > _BANDWIDTH_GUARD * line.gamma_prime:
         warnings.warn(
             f"pulse bandwidth {bandwidth:.3e} rad/s exceeds "
@@ -287,8 +288,8 @@ def propagate_lorentzian(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedP
             ApproximationWarning,
             stacklevel=2,
         )
-    phi = transfer_exponent(_baseband_frequencies(grid), line)
-    return _filter_h(pulse, np.exp(1j * phi), 1.0, "propagate_lorentzian")
+    phi = transfer_exponent(om, line)
+    return _filter_h(pulse, spectrum, np.exp(1j * phi), 1.0, "propagate_lorentzian")
 
 
 def write_envelope_csv(envelope: Envelope, path) -> None:

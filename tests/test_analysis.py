@@ -360,10 +360,13 @@ def _bits(result):
 
 
 def test_crossover_carries_t_wva_at_its_root_bit_for_bit():
+    # T* is one float at every rate, and t_wva at it scales with the rate:
+    # its angle keeps its bits and its advance is the normalized one over 2 gamma'
+    normalized, theta = t_wva(crossover(0.5), 0.5)
     for rate in [1.0, 1.24e6, 1e-250, 1e250, default_config().reduced_line().gamma_prime]:
         tstar = crossover(rate)
-        assert isinstance(tstar, float)
-        assert _bits((tstar.advance, tstar.theta)) == _bits(t_wva(float(tstar), rate))
+        assert _bits([tstar]) == _bits([CROSSOVER_TRANSMISSION])
+        assert _bits(t_wva(tstar, rate)) == _bits((normalized / (2 * rate), theta))
 
 
 _GRID_CELLS = 2000
@@ -586,15 +589,16 @@ def test_advances_keep_their_bits_inside_float_range():
 
 def test_crossover_needs_one_bracket_at_every_rate():
     # Both advances scale as 1/gamma', and the root is found in normalized
-    # units, so it has the same bits for every gamma' whose advances are
-    # finite and nonzero; at the extremes the advances leave float range,
-    # and that gamma' is refused as an input.
+    # units, so it has the same bits for every positive gamma'; at the
+    # extremes the advances there leave float range, and t_wva refuses
+    # that gamma' as an input.
     c = crossover(1.0)
     for exponent in range(-300, 301, 25):
         assert crossover(10.0**exponent) == c, exponent
     for extreme in (5e-324, 1e-320, 1e308, sys.float_info.max):
+        assert crossover(extreme) == c
         with pytest.raises(ParameterError, match=r"^gamma_prime: .* out of float range$"):
-            crossover(extreme)
+            t_wva(crossover(extreme), extreme)
 
 
 
@@ -634,11 +638,8 @@ def _bisected_root():
 def _sequential_crossover(gamma_prime):
     """crossover as a plain bisection: the reference for the Newton root.
     The root is found in normalized units, so it is the same at every
-    gamma'; t_wva at the root turns its advance into seconds and refuses a
-    gamma' that takes the advance out of float range."""
-    root = _bisected_root()
-    t_wva(root, gamma_prime)
-    return root
+    gamma'."""
+    return _bisected_root()
 
 
 _CROSSOVER_RATES = [
@@ -652,14 +653,17 @@ _OUT_OF_RANGE_RATES = [5e-324, 1e-320, 1e308, sys.float_info.max]
 
 
 def _crossover_outcome(function, rate):
+    """The root's bits and those of t_wva at it, or the message t_wva refuses the rate with."""
+    root = function(rate)
     try:
-        return float(function(rate)).hex()
+        return _bits((root, *t_wva(root, rate)))
     except ParameterError as exc:
         return str(exc)
 
 
 @pytest.mark.parametrize("rate", [*_CROSSOVER_RATES, *_OUT_OF_RANGE_RATES])
 def test_crossover_matches_sequential_bisection_bit_for_bit(rate):
+    assert _bits([crossover(rate)]) == _bits([_sequential_crossover(rate)])
     assert _crossover_outcome(crossover, rate) == _crossover_outcome(_sequential_crossover, rate)
     if rate in _OUT_OF_RANGE_RATES:
         assert "out of float range" in _crossover_outcome(crossover, rate)
@@ -680,14 +684,18 @@ def _array_walk(gamma_prime):
 @pytest.mark.parametrize("rate", [1.0, 1.24e6])
 def test_scalar_walk_matches_array_walk_bit_for_bit(rate):
     tstar = crossover(rate)
-    assert _bits((tstar, tstar.advance, tstar.theta)) == _bits(_array_walk(rate))
+    assert _bits((tstar, *t_wva(tstar, rate))) == _bits(_array_walk(rate))
 
 
 @pytest.mark.parametrize("rate", _OUT_OF_RANGE_RATES)
 def test_numpy_scalar_rate_is_refused_like_a_float(rate):
     # 2 gamma' overflows at the top rates: on a numpy scalar that warns,
     # and the message would print np.float64(...)
-    for function in (lambda gp: t_atom(0.02, gp), lambda gp: t_wva(0.02, gp), crossover):
+    for function in (
+        lambda gp: t_atom(0.02, gp),
+        lambda gp: t_wva(0.02, gp),
+        lambda gp: t_wva(crossover(gp), gp),
+    ):
         with pytest.raises(ParameterError) as as_float:
             function(rate)
         with warnings.catch_warnings():
@@ -701,6 +709,6 @@ def test_numpy_scalar_rate_is_refused_like_a_float(rate):
 @pytest.mark.parametrize("rate", [1.0, 1.24e6, np.float64(1.24e6)])
 def test_no_numpy_scalar_leaks_out(rate):
     tstar = crossover(rate)
-    assert type(tstar) is analysis.Crossover and not isinstance(tstar, np.generic)
-    assert type(tstar.advance) is float and type(tstar.theta) is float
-    assert "np." not in f"{tstar!r} {tstar.advance!r} {tstar.theta!r}"
+    results = [tstar, *t_wva(tstar, rate), *t_wva(np.float64(tstar), rate)]
+    assert all(type(x) is float for x in results)
+    assert "np." not in repr(results)

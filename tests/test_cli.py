@@ -317,10 +317,20 @@ def test_loss_scaling_summary_rows_are_crossover_rows(tmp_path):
         ["crossover", "--config", "{tmp}/wide_line.json"],
         ["crossover", "--config", ""],
         ["crossover", "--out", ""],
+        ["crossover", "--config", "{tmp}/deep.json"],
+        ["crossover", "--config", "{tmp}/long_integer.json"],
+        ["crossover", "--config", "{tmp}/nul\x00.json"],
     ],
 )
 def test_parameter_problems_exit_2(tmp_path, capsys, argv):
     (tmp_path / "broken.json").write_text("{oops", encoding="utf-8")
+    # json.load raises RecursionError on the one and ValueError (int's
+    # 4300-digit limit) on the other, neither a JSONDecodeError; open raises
+    # ValueError on a path with a NUL in it
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    (tmp_path / "long_integer.json").write_text(
+        '{"pulse": {"amplitude": ' + "1" * 5000 + "}}", encoding="utf-8"
+    )
     (tmp_path / "taken").write_text("", encoding="utf-8")
     (tmp_path / "latin1.json").write_bytes('{"output_dir": "café"}'.encode("latin-1"))
     _write_config(
@@ -463,14 +473,19 @@ def test_loss_budget_runs_on_a_line_too_wide_to_square(tmp_path, command):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
-@pytest.mark.parametrize("thetas", [[-40.001, -40.004], [-30.0, -20.0, -30.0]])
+@pytest.mark.parametrize(
+    "thetas",
+    [[-40.001, -40.004], [-30.0, -20.0, -30.0], [0.0, -0.0], [0.001, -0.001]],
+)
 def test_trace_name_collision_names_both_angles_and_the_file(tmp_path, capsys, thetas):
     cfg = _write_config(tmp_path, dict(QUICK_START, theta_list_deg=thetas))
     out = tmp_path / "out"
     assert main(["propagate", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     first, second = thetas[0], thetas[-1]
-    name = f"trace_postselected_theta_{first:.2f}.csv"
+    # a name never carries "-0.00": the sign of a zero angle is dropped
+    digits = {-40.001: "-40.00", -30.0: "-30.00", 0.0: "0.00", 0.001: "0.00"}[first]
+    name = f"trace_postselected_theta_{digits}.csv"
     assert f"{first!r} and {second!r} deg" in err and name in err
     assert not out.exists()
 
