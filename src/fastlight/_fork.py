@@ -30,11 +30,11 @@ def _process_count(n_items: int, min_per_process: int) -> int:
 
 
 def ordered_map(fn, items: list, min_per_process: int, describe) -> list:
-    """``fn(items)`` for a list-to-list ``fn``, a contiguous chunk per process.
+    """``[fn(x) for x in items]``, a contiguous chunk of items per process.
 
-    This process runs the first chunk while forked children run the others;
-    the results are joined in chunk order.  Of several chunks that raise,
-    the first one's exception is raised; a child that ends without a result
+    This process maps the first chunk while forked children map the others;
+    the results are joined in item order.  Of several items that raise, the
+    first one's exception is raised; a child that ends without a result
     reads as a NumericalError naming ``describe(chunk)``.  Every child is
     reaped before this returns or raises, and killed first if a fork or the
     first chunk failed.
@@ -61,7 +61,7 @@ def ordered_map(fn, items: list, min_per_process: int, describe) -> list:
                 try:
                     os.close(read_fd)
                     try:
-                        result = fn(chunk)
+                        result = [fn(x) for x in chunk]
                     except Exception as exc:  # re-raised by the parent, in chunk order
                         result = exc
                     with os.fdopen(write_fd, "wb") as pipe:
@@ -71,7 +71,7 @@ def ordered_map(fn, items: list, min_per_process: int, describe) -> list:
                     os._exit(1)
             os.close(write_fd)
             children.append((pid, read_fd))
-        joined = fn(chunks[0])
+        joined = [fn(x) for x in chunks[0]]
         for (pid, read_fd), chunk in zip(children, chunks[1:]):
             with open(read_fd, "rb", closefd=False) as pipe:
                 data = pipe.read()

@@ -89,8 +89,8 @@ class MediumSpec:
         check_positive("Gamma", self.Gamma)
         if not (self.omega_c_rabi >= 0):
             raise ParameterError("omega_c_rabi: must be >= 0")
-        if not (self.length >= 0):
-            raise ParameterError("length: must be >= 0")
+        if not (self.length >= 0) or not np.isfinite(self.length):
+            raise ParameterError("length: must be finite and >= 0")
         check_positive("omega0", self.omega0)
         for name in ("omega_c_rabi", "Delta", "Gamma"):
             _check_square(name, getattr(self, name))

@@ -50,7 +50,7 @@ from .atomic_response import (
     transmission,
 )
 from .config import RunConfig, default_config, load_config
-from .errors import NumericalError, ParameterError, check_angle_deg
+from .errors import NumericalError, ParameterError, check_angle_deg, check_path
 from .pulse_engine import (
     make_gaussian,
     prepare_input,
@@ -106,6 +106,8 @@ def _load(args) -> RunConfig:
     for flag, path in (("--config", args.config), ("--out", args.out)):
         if path == "":
             raise ParameterError(f"{flag}: must be a non-empty path")
+    if args.out is not None:
+        check_path("--out", args.out)
     return load_config(args.config) if args.config is not None else default_config()
 
 
@@ -195,13 +197,6 @@ def _trace_names(thetas_deg) -> dict:
     return names
 
 
-def _fit_angle(propagated, theta_deg) -> tuple:
-    """The fitted arrival centre and residual, and the throughput, at one analyzer angle."""
-    selected = post_select(propagated, np.deg2rad(theta_deg))
-    fit = fit_gaussian(selected.envelope)
-    return fit.center, fit.residual_rms, selected.throughput
-
-
 def _angle_table(propagated, line, t_tilde, thetas_deg) -> dict:
     """The ``propagate_summary.csv`` columns, a row per analyzer angle.  Only the
     fits need the propagated pulse: they go through ``ordered_map``, a chunk of
@@ -209,13 +204,15 @@ def _angle_table(propagated, line, t_tilde, thetas_deg) -> dict:
     arm in units of the line's own advance ``line.t0``."""
     center_v = fit_gaussian(propagated.v).center
 
-    def fit_chunk(chunk):
-        return [_fit_angle(propagated, theta_deg) for theta_deg in chunk]
+    def fit_angle(theta_deg):
+        selected = post_select(propagated, np.deg2rad(theta_deg))
+        fit = fit_gaussian(selected.envelope)
+        return fit.center, fit.residual_rms, selected.throughput
 
     def describe(chunk):
         return f"fitting analyzer angles {chunk[0]:g} to {chunk[-1]:g} deg"
 
-    fits = ordered_map(fit_chunk, thetas_deg, _MIN_ANGLES_PER_PROCESS, describe)
+    fits = ordered_map(fit_angle, thetas_deg, _MIN_ANGLES_PER_PROCESS, describe)
     centers, residuals, throughputs = np.array(fits).T
     thetas = [np.deg2rad(theta_deg) for theta_deg in thetas_deg]
     a_w = np.array([weak_value(theta) for theta in thetas])
@@ -242,20 +239,19 @@ def _write_traces(propagated, angle_of: dict, out: Path) -> list:
     ``ordered_map``, each process rebuilding its own post-selected envelopes."""
     arms = {"trace_h.csv": propagated.h, "trace_v.csv": propagated.v}
 
-    def write_chunk(names):
-        for name in names:
-            if name in arms:
-                envelope = arms[name]
-            else:
-                envelope = post_select(propagated, np.deg2rad(angle_of[name])).envelope
-            write_envelope_csv(envelope, out / name)
-        return names
+    def write(name):
+        if name in arms:
+            envelope = arms[name]
+        else:
+            envelope = post_select(propagated, np.deg2rad(angle_of[name])).envelope
+        write_envelope_csv(envelope, out / name)
+        return name
 
     def describe(names):
         return f"writing {names[0]} to {names[-1]} in {out}"
 
     files_per_process = -(-_MIN_TRACE_ROWS_PER_PROCESS // propagated.h.grid.n_samples)
-    return ordered_map(write_chunk, [*arms, *angle_of], files_per_process, describe)
+    return ordered_map(write, [*arms, *angle_of], files_per_process, describe)
 
 
 def cmd_propagate(args) -> int:

@@ -25,7 +25,7 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .atomic_response import C_LIGHT, MediumSpec, ReducedLine, group_advance
-from .errors import ParameterError, check_angle_deg, check_positive, check_transmission
+from .errors import ParameterError, check_angle_deg, check_path, check_positive, check_transmission
 from .pulse_engine import TimeGrid, check_grid_shape, default_grid
 
 _US = 1e-6  # seconds per microsecond
@@ -135,6 +135,7 @@ class RunConfig:
             raise ParameterError(
                 f"spectrum_points: must be an integer >= 16 and <= {_MAX_SPECTRUM_POINTS}"
             )
+        check_path("output_dir", self.output_dir)
         object.__setattr__(self, "theta_list_deg", tuple(self.theta_list_deg))
         object.__setattr__(self, "transmission_list", tuple(self.transmission_list))
         try:
@@ -294,11 +295,21 @@ def serialize_config(cfg: RunConfig) -> dict:
     }
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object as a dict, refusing a key given twice: json would keep the last."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"the key {key!r} is given more than once")
+        data[key] = value
+    return data
+
+
 def load_config(path) -> RunConfig:
-    """Read and parse a JSON config file."""
+    """Read and parse a JSON config file; a key given twice in one object is refused."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ParameterError(f"config file not found: {path}") from None
     except UnicodeDecodeError:
@@ -307,6 +318,6 @@ def load_config(path) -> RunConfig:
         raise ParameterError(f"config file is not valid JSON: {exc}") from None
     except RecursionError:
         raise ParameterError(f"config file nests too deeply to parse: {path}") from None
-    except ValueError as exc:  # an integer literal beyond int's digit limit, a NUL in the path
+    except ValueError as exc:  # a repeated key, int's digit limit, a NUL in the path
         raise ParameterError(f"config file cannot be read: {exc}") from None
     return parse_config(data)

@@ -48,6 +48,12 @@ def check_transmission(name: str, value: float) -> None:
         raise ParameterError(f"{name}: must be in (0, 1]; got {value}")
 
 
+def check_path(name: str, value: str) -> None:
+    """Raise ParameterError if the path ``value`` holds a NUL, which no OS path can."""
+    if "\0" in value:
+        raise ParameterError(f"{name}: must not contain a NUL character")
+
+
 def check_angle_deg(name: str, value: float) -> None:
     """Raise ParameterError unless the analyzer angle lies in (-90, 90] degrees."""
     if not (-90.0 < value <= 90.0):

@@ -543,6 +543,17 @@ def test_table_raises_what_its_first_bad_transmission_raises(good, bad, rng):
     assert str(table.value) == str(alone.value)
 
 
+@pytest.mark.parametrize(
+    "table",
+    [[[0.5]], [[0.5], 0.3], [0.3, [0.5, 0.2]], np.array([[0.5]])],
+    ids=["nested", "ragged_first", "ragged_last", "2d_array"],
+)
+def test_table_that_is_not_1d_is_refused(table):
+    with pytest.raises(ParameterError) as excinfo:
+        t_wva(table, 0.5)
+    assert str(excinfo.value) == "transmission: must be a number or a 1-d sequence of numbers"
+
+
 def test_empty_table_gives_empty_arrays():
     advances, angles = t_wva([], 1.0)
     assert advances.shape == angles.shape == (0,)

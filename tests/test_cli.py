@@ -320,6 +320,8 @@ def test_loss_scaling_summary_rows_are_crossover_rows(tmp_path):
         ["crossover", "--config", "{tmp}/deep.json"],
         ["crossover", "--config", "{tmp}/long_integer.json"],
         ["crossover", "--config", "{tmp}/nul\x00.json"],
+        ["crossover", "--config", "{tmp}/repeated_key.json"],
+        ["crossover", "--config", "{tmp}/two_lines.json"],
     ],
 )
 def test_parameter_problems_exit_2(tmp_path, capsys, argv):
@@ -378,6 +380,16 @@ def test_parameter_problems_exit_2(tmp_path, capsys, argv):
     # gamma' = 1e308 rad/s: 2 gamma' overflows and every advance would read 0
     wide_line = {"line": {"t0_us": 1e-300, "gamma_prime_rad_per_us": 1e302}}
     _write_config(tmp_path, wide_line, name="wide_line.json")
+    # json alone keeps the last of two equal keys
+    (tmp_path / "repeated_key.json").write_text(
+        '{"line": {"t0_us": 0.28, "line_center_transmission": 0.5, "t0_us": 0.5}}',
+        encoding="utf-8",
+    )
+    (tmp_path / "two_lines.json").write_text(
+        '{"line": {"t0_us": 0.28, "line_center_transmission": 0.5},'
+        ' "line": {"t0_us": 0.5, "line_center_transmission": 0.5}}',
+        encoding="utf-8",
+    )
     argv = [a.format(tmp=tmp_path) for a in argv]
     default_out = "--out" not in argv
     if default_out:
@@ -515,6 +527,37 @@ def test_empty_path_is_refused_by_its_flag(tmp_path, capsys, monkeypatch, flag):
     assert main(["crossover", flag, ""]) == 2
     assert capsys.readouterr().err == f"error: {flag}: must be a non-empty path\n"
     assert list(tmp_path.iterdir()) == []
+
+
+# each command's first computation: a refused output directory stops the
+# command before it
+FIRST_COMPUTATION = {
+    "spectrum": "phase_slope",
+    "propagate": "make_gaussian",
+    "sweep-theta": "make_gaussian",
+    "loss-scaling": "t_wva",
+    "crossover": "crossover",
+}
+
+
+@pytest.mark.parametrize("command", list(FIRST_COMPUTATION))
+@pytest.mark.parametrize("where", ["output_dir", "--out"])
+def test_nul_in_the_output_directory_exits_2_before_computing(
+    tmp_path, capsys, monkeypatch, command, where
+):
+    def computed(*args):
+        raise AssertionError(f"{command} computed before refusing its output directory")
+
+    monkeypatch.setattr(fastlight.cli, FIRST_COMPUTATION[command], computed)
+    monkeypatch.chdir(tmp_path)
+    if where == "output_dir":
+        argv = ["--config", _write_config(tmp_path, dict(QUICK_START, output_dir="a\x00b"))]
+    else:
+        argv = ["--out", "a\x00b"]
+    before = sorted(tmp_path.iterdir())
+    assert main([command, *argv]) == 2
+    assert capsys.readouterr().err == f"error: {where}: must not contain a NUL character\n"
+    assert sorted(tmp_path.iterdir()) == before
 
 
 @pytest.mark.parametrize("flag", ["--start", "--stop"])

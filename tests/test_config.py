@@ -166,6 +166,7 @@ def _medium_without(*keys, **extra):
         (_medium_without(dip_angle=3.0), "medium.dip_angle: unknown key"),
         ({"medium": []}, "medium: must be an object"),
         (_medium_without(gamma_rad_per_us=-1.0), "medium.gamma: must be finite and > 0"),
+        (_medium_without(length_cm=math.inf), r"^medium\.length: must be finite and >= 0$"),
     ],
 )
 def test_parse_rejects_bad_medium(data, fragment):
@@ -200,6 +201,7 @@ def test_parse_rejects_bad_medium(data, fragment):
         ({"grid": {"n_samples": 2**40}}, "<= 4194304"),
         ({"pulse": {"sigma_us": 10**400}}, "pulse.sigma_us: must be a finite number"),
         ({"theta_list_deg": [0.0, -(10**400)]}, "theta_list_deg: must be a finite number"),
+        ({"output_dir": "a\x00b"}, "^output_dir: must not contain a NUL character$"),
     ],
 )
 def test_parse_rejects_bad_run_options(extra, fragment):
@@ -268,6 +270,34 @@ def test_load_reports_missing_and_invalid_files(tmp_path):
     bad.write_text("{not json", encoding="utf-8")
     with pytest.raises(ParameterError, match="not valid JSON"):
         load_config(bad)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ('{"line": {"t0_us": 0.28, "line_center_transmission": 0.5, "t0_us": 0.5}}', "t0_us"),
+        (
+            '{"line": {"t0_us": 0.28, "line_center_transmission": 0.5},'
+            ' "line": {"t0_us": 0.5, "line_center_transmission": 0.5}}',
+            "line",
+        ),
+        (
+            '{"line": {"t0_us": 0.28, "line_center_transmission": 0.5},'
+            ' "pulse": {"sigma_us": 28.0, "sigma_us": 28.0}}',
+            "sigma_us",
+        ),
+    ],
+    ids=["in_a_section", "a_section", "same_value"],
+)
+def test_load_refuses_a_repeated_key(tmp_path, text, key):
+    path = tmp_path / "run.json"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParameterError) as excinfo:
+        load_config(path)
+    message = f"config file cannot be read: the key {key!r} is given more than once"
+    assert str(excinfo.value) == message
+    # parse_config reads a dict, which holds each key once
+    parse_config(json.loads(text))
 
 
 def test_readme_config_examples_parse():

@@ -101,6 +101,32 @@ def test_lorentzian_propagation_commutes_with_a_circular_shift(shift, gamma_sigm
     )
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.integers(-40, 60),
+    theta=angles.filter(lambda theta: abs(theta + math.pi / 4) >= 0.02),
+)
+def test_propagation_is_linear_in_the_source_amplitude(k, theta):
+    # 2^k is exact in float64, and so is every product and sum scaled by it:
+    # both arms scale by exactly 2^k, and every ratio keeps its bits
+    sigma, t_tilde = 1.0, 0.5
+    grid = default_grid(sigma)
+    line = ReducedLine(t0=0.01 * sigma, gamma_prime=-math.log(t_tilde) / (2 * 0.01 * sigma))
+    scale = 2.0**k
+    for propagate in (propagate_lorentzian, propagate_ideal):
+        one, scaled = (
+            propagate(prepare_input(make_gaussian(grid, sigma, 0.0, amplitude), t_tilde), line)
+            for amplitude in (1.0, scale)
+        )
+        for arm in ("h", "v"):
+            assert np.array_equal(getattr(scaled, arm).samples, scale * getattr(one, arm).samples)
+        selected_one, selected_scaled = post_select(one, theta), post_select(scaled, theta)
+        assert selected_scaled.throughput == selected_one.throughput
+        assert fit_gaussian(selected_scaled.envelope).center == fit_gaussian(
+            selected_one.envelope
+        ).center
+
+
 positive = st.floats(1e-6, 1e6)
 common_fields = dict(
     pulse=st.builds(PulseConfig, sigma_us=positive, amplitude=positive),
@@ -113,7 +139,7 @@ common_fields = dict(
     transmission_list=st.lists(st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=4),
     propagation=st.sampled_from(["spectral", "ideal"]),
     spectrum_points=st.integers(16, 1 << 20),
-    output_dir=st.text(min_size=1, max_size=8),
+    output_dir=st.text(st.characters(exclude_characters="\x00"), min_size=1, max_size=8),
 )
 reduced_configs = st.builds(
     RunConfig,
