@@ -45,7 +45,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ApproximationWarning, NumericalError, ParameterError, check_positive
+from .errors import ApproximationWarning, NumericalError, ParameterError
+from .errors import check_nonnegative, check_positive
 
 C_LIGHT = 299792458.0  # speed of light in vacuum, m/s (exact SI value)
 
@@ -84,14 +85,10 @@ class MediumSpec:
     omega0: float
 
     def __post_init__(self):
-        check_positive("beta", self.beta)
-        check_positive("gamma", self.gamma)
-        check_positive("Gamma", self.Gamma)
-        if not (self.omega_c_rabi >= 0):
-            raise ParameterError("omega_c_rabi: must be >= 0")
-        if not (self.length >= 0) or not np.isfinite(self.length):
-            raise ParameterError("length: must be finite and >= 0")
-        check_positive("omega0", self.omega0)
+        for name in ("beta", "gamma", "Gamma", "omega0"):
+            check_positive(name, getattr(self, name))
+        for name in ("omega_c_rabi", "length"):
+            check_nonnegative(name, getattr(self, name))
         for name in ("omega_c_rabi", "Delta", "Gamma"):
             _check_square(name, getattr(self, name))
         _check_square("gamma' = gamma + power broadening", gamma_effective(self))
@@ -109,8 +106,7 @@ class ReducedLine:
     gamma_prime: float
 
     def __post_init__(self):
-        if not (self.t0 >= 0) or not np.isfinite(self.t0):
-            raise ParameterError("t0: must be finite and >= 0")
+        check_nonnegative("t0", self.t0)
         check_positive("gamma_prime", self.gamma_prime)
 
 

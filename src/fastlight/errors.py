@@ -1,5 +1,5 @@
 """The package's two error families, its fit failure and its warning, and the
-bound checks more than one module applies.
+bound checks its modules share.
 
 Every error the package raises belongs to one of two families: bad inputs
 (``ParameterError``, a ``ValueError``) and computations that failed or left
@@ -37,14 +37,32 @@ class ApproximationWarning(UserWarning):
 
 
 def check_positive(name: str, value: float) -> None:
-    """Raise ParameterError unless ``value`` is finite and > 0."""
-    if not (value > 0) or not math.isfinite(value):
+    """Raise ParameterError unless ``value`` is a finite number > 0."""
+    try:
+        valid = value > 0 and math.isfinite(value)
+    except TypeError:  # not a real number: refused below, by name
+        valid = False
+    if not valid:
         raise ParameterError(f"{name}: must be finite and > 0")
 
 
+def check_nonnegative(name: str, value: float) -> None:
+    """Raise ParameterError unless ``value`` is a finite number >= 0."""
+    try:
+        valid = value >= 0 and math.isfinite(value)
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ParameterError(f"{name}: must be finite and >= 0")
+
+
 def check_transmission(name: str, value: float) -> None:
-    """Raise ParameterError unless the intensity transmission lies in (0, 1]."""
-    if not (0 < value <= 1):
+    """Raise ParameterError unless the intensity transmission is a number in (0, 1]."""
+    try:
+        valid = 0 < value <= 1
+    except TypeError:
+        valid = False
+    if not valid:
         raise ParameterError(f"{name}: must be in (0, 1]; got {value}")
 
 

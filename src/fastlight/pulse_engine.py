@@ -129,8 +129,9 @@ class Envelope:
 
     @functools.cached_property
     def intensity(self) -> np.ndarray:
-        """|samples|^2, computed once per envelope and read-only."""
-        intensity = np.abs(self.samples) ** 2
+        """|samples|^2 as re*re + im*im, the package's one |z|^2, computed once and read-only:
+        within 1.5 ulp of the exact value wherever the squares are normal floats."""
+        intensity = np.square(self.samples.real) + np.square(self.samples.imag)
         intensity.setflags(write=False)
         return intensity
 
@@ -294,11 +295,6 @@ def propagate_lorentzian(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedP
 
 def write_envelope_csv(envelope: Envelope, path) -> None:
     """Envelope dump: columns t_seconds, re, im, intensity."""
-    re, im = envelope.samples.real, envelope.samples.imag
-    # The intensity is Python's abs(z) ** 2: np.hypot rounds |z| exactly as
-    # complex abs() does, and float_power calls libm pow(h, 2) as Python's **
-    # does; h * h (numpy's square, and np.power's) differs from it in the last
-    # bit now and then, which can show in the 13th printed digit.
-    intensity = np.float_power(np.hypot(re, im), 2.0)
-    columns = {"t_seconds": envelope.times, "re": re, "im": im, "intensity": intensity}
-    write_csv(path, columns)
+    z = envelope.samples
+    columns = {"t_seconds": envelope.times, "re": z.real, "im": z.imag}
+    write_csv(path, {**columns, "intensity": envelope.intensity})

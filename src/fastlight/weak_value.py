@@ -36,10 +36,12 @@ _SINGULAR_TOLERANCE = 1e-12
 
 
 def _check_angle(theta: float) -> None:
-    if not np.isfinite(theta) or not (-np.pi / 2 < theta <= np.pi / 2):
-        raise ParameterError(
-            f"theta: must lie in (-pi/2, pi/2] radians; got {float(theta)!r}"
-        )
+    try:
+        valid = -np.pi / 2 < theta <= np.pi / 2  # false for nan and both infinities
+    except TypeError:  # not a real number
+        valid = False
+    if not valid:
+        raise ParameterError(f"theta: must lie in (-pi/2, pi/2] radians; got {theta}")
 
 
 def weak_value(theta: float) -> float:

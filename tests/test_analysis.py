@@ -28,12 +28,13 @@ from fastlight import (
     t_atom,
     t_wva,
     transmission,
+    weak_value,
 )
 from fastlight import analysis
 from fastlight.cli import _propagated_state
 from fastlight.config import default_config, parse_config
 from fastlight.pulse_engine import Envelope, TimeGrid
-from fastlight.weak_value import post_select
+from fastlight.weak_value import post_select, total_transmission
 from oracles import brute_force_best_advance
 
 # best normalized advance 2 gamma' t_wva and its analyzer angle, frozen from
@@ -552,6 +553,34 @@ def test_table_that_is_not_1d_is_refused(table):
     with pytest.raises(ParameterError) as excinfo:
         t_wva(table, 0.5)
     assert str(excinfo.value) == "transmission: must be a number or a 1-d sequence of numbers"
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: t_wva([0.5, "a"], 1), "transmission"),
+        (lambda: t_wva("abc", 1), "transmission"),
+        (lambda: t_wva([None], 1), "transmission"),
+        (lambda: t_wva(0.5, "x"), "gamma_prime"),
+        (lambda: t_atom("a", 1), "transmission"),
+        (lambda: crossover(None), "gamma_prime"),
+        (lambda: weak_value("a"), "theta"),
+        (lambda: weak_value(None), "theta"),
+        (lambda: ReducedLine("a", 1.0), "t0"),
+        (lambda: default_grid(None), "sigma"),
+        (lambda: total_transmission(None, 0.1), "t_tilde"),
+    ],
+    ids=[
+        "t_wva_row", "t_wva_string", "t_wva_none_row", "t_wva_rate", "t_atom", "crossover",
+        "weak_value_string", "weak_value_none", "reduced_line", "default_grid",
+        "total_transmission",
+    ],
+)
+def test_a_non_number_is_refused_by_name(call, name):
+    # the bound checks compare first; a value that cannot be compared with a
+    # number is refused as out of bounds, not left to a TypeError
+    with pytest.raises(ParameterError, match=f"^{name}: must "):
+        call()
 
 
 def test_empty_table_gives_empty_arrays():

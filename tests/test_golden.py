@@ -9,10 +9,16 @@ when the physical spectrum's group index and index moved from finite
 differences to the closed-form Lorentzian: ``PHYSICAL_SHA256["spectrum.csv"]``
 (its ``group_index`` and ``re_n_minus_1`` columns) and
 ``PHYSICAL_SHA256["spectrum_summary.csv"]`` (its ``group_index_line_center``
-row); every other column and row kept its bytes.  The digests were taken with
-numpy 2.4.6 and scipy 1.17.1; another numpy or scipy build may round a last
-printed digit differently, in which case a mismatch points at the
-environment rather than the code.
+row); every other column and row kept its bytes.  Two more were re-frozen
+when the trace CSVs' ``intensity`` column moved from ``float_power(hypot(re,
+im), 2)`` to ``Envelope.intensity``, re*re + im*im, the |z|^2 that every fit
+and energy reads: ``QUICK_START_SHA256["trace_h.csv"]`` (2 of 4096 rows) and
+``IDEAL_SHA256["trace_h.csv"]`` (1 row).  Only that column moved, and each
+moved cell is closer to the exact |z|^2 of its sample.
+
+The digests were taken with numpy 2.4.6 and scipy 1.17.1; another numpy or
+scipy build may round a last printed digit differently, in which case a
+mismatch points at the environment rather than the code.
 """
 
 import hashlib
@@ -26,7 +32,7 @@ from fastlight.cli import main
 QUICK_START_SHA256 = {
     "spectrum.csv": "a33bbb66a44dd06e1cb84b0e1a27d840c3e39491a8109c3ec3e6e30fad3d56d6",
     "spectrum_summary.csv": "6667dabd767212754889ac56ae8ae2c5004b08bf876bde027fb7690b916cd6e9",
-    "trace_h.csv": "c04c76cd8a024e9f4b26213dafeec6e5e5de4aa2dce09593c9c8e77613d74878",
+    "trace_h.csv": "e1e561351307a9c69818b5b5fb70a621a5625dad85d9f7e98233f46cd68aafb6",
     "trace_v.csv": "8efcca2839f498ac406d32960653d9f3afc71ab8afbe4ce8db215964b861ae3f",
     "trace_postselected_theta_-40.00.csv": (
         "0795da54ddad35747ae8c6ff6d4e61a51e723f6db520d5cf5983097483c38ac6"
@@ -73,7 +79,7 @@ IDEAL = {"line": {"t0_us": 0.28, "line_center_transmission": 0.5}, "propagation"
 IDEAL_SHA256 = {
     "spectrum.csv": "a33bbb66a44dd06e1cb84b0e1a27d840c3e39491a8109c3ec3e6e30fad3d56d6",
     "spectrum_summary.csv": "6667dabd767212754889ac56ae8ae2c5004b08bf876bde027fb7690b916cd6e9",
-    "trace_h.csv": "a7488afc8340c567d94b119fc787a66d11f8ee5d5c8163491bc7a91574bca04b",
+    "trace_h.csv": "e27dd1cee71330e3de4f5043df08fc09e898efb5393fe385f3f514735406f976",
     "trace_v.csv": "8efcca2839f498ac406d32960653d9f3afc71ab8afbe4ce8db215964b861ae3f",
     "trace_postselected_theta_-40.00.csv": (
         "6cfb088e036d82baaa3bacb8f73268281b0dbee51a0f1a40faa2100894cd2225"
