@@ -19,12 +19,10 @@ _POWERS_FROM = -280  # the powers-of-ten table runs from 10^-280 to 10^305
 _DOUBT = 2.3e-16  # bounds the relative error of a scaled cell (see _format_rows)
 _EXPONENTS_FROM = -324  # the exponent table runs from e-324 to e+308
 # One cell: byte 0 the separator ("\n" before a row's first cell, "," before
-# the others), 1 the sign, 2 the leading digit, 3 ".", 4-15 twelve digits,
-# 16-23 "e", the exponent's sign and two or three digits, blank-padded.  A
-# positive number drops byte 0 and carries the separator in byte 1, so the
-# bytes kept are one run: from byte 0 or 1 to byte 19 or 20.
-_CELL = np.frombuffer(b",-0.000000000000        ", dtype=np.uint8)
-_CELL_KEEP = np.arange(24) < 20
+# the others), then the number's text from byte 1: the sign, the leading digit,
+# ".", twelve digits and from byte 16 "e" and the exponent, or at most 20 bytes
+# of `%` text.  Unused bytes are NUL; the joined block drops them.
+_CELL = np.frombuffer(b",\x000.000000000000".ljust(24, b"\x00"), dtype=np.uint8)
 
 
 @functools.cache
@@ -32,13 +30,13 @@ def _tables() -> tuple:
     """The powers of ten 10^k from k = _POWERS_FROM, each the double nearest
     10^k (Python parses "1e{k}" correctly rounded); the ASCII digits of 0000
     to 9999 as one uint32 word each; and the exponent fields "e-324" to
-    "e+308" as one 8-byte word each.
+    "e+308" as one NUL-padded 8-byte word each.
     """
     powers = np.array([float(f"1e{k}") for k in range(_POWERS_FROM, 306)])
     d = np.arange(10, dtype=np.uint8) + ord("0")
     places = np.broadcast_arrays(d[:, None, None, None], d[:, None, None], d[:, None], d)
     words = np.stack(places, axis=-1).reshape(10000, 4).view(np.uint32).ravel()
-    exponents = [f"e{k:+03d}".ljust(8).encode() for k in range(_EXPONENTS_FROM, 309)]
+    exponents = [f"e{k:+03d}".encode().ljust(8, b"\x00") for k in range(_EXPONENTS_FROM, 309)]
     return powers, words, np.array(exponents).view(np.uint64)
 
 
@@ -46,21 +44,21 @@ def _format_rows(table: np.ndarray) -> bytes:
     """Each row of a 2-d float64 array as one "\n"-led line of comma-separated
     cells, every cell the bytes that ``NUMBER_FORMAT % x`` prints.
 
-    A finite x with a = |x| inside _REGULAR prints as M * 10^(E-12), with M
-    the 13-digit integer nearest v = a * 10^(12-E), ties to even.  E starts
-    as floor(log10 a) and is corrected once, so that p = RN(a * hi) lies in
-    [1e12, 1e13], with hi = RN(10^(12-E)) from the table.  hi and p are each
-    rounded once, so with u = 2^-53, |p - v| <= (2u + u^2)/(1 - u)^2 p <
-    2.3e-16 p = _DOUBT p.  Where |p - rint(p)| <= 1/2 - _DOUBT p, v lies
-    less than 1/2 from rint(p), which is then M.  Zeros, nan and inf are
-    written directly.  The other cells (near-ties, about one in 700 of a
-    propagated trace, and a outside _REGULAR) are printed by NUMBER_FORMAT
-    itself and their digits parsed back, so every cell leaves through the
-    same byte layout.
+    Each cell takes one of two routes.  (1) The table route: a zero prints
+    with M = 0, E = 0; a finite nonzero x with a = |x| inside _REGULAR prints
+    as M * 10^(E-12), with M the 13-digit integer nearest v = a * 10^(12-E),
+    ties to even.  E starts as floor(log10 a) and is corrected once, so that
+    p = RN(a * hi) lies in [1e12, 1e13], with hi = RN(10^(12-E)) from the
+    table.  hi and p are each rounded once, so with u = 2^-53, |p - v| <=
+    (2u + u^2)/(1 - u)^2 p < 2.3e-16 p = _DOUBT p.  Where |p - rint(p)| <=
+    1/2 - _DOUBT p, v lies less than 1/2 from rint(p), which is then M.
+    (2) Every other cell (nan, inf, a outside _REGULAR and the near-ties,
+    about one in 700 of a propagated trace) is ``NUMBER_FORMAT % x``'s own
+    text, written into the cell from byte 1.
     """
     powers, words, exponents = _tables()
     x = table.ravel()
-    nan, inf, zero = np.isnan(x), np.isinf(x), x == 0.0
+    zero = x == 0.0
     a = np.abs(x)
     regular = (a > _REGULAR[0]) & (a < _REGULAR[1])
     a = np.where(regular, a, 1.0)  # log10 never sees 0, nan or inf; 1.0 gives M = 1e12, E = 0
@@ -73,20 +71,16 @@ def _format_rows(table: np.ndarray) -> bytes:
     k[off] += step
     p[off] = a[off] * powers[k[off]]
     m = np.rint(p)
-    odd = np.flatnonzero(~(regular | zero | nan | inf) | (np.abs(p - m) > 0.5 - _DOUBT * p))
+    odd = np.flatnonzero(~(regular | zero) | (np.abs(p - m) > 0.5 - _DOUBT * p))
     m = m.astype(np.int64)
     carry = m == 10**13
     m[carry] = 10**12
     e += carry
     m[zero] = 0
-    printed = [(NUMBER_FORMAT % v).replace(".", "").split("e") for v in x[odd].tolist()]
-    m[odd] = [abs(int(digits)) for digits, _ in printed]
-    e[odd] = [int(exponent) for _, exponent in printed]
 
     cells = np.tile(_CELL, (x.size, 1))
     cells[:: table.shape[1], 0] = ord("\n")
-    negative = np.signbit(x) & ~nan
-    cells[:, 1] = np.where(negative, ord("-"), cells[:, 0])
+    cells[:, 1] = np.where(np.signbit(x), ord("-"), 0)
     lead, rest = np.divmod(m, 10**12)
     cells[:, 2] += lead.astype(np.uint8)
     word = cells.view(np.uint32)
@@ -94,13 +88,9 @@ def _format_rows(table: np.ndarray) -> bytes:
     word[:, 2] = words[rest // 10**4 % 10**4]
     word[:, 3] = words[rest % 10**4]
     cells.view(np.uint64)[:, 2] = exponents[e - _EXPONENTS_FROM]
-    cells[nan, 2:5] = np.frombuffer(b"nan", dtype=np.uint8)
-    cells[inf, 2:5] = np.frombuffer(b"inf", dtype=np.uint8)
-    keep = np.tile(_CELL_KEEP, (x.size, 1))
-    keep[:, 0] = negative
-    keep[:, 20] = np.abs(e) >= 100
-    keep[nan | inf, 5:] = False
-    return cells.ravel()[keep.ravel()].tobytes()
+    printed = [NUMBER_FORMAT % v for v in x[odd].tolist()]
+    cells[odd, 1:] = np.array(printed, dtype="S23").view(np.uint8).reshape(-1, 23)
+    return cells[cells != 0].tobytes()
 
 
 def write_csv(path, columns: dict) -> None:

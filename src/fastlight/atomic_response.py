@@ -112,7 +112,11 @@ class ReducedLine:
 
 def _check_square(name: str, value: float) -> None:
     """Raise ParameterError naming ``name`` where ``value**2`` overflows."""
-    if not abs(value) < 2.0**512:  # x**2 is finite exactly below 2^512
+    try:
+        valid = abs(value) < 2.0**512  # x**2 is finite exactly below 2^512
+    except TypeError:  # not a real number: refused by name
+        raise ParameterError(f"{name}: must be a number; got {value!r}") from None
+    if not valid:
         raise ParameterError(f"{name}: {value:.3e} rad/s has no finite square (limit 2^512)")
 
 

@@ -73,6 +73,10 @@ def check_path(name: str, value: str) -> None:
 
 
 def check_angle_deg(name: str, value: float) -> None:
-    """Raise ParameterError unless the analyzer angle lies in (-90, 90] degrees."""
-    if not (-90.0 < value <= 90.0):
+    """Raise ParameterError unless the analyzer angle is a number in (-90, 90] degrees."""
+    try:
+        valid = -90.0 < value <= 90.0
+    except TypeError:  # not a real number: refused by name
+        raise ParameterError(f"{name}: must be a number of degrees; got {value!r}") from None
+    if not valid:
         raise ParameterError(f"{name}: must lie in (-90, 90] deg; got {float(value)!r} deg")

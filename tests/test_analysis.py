@@ -15,6 +15,7 @@ from scipy.optimize import least_squares, leastsq
 
 from fastlight import (
     FitFailureError,
+    MediumSpec,
     NumericalError,
     ParameterError,
     ReducedLine,
@@ -32,7 +33,8 @@ from fastlight import (
 )
 from fastlight import analysis
 from fastlight.cli import _propagated_state
-from fastlight.config import default_config, parse_config
+from fastlight.config import LineConfig, RunConfig, default_config, parse_config
+from fastlight.errors import check_angle_deg
 from fastlight.pulse_engine import Envelope, TimeGrid
 from fastlight.weak_value import post_select, total_transmission
 from oracles import brute_force_best_advance
@@ -569,11 +571,16 @@ def test_table_that_is_not_1d_is_refused(table):
         (lambda: ReducedLine("a", 1.0), "t0"),
         (lambda: default_grid(None), "sigma"),
         (lambda: total_transmission(None, 0.1), "t_tilde"),
+        (lambda: check_angle_deg("theta_list_deg", "a"), "theta_list_deg"),
+        (lambda: RunConfig(line=LineConfig(0.28, 1.2), theta_list_deg=("a",)), "theta_list_deg"),
+        (lambda: MediumSpec(1.0, 0.01, 1.0, 0.2, "a", 0.0, 1e5), "Delta"),
+        (lambda: MediumSpec(1.0, 0.01, 1.0, 0.2, None, 0.0, 1e5), "Delta"),
     ],
     ids=[
         "t_wva_row", "t_wva_string", "t_wva_none_row", "t_wva_rate", "t_atom", "crossover",
         "weak_value_string", "weak_value_none", "reduced_line", "default_grid",
-        "total_transmission",
+        "total_transmission", "angle_deg", "run_config_angle", "medium_delta_string",
+        "medium_delta_none",
     ],
 )
 def test_a_non_number_is_refused_by_name(call, name):

@@ -642,6 +642,19 @@ def test_fit_free_commands_load_no_scipy(tmp_path):
     assert child.returncode == 0, child.stderr
 
 
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    # python -m fastlight.cli ends in sys.exit(main()): 0 on success, and 2
+    # with one "error:" line for a bad input
+    child = _run_fresh("-m", "fastlight.cli", "crossover", "--out", str(tmp_path / "out"))
+    assert child.returncode == 0, child.stderr
+    assert (tmp_path / "out" / "crossover.csv").is_file()
+    bad = ["propagate", "--theta", "100", "--out", str(tmp_path / "bad")]
+    child = _run_fresh("-m", "fastlight.cli", *bad)
+    assert child.returncode == 2, child.stderr
+    lines = child.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), child.stderr
+
+
 def test_marginal_detuning_warns_once_per_command(tmp_path):
     # |Delta|/Gamma = 300/6 = 50: every far-detuned operation of the
     # physical spectrum is below the soft ratio, and the run warns once;

@@ -327,9 +327,10 @@ def _hard_cases() -> list:
 
 
 def _assert_formats_like_python(values) -> None:
-    table = np.array(values, dtype=float).reshape(-1, 1)
-    expected = "".join("\n" + NUMBER_FORMAT % x for x in values).encode()
-    assert _csvout._format_rows(table) == expected
+    """``values`` is one column of numbers or a list of equal-length rows."""
+    table = np.array(values, dtype=float).reshape(len(values), -1)
+    lines = ("\n" + ",".join(NUMBER_FORMAT % x for x in row) for row in table.tolist())
+    assert _csvout._format_rows(table) == "".join(lines).encode()
 
 
 def test_hard_cases_format_like_python():
@@ -345,10 +346,24 @@ def test_decimal_ties_format_like_python():
     _assert_formats_like_python([float(f"{d}5e{k}") for d, k in zip(digits, exponents)])
 
 
+# any float, or any 64-bit pattern read as float64: NaN payloads, subnormals, -0.0
+_CELLS = st.floats() | st.integers(0, 2**64 - 1).map(
+    lambda bits: np.uint64(bits).view(np.float64).item()
+)
+
+
 @settings(deadline=None)
-@given(st.lists(st.floats(), min_size=1, max_size=64))
-def test_every_float_formats_like_python(values):
-    _assert_formats_like_python(values)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda columns: st.lists(
+            st.lists(_CELLS, min_size=columns, max_size=columns), min_size=1, max_size=64
+        )
+    )
+)
+def test_every_float_formats_like_python(rows):
+    # each cell's text sits behind its own separator, so a layout slip shows
+    # in a row of several columns
+    _assert_formats_like_python(rows)
 
 
 def test_each_power_of_ten_is_the_nearest_double():
