@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApproximationWarning, NumericalError, ParameterError
-from .errors import check_nonnegative, check_positive
+from .errors import check_nonnegative, check_number, check_positive
 
 C_LIGHT = 299792458.0  # speed of light in vacuum, m/s (exact SI value)
 
@@ -89,9 +89,10 @@ class MediumSpec:
             check_positive(name, getattr(self, name))
         for name in ("omega_c_rabi", "length"):
             check_nonnegative(name, getattr(self, name))
-        for name in ("omega_c_rabi", "Delta", "Gamma"):
+        for name in ("omega_c_rabi", "Delta"):
             _check_square(name, getattr(self, name))
-        _check_square("gamma' = gamma + power broadening", gamma_effective(self))
+        _check_square("Gamma", self.Gamma, divides=True)  # so 8 Delta^2 + 2 Gamma^2 > 0
+        _check_square("gamma' = gamma + power broadening", gamma_effective(self), divides=True)
 
 
 @dataclass(frozen=True)
@@ -110,14 +111,15 @@ class ReducedLine:
         check_positive("gamma_prime", self.gamma_prime)
 
 
-def _check_square(name: str, value: float) -> None:
-    """Raise ParameterError naming ``name`` where ``value**2`` overflows."""
-    try:
-        valid = abs(value) < 2.0**512  # x**2 is finite exactly below 2^512
-    except TypeError:  # not a real number: refused by name
-        raise ParameterError(f"{name}: must be a number; got {value!r}") from None
-    if not valid:
+def _check_square(name: str, value: float, divides: bool = False) -> None:
+    """Raise ParameterError naming ``name`` where ``value**2`` overflows or, for a
+    square that ``divides``, where it underflows below the normal floats."""
+    check_number(name, value)
+    if not abs(value) < 2.0**512:  # x**2 is finite exactly below 2^512
         raise ParameterError(f"{name}: {value:.3e} rad/s has no finite square (limit 2^512)")
+    if divides and not abs(value) >= 2.0**-511:  # and a normal float from 2^-511 up
+        raise ParameterError(f"{name}: {value:.3e} rad/s has a square that underflows "
+                             "(limit 2^-511)")
 
 
 def light_shift(spec: MediumSpec) -> float:
@@ -157,12 +159,15 @@ def _lorentzian(strength, x, gp):
 
 def _lorentzian_slope(strength, x, gp):
     """d/dx Re ``_lorentzian`` = strength (gp^2 - x^2)/(x^2 + gp^2)^2; NumericalError,
-    not a slope of 0 or nan, where a square overflows or x is infinite."""
+    not a slope of 0 or nan, where a square overflows, (x^2 + gp^2)^2 underflows to 0
+    or x is infinite."""
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return strength * (gp**2 - x**2) / (x**2 + gp**2) ** 2
     except ArithmeticError:
-        raise NumericalError("line slope out of float range: |x| or gamma' above ~1e77") from None
+        raise NumericalError(
+            "line slope out of float range: |x| or gamma' above ~1e77, or gamma' below ~1e-81"
+        ) from None
 
 
 def _chi_strength(spec: MediumSpec) -> float:
@@ -200,7 +205,8 @@ def refractive_index(chi):
 def group_index(delta_prime, spec: MediumSpec):
     """Group index n_g = Re(n) + omega dRe(n)/d(delta'), with dRe(n)/d(delta')
     half the slope of chi's Lorentzian: 1 + beta (|Omega_c|^2/8 Delta^2)
-    omega/gamma'^2 at line centre.  NumericalError if |delta'| or gamma' > ~1e77."""
+    omega/gamma'^2 at line centre.  NumericalError if |delta'| or gamma' > ~1e77
+    or gamma' < ~1e-81."""
     _require_far_detuned(spec, "group_index")
     delta_prime = np.asarray(delta_prime, dtype=float)
     strength, gp = _chi_strength(spec), gamma_effective(spec)
@@ -218,7 +224,10 @@ def group_advance(spec: MediumSpec) -> ReducedLine:
     _require_far_detuned(spec, "group_advance")
     gp = gamma_effective(spec)
     ng_minus_1 = spec.beta * (spec.omega_c_rabi**2 / (8 * spec.Delta**2)) * spec.omega0 / gp**2
-    return ReducedLine(t0=ng_minus_1 * spec.length / C_LIGHT, gamma_prime=gp)
+    t0 = ng_minus_1 * spec.length / C_LIGHT
+    if not np.isfinite(t0):
+        raise ParameterError(f"medium: the derived advance t0 is {t0} s, out of float range")
+    return ReducedLine(t0=t0, gamma_prime=gp)
 
 
 def absorption(spec: MediumSpec) -> float:
@@ -248,7 +257,7 @@ def transfer_exponent(om, line: ReducedLine):
     spectral phase, Im Phi the field-loss exponent (gamma' t0 at centre, so
     the intensity transmission there is exp(-2 gamma' t0)).
     """
-    _check_square("gamma_prime", line.gamma_prime)  # the loss budget never squares it
+    _check_square("gamma_prime", line.gamma_prime, divides=True)  # the loss budget never squares it
     return _lorentzian(line.t0 * line.gamma_prime**2, om, line.gamma_prime)
 
 
@@ -257,7 +266,7 @@ def phase_slope(om, line: ReducedLine):
 
     Equals ``line.t0`` at centre and changes sign at |Om| = gamma'.
     """
-    _check_square("gamma_prime", line.gamma_prime)
+    _check_square("gamma_prime", line.gamma_prime, divides=True)
     return _lorentzian_slope(line.t0 * line.gamma_prime**2, om, line.gamma_prime)
 
 

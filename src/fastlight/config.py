@@ -25,7 +25,8 @@ import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 from .atomic_response import C_LIGHT, MediumSpec, ReducedLine, group_advance
-from .errors import ParameterError, check_angle_deg, check_path, check_positive, check_transmission
+from .errors import ParameterError, check_angle_deg, check_number, check_path, check_positive
+from .errors import check_transmission
 from .pulse_engine import TimeGrid, check_grid_shape, default_grid
 
 _US = 1e-6  # seconds per microsecond
@@ -43,6 +44,8 @@ class LineConfig:
     gamma_prime_rad_per_us: float
 
     def __post_init__(self):
+        for f in fields(self):  # before a unit factor multiplies it
+            check_number(f.name, getattr(self, f.name))
         self.reduced_line()
 
     def reduced_line(self) -> ReducedLine:
@@ -65,6 +68,8 @@ class MediumConfig:
     omega0_rad_per_us: float
 
     def __post_init__(self):
+        for f in fields(self):
+            check_number(f.name, getattr(self, f.name))
         self.medium_spec()
 
     def medium_spec(self) -> MediumSpec:

@@ -36,33 +36,32 @@ class ApproximationWarning(UserWarning):
     """Inputs are near the edge of an approximation's validity domain."""
 
 
+def check_number(name: str, value) -> None:
+    """Raise ParameterError naming ``name`` unless ``value`` compares with a number."""
+    try:
+        value < 0.0
+    except TypeError:  # not a real number: the package's one place to refuse it
+        raise ParameterError(f"{name}: must be a number; got {value!r}") from None
+
+
 def check_positive(name: str, value: float) -> None:
     """Raise ParameterError unless ``value`` is a finite number > 0."""
-    try:
-        valid = value > 0 and math.isfinite(value)
-    except TypeError:  # not a real number: refused below, by name
-        valid = False
-    if not valid:
+    check_number(name, value)
+    if not (value > 0 and math.isfinite(value)):
         raise ParameterError(f"{name}: must be finite and > 0")
 
 
 def check_nonnegative(name: str, value: float) -> None:
     """Raise ParameterError unless ``value`` is a finite number >= 0."""
-    try:
-        valid = value >= 0 and math.isfinite(value)
-    except TypeError:
-        valid = False
-    if not valid:
+    check_number(name, value)
+    if not (value >= 0 and math.isfinite(value)):
         raise ParameterError(f"{name}: must be finite and >= 0")
 
 
 def check_transmission(name: str, value: float) -> None:
     """Raise ParameterError unless the intensity transmission is a number in (0, 1]."""
-    try:
-        valid = 0 < value <= 1
-    except TypeError:
-        valid = False
-    if not valid:
+    check_number(name, value)
+    if not 0 < value <= 1:
         raise ParameterError(f"{name}: must be in (0, 1]; got {value}")
 
 
@@ -74,9 +73,6 @@ def check_path(name: str, value: str) -> None:
 
 def check_angle_deg(name: str, value: float) -> None:
     """Raise ParameterError unless the analyzer angle is a number in (-90, 90] degrees."""
-    try:
-        valid = -90.0 < value <= 90.0
-    except TypeError:  # not a real number: refused by name
-        raise ParameterError(f"{name}: must be a number of degrees; got {value!r}") from None
-    if not valid:
+    check_number(name, value)
+    if not -90.0 < value <= 90.0:
         raise ParameterError(f"{name}: must lie in (-90, 90] deg; got {float(value)!r} deg")

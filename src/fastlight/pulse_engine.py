@@ -33,6 +33,7 @@ from .errors import (
     ApproximationWarning,
     NumericalError,
     ParameterError,
+    check_number,
     check_positive,
     check_transmission,
 )
@@ -67,6 +68,8 @@ class TimeGrid:
 
     def __post_init__(self):
         _check_n_samples(self.n_samples)
+        check_number("dt", self.dt)
+        check_number("t_start", self.t_start)
         if not (self.span < _MAX_SPAN and self.dt >= _MIN_STEP):
             raise ParameterError(
                 f"grid: span must be below {_MAX_SPAN:g} s and step at least {_MIN_STEP:g} s, "
@@ -91,6 +94,7 @@ def check_grid_shape(n_samples: int, span_sigmas: float) -> None:
     """The grid bounds that hold whatever the pulse: ``n_samples`` a power of
     two from 256 to 2^22, and a span of at least 16 pulse widths."""
     _check_n_samples(n_samples)
+    check_number("span_sigmas", span_sigmas)
     if not (span_sigmas >= _MIN_SPAN_SIGMAS):
         raise ParameterError(f"span_sigmas: must be >= {_MIN_SPAN_SIGMAS:g}")
 
@@ -156,6 +160,7 @@ class PolarizedPulse:
     def __post_init__(self):
         if self.h.grid != self.v.grid:
             raise ParameterError("h and v must share the same time grid")
+        check_number("reference_energy", self.reference_energy)
 
 
 def _check_no_wraparound(samples: np.ndarray, context: str) -> None:
@@ -180,6 +185,7 @@ def make_gaussian(grid: TimeGrid, sigma: float, center: float, amplitude: float)
     """
     check_positive("sigma", sigma)
     check_positive("amplitude", amplitude)
+    check_number("center", center)
     if not 4 * sigma**2 > 0:
         raise ParameterError(f"sigma: {sigma:.3e} s is too short; its square underflows to 0")
     if grid.span < _MIN_SPAN_SIGMAS * sigma:
@@ -279,6 +285,7 @@ def propagate_lorentzian(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedP
     if line.t0 == 0.0:
         return pulse
     om = _baseband_frequencies(pulse.h.grid)
+    phi = transfer_exponent(om, line)  # first: a refused gamma' must not warn
     spectrum = np.fft.fft(pulse.h.samples)
     bandwidth = _spectral_width(spectrum, om)
     if bandwidth > _BANDWIDTH_GUARD * line.gamma_prime:
@@ -289,7 +296,6 @@ def propagate_lorentzian(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedP
             ApproximationWarning,
             stacklevel=2,
         )
-    phi = transfer_exponent(om, line)
     return _filter_h(pulse, spectrum, np.exp(1j * phi), 1.0, "propagate_lorentzian")
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, check_transmission
+from .errors import ParameterError, check_number, check_transmission
 from .pulse_engine import Envelope, PolarizedPulse, _check_no_wraparound
 
 # |sin + cos| below this is treated as the dark port: the weak value and the
@@ -36,11 +36,8 @@ _SINGULAR_TOLERANCE = 1e-12
 
 
 def _check_angle(theta: float) -> None:
-    try:
-        valid = -np.pi / 2 < theta <= np.pi / 2  # false for nan and both infinities
-    except TypeError:  # not a real number
-        valid = False
-    if not valid:
+    check_number("theta", theta)
+    if not -np.pi / 2 < theta <= np.pi / 2:  # false for nan and both infinities
         raise ParameterError(f"theta: must lie in (-pi/2, pi/2] radians; got {theta}")
 
 

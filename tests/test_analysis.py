@@ -33,9 +33,9 @@ from fastlight import (
 )
 from fastlight import analysis
 from fastlight.cli import _propagated_state
-from fastlight.config import LineConfig, RunConfig, default_config, parse_config
+from fastlight.config import LineConfig, MediumConfig, RunConfig, default_config, parse_config
 from fastlight.errors import check_angle_deg
-from fastlight.pulse_engine import Envelope, TimeGrid
+from fastlight.pulse_engine import Envelope, PolarizedPulse, TimeGrid
 from fastlight.weak_value import post_select, total_transmission
 from oracles import brute_force_best_advance
 
@@ -575,17 +575,26 @@ def test_table_that_is_not_1d_is_refused(table):
         (lambda: RunConfig(line=LineConfig(0.28, 1.2), theta_list_deg=("a",)), "theta_list_deg"),
         (lambda: MediumSpec(1.0, 0.01, 1.0, 0.2, "a", 0.0, 1e5), "Delta"),
         (lambda: MediumSpec(1.0, 0.01, 1.0, 0.2, None, 0.0, 1e5), "Delta"),
+        (lambda: TimeGrid(4096, "a", 0.0), "dt"),
+        (lambda: TimeGrid(4096, 1e-9, None), "t_start"),
+        (lambda: default_grid(1e-6, 4096, "a"), "span_sigmas"),
+        (lambda: make_gaussian(default_grid(1e-6), 1e-6, "a", 1.0), "center"),
+        (lambda: LineConfig("a", 1.2), "t0_us"),
+        (lambda: MediumConfig(0.0022, 1.2, 37.7, 251.3, None, 0.1, 2.4e9), "Delta_rad_per_us"),
+        (lambda: PolarizedPulse(*[make_gaussian(default_grid(1e-6), 1e-6, 0.0, 1.0)] * 2, "a"),
+         "reference_energy"),
     ],
     ids=[
         "t_wva_row", "t_wva_string", "t_wva_none_row", "t_wva_rate", "t_atom", "crossover",
         "weak_value_string", "weak_value_none", "reduced_line", "default_grid",
         "total_transmission", "angle_deg", "run_config_angle", "medium_delta_string",
-        "medium_delta_none",
+        "medium_delta_none", "grid_step", "grid_start", "grid_span_sigmas", "gaussian_center",
+        "line_config", "medium_config", "polarized_pulse",
     ],
 )
 def test_a_non_number_is_refused_by_name(call, name):
-    # the bound checks compare first; a value that cannot be compared with a
-    # number is refused as out of bounds, not left to a TypeError
+    # every check asks errors.check_number first; a value that cannot be
+    # compared with a number is refused by name, not left to a TypeError
     with pytest.raises(ParameterError, match=f"^{name}: must "):
         call()
 

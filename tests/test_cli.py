@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import fastlight.cli
-from fastlight import FitFailureError, _fork, load_config
+from fastlight import FitFailureError, _fork, default_config, load_config, t_atom
 from fastlight.atomic_response import kramers_kronig_residual, transfer_exponent
 from fastlight.cli import main
 
@@ -79,6 +79,21 @@ def test_propagate_quick_start(tmp_path):
     assert table["throughput_measured"] == pytest.approx(
         table["throughput_predicted"], rel=2e-3
     )
+
+
+def test_quick_start_arrives_later_than_a_bare_line_with_the_same_loss(tmp_path):
+    # the north-star comparison: each post-selected advance over the advance
+    # -ln(T)/(2 gamma') of a bare line that passes the same measured throughput
+    # T; to within 1e-3 it is 0.812 at -40 deg and -0.684 at -50 deg, so both
+    # quick-start angles arrive later than that bare line
+    out = tmp_path / "out"
+    assert main(["propagate", "--out", str(out)]) == 0
+    table = np.genfromtxt(out / "propagate_summary.csv", delimiter=",", names=True)
+    gamma_prime = default_config().reduced_line().gamma_prime
+    bare = [t_atom(t, gamma_prime) for t in table["throughput_measured"]]
+    ratios = table["advance_s"] / bare
+    assert ratios == pytest.approx([0.812, -0.684], abs=1e-3)
+    assert np.all(ratios < 1)
 
 
 def test_propagate_theta_zero_is_the_h_arm(tmp_path):
@@ -401,9 +416,19 @@ def test_parameter_problems_exit_2(tmp_path, capsys, argv):
         assert not (tmp_path / "out").exists()
 
 
-# line parameters whose float square overflows, and pulses whose grid step
-# would overflow squared frequencies or whose width squared underflows to 0
+# line parameters whose float square overflows, line widths whose square
+# underflows, and pulses whose grid step would overflow squared frequencies or
+# whose width squared underflows to 0
 WIDE_LINE = {"line": {"t0_us": 1e-160, "gamma_prime_rad_per_us": 1e150}}
+NARROW_LINE = {"line": {"t0_us": 0.28, "gamma_prime_rad_per_us": 1e-300}}
+# t0 = 1e300 us at half transmission gives gamma' = 3.5e-295 rad/s
+LONG_LINE = {"line": {"t0_us": 1e300, "line_center_transmission": 0.5}}
+NARROW_MEDIA = [
+    {"medium": {**MEDIUM, "gamma_rad_per_us": gamma, "omega_c_rabi_mhz": 0.0}}
+    for gamma in (1e-300, 1e-200)
+]
+NARROW_GAMMA = {"medium": {**MEDIUM, "Gamma_rad_per_us": 1e-200, "Delta_rad_per_us": 1e-190}}
+del NARROW_GAMMA["medium"]["Gamma_mhz"], NARROW_GAMMA["medium"]["Delta_mhz"]
 HUGE_DELTA = {"medium": {**MEDIUM, "Delta_rad_per_us": 1e200}}
 del HUGE_DELTA["medium"]["Delta_mhz"]
 HUGE_RABI = {"medium": {**MEDIUM, "omega_c_rabi_rad_per_us": 1e200}}
@@ -421,6 +446,20 @@ SQUARE_OVERFLOWS = [
     # a wide grid lets the step pass while sigma^2 still underflows
     ("propagate", dict(QUICK_START, pulse={"sigma_us": 1e-160}, grid={"span_sigmas": 1e20}),
      "sigma"),
+    # squares that underflow: the loss budget never squares a line section's gamma'
+    *[
+        (command, config, "gamma_prime")
+        for config in (NARROW_LINE, LONG_LINE)
+        for command in ("spectrum", "propagate", "sweep-theta")
+    ],
+    *[
+        (command, config, name)
+        for config, name in (
+            *[(medium, "medium.gamma'") for medium in NARROW_MEDIA],
+            (NARROW_GAMMA, "medium.Gamma"),
+        )
+        for command in ("spectrum", "propagate", "sweep-theta", "loss-scaling", "crossover")
+    ],
 ]
 
 
@@ -483,6 +522,25 @@ def test_every_command_checks_the_grid_of_its_own_pulse_at_load(tmp_path, capsys
 def test_loss_budget_runs_on_a_line_too_wide_to_square(tmp_path, command):
     cfg = _write_config(tmp_path, WIDE_LINE)
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command", ["loss-scaling", "crossover"])
+def test_loss_budget_runs_on_a_line_too_narrow_to_square(tmp_path, command):
+    cfg = _write_config(tmp_path, NARROW_LINE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize(
+    "command", ["spectrum", "propagate", "sweep-theta", "loss-scaling", "crossover"]
+)
+def test_a_medium_whose_advance_overflows_names_the_medium_section(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, {"medium": {**MEDIUM, "beta_rad_per_us": 1e300}})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: medium: the derived advance t0 is inf s, out of float range\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

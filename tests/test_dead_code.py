@@ -1,6 +1,7 @@
 """Every module-level name in the package, private or public, is used
 somewhere in it, and every name a module imports is used in that module.
-A name that ``__init__`` re-exports counts as used."""
+A name that ``__init__`` re-exports counts as used.  And ``errors.py`` holds
+the package's one ``except TypeError``."""
 
 import ast
 from pathlib import Path
@@ -65,3 +66,21 @@ def test_every_import_is_used_in_its_module():
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         unused += [f"{path.name}:{name}" for name in _imported(tree) if name not in read]
     assert not unused
+
+
+def _catches_type_error(handler: ast.ExceptHandler) -> bool:
+    """``except TypeError`` or an ``except (..., TypeError, ...)`` tuple."""
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    return any(isinstance(name, ast.Name) and name.id == "TypeError" for name in caught)
+
+
+def test_only_errors_catches_a_type_error():
+    # a non-number is refused in one place, errors.check_number; a module that
+    # catches its own TypeError has copied that rule
+    handlers = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ExceptHandler) and _catches_type_error(node)
+    ]
+    assert handlers == ["errors.py"]
