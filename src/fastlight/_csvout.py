@@ -21,7 +21,8 @@ _EXPONENTS_FROM = -324  # the exponent table runs from e-324 to e+308
 # One cell: byte 0 the separator ("\n" before a row's first cell, "," before
 # the others), then the number's text from byte 1: the sign, the leading digit,
 # ".", twelve digits and from byte 16 "e" and the exponent, or at most 20 bytes
-# of `%` text.  Unused bytes are NUL; the joined block drops them.
+# of `%` text.  Unused bytes are NUL; one bytes.translate deletes them from
+# the block's bytes.
 _CELL = np.frombuffer(b",\x000.000000000000".ljust(24, b"\x00"), dtype=np.uint8)
 
 
@@ -90,7 +91,7 @@ def _format_rows(table: np.ndarray) -> bytes:
     cells.view(np.uint64)[:, 2] = exponents[e - _EXPONENTS_FROM]
     printed = [NUMBER_FORMAT % v for v in x[odd].tolist()]
     cells[odd, 1:] = np.array(printed, dtype="S23").view(np.uint8).reshape(-1, 23)
-    return cells[cells != 0].tobytes()
+    return cells.tobytes().translate(None, b"\0")
 
 
 def write_csv(path, columns: dict) -> None:

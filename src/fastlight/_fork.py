@@ -1,8 +1,9 @@
 """A list mapped over forked processes and joined in order, by a hand-written
 fork: Python 3.11's ``multiprocessing`` leaves two pipes open if a fork fails.
 
-The CLI maps two lists through it: the analyzer angles that ``propagate`` and
-``sweep-theta`` fit, and the trace files that ``propagate`` writes."""
+The CLI maps two lists through it: the fits of ``propagate`` and
+``sweep-theta`` (the analyzer angles, then the reference arms), and the trace
+files that ``propagate`` writes."""
 
 import os
 import pickle

@@ -19,11 +19,14 @@ directory (--out overrides the configured one).  Output is byte-identical
 across reruns of the same configuration: fixed column orders, every number
 in ``%.12e`` (13 significant digits), no timestamps.
 
-Exit codes: 0 success, 2 invalid parameters or config (a ParameterError, or
-an unusable --out or --config path), 3 a NumericalError.  Every result is
-computed before the output directory is created, so a bad input or a failed
-computation writes nothing.  A failed write (exit 2) or a propagate writer
-process that dies (exit 3) leaves the directory and any files written so far.
+Exit codes: 0 success, 2 invalid parameters or config (a ParameterError, an
+unusable --out or --config path, or an ApproximationWarning that Python's
+warnings filter, e.g. ``-W error``, raises as an exception), 3 a
+NumericalError.  Every result is computed before the output directory is
+created, so a bad input or a failed computation writes nothing.  A failed
+write (exit 2) or a propagate writer process that dies (exit 3) leaves the
+directory and any files written so far.  Large fit and trace sets run on
+every usable CPU (see _MIN_FIT_SAMPLES_PER_PROCESS, _MIN_TRACE_ROWS_PER_PROCESS).
 """
 
 from __future__ import annotations
@@ -50,7 +53,9 @@ from .atomic_response import (
     transmission,
 )
 from .config import RunConfig, default_config, load_config
-from .errors import NumericalError, ParameterError, check_angle_deg, check_path
+from .errors import (
+    ApproximationWarning, NumericalError, ParameterError, check_angle_deg, check_path
+)
 from .pulse_engine import (
     make_gaussian,
     prepare_input,
@@ -65,15 +70,17 @@ _KK_HALF_SPAN = 40.0
 _KK_POINTS = 1 << 14
 _DARK_PORT_GUARD_DEG = 0.01
 _MAX_SWEEP_COUNT = 1 << 20
-# Fewest analyzer angles worth a process of their own.  Two processes
-# against one, timed in one warm process at 4096 samples on a 2-CPU machine
-# (medians of 7 to 21 alternated pairs per session): at 96 angles (48 each)
-# the split was slower in every session, at 128 (64 each) in 2 of 5, and
-# from 160 (80 each) it took 0.66-0.73 of the time in every session.  Below
-# that, the fork, the copy-on-write faults that follow it in both processes
-# and the pickled results cost about what the angles save.  propagate's angle
-# lists and short sweeps stay in one process.
-_MIN_ANGLES_PER_PROCESS = 80
+# Fewest fitted samples worth a process of their own; a fit of n_samples is
+# the unit, so each process gets at least ceil(this / n_samples) fits: 80 at
+# 4096 samples, 5 at 2^16.  Two processes against one, timed in one warm
+# process on a 2-CPU machine: at 4096 samples (sweep-theta's angles, medians
+# of 7 to 21 alternated pairs per session) 96 fits were slower in every
+# session, 128 in 2 of 5, and from 160 they took 0.66-0.73 of the time; at
+# 2^16 (post-select and fit, README medium, medians of 15 pairs) 2 fits took
+# 0.77 (faster in 10 pairs), 4 fits 0.61 and 6 to 10 fits 0.57-0.64 (faster
+# in all 15).  Below the break-even, the fork, the copy-on-write faults that
+# follow it and the pickled results cost about what the fits save.
+_MIN_FIT_SAMPLES_PER_PROCESS = 80 * 4096
 # Fewest trace CSV rows worth a process of their own; a file of n_samples
 # rows is the unit, so each process gets at least ceil(this / n_samples)
 # files.  Two processes against one, timed in one warm process on a 2-CPU
@@ -197,32 +204,40 @@ def _trace_names(thetas_deg) -> dict:
     return names
 
 
-def _angle_table(propagated, line, t_tilde, thetas_deg) -> dict:
-    """The ``propagate_summary.csv`` columns, a row per analyzer angle.  Only the
-    fits need the propagated pulse: they go through ``ordered_map``, a chunk of
-    angles per process.  The amplification is the advance over the reference (V)
-    arm in units of the line's own advance ``line.t0``."""
-    center_v = fit_gaussian(propagated.v).center
+def _angle_table(propagated, line, t_tilde, thetas_deg, arms=("V",)) -> tuple:
+    """The ``propagate_summary.csv`` columns, a row per analyzer angle, and
+    ``{arm: fitted centre}`` for each of ``arms`` ("V", and "H" if named).  Only
+    the fits need the propagated pulse: the angles, then the arms, go through
+    ``ordered_map``, a chunk of fits per process.  The amplification is the
+    advance over the reference (V) arm in units of the line's own advance
+    ``line.t0``."""
+    envelopes = {"H": propagated.h, "V": propagated.v}
 
-    def fit_angle(theta_deg):
-        selected = post_select(propagated, np.deg2rad(theta_deg))
+    def fit(item):
+        if item in envelopes:
+            return fit_gaussian(envelopes[item]).center
+        selected = post_select(propagated, np.deg2rad(item))
         fit = fit_gaussian(selected.envelope)
         return fit.center, fit.residual_rms, selected.throughput
 
     def describe(chunk):
-        return f"fitting analyzer angles {chunk[0]:g} to {chunk[-1]:g} deg"
+        angles = [item for item in chunk if item not in envelopes]
+        named = [f"analyzer angles {angles[0]:g} to {angles[-1]:g} deg"] if angles else []
+        return "fitting " + " and ".join(named + [f"the {arm} arm" for arm in chunk[len(angles):]])
 
-    fits = ordered_map(fit_angle, thetas_deg, _MIN_ANGLES_PER_PROCESS, describe)
-    centers, residuals, throughputs = np.array(fits).T
+    fits_per_process = -(-_MIN_FIT_SAMPLES_PER_PROCESS // propagated.h.grid.n_samples)
+    fits = ordered_map(fit, [*thetas_deg, *arms], fits_per_process, describe)
+    centers = dict(zip(arms, fits[len(thetas_deg):]))
+    selected_centers, residuals, throughputs = np.array(fits[: len(thetas_deg)]).T
     thetas = [np.deg2rad(theta_deg) for theta_deg in thetas_deg]
     a_w = np.array([weak_value(theta) for theta in thetas])
-    advance = center_v - centers
+    advance = centers["V"] - selected_centers
     amplification = advance / line.t0
-    return {
+    table = {
         "theta_deg": thetas_deg,
         "weak_value": a_w,
-        "center_v_s": np.full(len(thetas), center_v),
-        "center_selected_s": centers,
+        "center_v_s": np.full(len(thetas), centers["V"]),
+        "center_selected_s": selected_centers,
         "advance_s": advance,
         "amplification_fitted": amplification,
         "relative_deviation": np.abs(amplification - a_w) / np.abs(a_w),
@@ -230,6 +245,7 @@ def _angle_table(propagated, line, t_tilde, thetas_deg) -> dict:
         "throughput_predicted": [total_transmission(t_tilde, theta) for theta in thetas],
         "fit_residual_rms": residuals,
     }
+    return table, centers
 
 
 def _write_traces(propagated, angle_of: dict, out: Path) -> list:
@@ -260,11 +276,10 @@ def cmd_propagate(args) -> int:
     _check_analyzer_angles(thetas)
     trace_names = _trace_names(thetas)
     line, t_tilde, propagated = _propagated_state(cfg)
-    # every fit runs before any file is written, so a failed one leaves no
-    # partial output; the post-selected envelopes are rebuilt for writing
-    # rather than held, one grid-sized array per angle
-    center_h = fit_gaussian(propagated.h).center
-    table = _angle_table(propagated, line, t_tilde, thetas)
+    # every fit, the two arms' included, runs before any file is written, so a
+    # failed one leaves no partial output; the post-selected envelopes are
+    # rebuilt for writing rather than held, one grid-sized array per angle
+    table, centers = _angle_table(propagated, line, t_tilde, thetas, ("V", "H"))
 
     out = _out_dir(cfg, args)
     # a failed write (exit 2) or a writer process that dies (exit 3) leaves no
@@ -275,7 +290,7 @@ def cmd_propagate(args) -> int:
     write_csv(out / "propagate_summary.csv", table)
     written.append("propagate_summary.csv")
     print(
-        f"H advance {table['center_v_s'][0] - center_h:.6e} s over t0 {line.t0:.6e} s; "
+        f"H advance {centers['V'] - centers['H']:.6e} s over t0 {line.t0:.6e} s; "
         f"wrote {', '.join(written)} in {out}"
     )
     return 0
@@ -292,7 +307,7 @@ def cmd_sweep_theta(args) -> int:
     thetas = [float(t) for t in np.linspace(args.start, args.stop, args.count)]
     _check_analyzer_angles(thetas)
     line, t_tilde, propagated = _propagated_state(cfg)
-    table = _angle_table(propagated, line, t_tilde, thetas)
+    table, _ = _angle_table(propagated, line, t_tilde, thetas)
     out = _out_dir(cfg, args)
     write_csv(out / "sweep_theta.csv", {key: table[key] for key in _SWEEP_COLUMNS})
     print(f"wrote {out / 'sweep_theta.csv'} ({args.count} angles)")
@@ -392,7 +407,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, OSError) as exc:  # OSError: an unusable --out or --config
+    except (ParameterError, ApproximationWarning, OSError) as exc:
+        # OSError: an unusable --out or --config; ApproximationWarning: under -W error
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

@@ -488,6 +488,33 @@ def test_too_short_pulse_exits_2_under_python_warnings_as_errors(tmp_path, sigma
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        (
+            "propagate",
+            {"line": {"t0_us": 0.28, "gamma_prime_rad_per_us": 1e-106}},
+            "error: pulse bandwidth 1.786e+04 rad/s exceeds 10 gamma'; narrowband line "
+            "parameters are marginal for this pulse\n",
+        ),
+        (
+            "spectrum",
+            {"medium": dict(MEDIUM, Delta_mhz=300.0)},
+            "error: |Delta|/Gamma = 50 is below 100; the Lorentzian limit is marginal\n",
+        ),
+    ],
+    ids=["bandwidth", "detuning"],
+)
+def test_approximation_warning_as_error_exits_2_with_one_line(tmp_path, command, config, message):
+    # under -W error the warning is raised as an exception; main reports it
+    # as a bad input, before any output exists
+    out = tmp_path / "out"
+    argv = [command, "--config", _write_config(tmp_path, config), "--out", str(out)]
+    child = _run_fresh("-W", "error", "-m", "fastlight.cli", *argv)
+    assert (child.returncode, child.stderr) == (2, message)
+    assert not out.exists()
+
+
 GRID_LIMITS = (
     "error: grid: span must be below 1e+150 s and step at least 1e-150 s, so that squares "
     "stay finite; got span {span} s, step {step} s, from pulse.sigma_us = {sigma} and "
@@ -642,14 +669,14 @@ def test_fit_failure_in_propagate_writes_nothing(tmp_path, capsys, monkeypatch):
     fit_gaussian = fastlight.cli.fit_gaussian
     calls = []
 
-    def fail_on_second_angle(envelope):
-        # the H arm, the V arm, then one fit per configured angle (-40, -50)
+    def fail_on_the_h_arm(envelope):
+        # one fit per configured angle (-40, -50), then the V arm, then the H arm
         calls.append(envelope)
         if len(calls) == 4:
             raise FitFailureError("forced fit failure", fallback=None)
         return fit_gaussian(envelope)
 
-    monkeypatch.setattr(fastlight.cli, "fit_gaussian", fail_on_second_angle)
+    monkeypatch.setattr(fastlight.cli, "fit_gaussian", fail_on_the_h_arm)
     out = tmp_path / "out"
     assert main(["propagate", "--out", str(out)]) == 3
     assert capsys.readouterr().err == "error: forced fit failure\n"
@@ -729,7 +756,8 @@ def test_marginal_detuning_warns_once_per_command(tmp_path):
 
 
 # sweep-theta over several processes: cli._angle_table forks one child per
-# extra chunk of angles once each gets at least _MIN_ANGLES_PER_PROCESS.
+# extra chunk of fits (the angles, then the V arm) once each gets at least
+# ceil(_MIN_FIT_SAMPLES_PER_PROCESS / n_samples) fits, 80 at 4096 samples.
 # Two or three usable CPUs are claimed whatever the machine has; forking
 # more processes than CPUs only slows the test down.
 SPLIT_START, SPLIT_STOP = -84.7, -5.0
@@ -765,38 +793,47 @@ def _assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _fits_per_process(n_samples):
+    return math.ceil(fastlight.cli._MIN_FIT_SAMPLES_PER_PROCESS / n_samples)
+
+
 def test_process_count_follows_cpus_chunk_size_and_fork(monkeypatch):
-    minimum = fastlight.cli._MIN_ANGLES_PER_PROCESS
     rows = fastlight.cli._MIN_TRACE_ROWS_PER_PROCESS
+    minimum = _fits_per_process(4096)
+    assert minimum == 80
     _claim_cpus(monkeypatch, 64)
-    # the fits of propagate's configured angles and of the benchmark's warm-up sweep
-    assert _fork._process_count(8, minimum) == 1
-    assert _fork._process_count(24, minimum) == 1
+    # the fits of the quick-start's propagate (2 angles, 2 arms) and of the
+    # benchmark's warm-up sweep (24 angles, the V arm), at 4096 samples
+    assert _fork._process_count(4, minimum) == 1
+    assert _fork._process_count(25, minimum) == 1
     # propagate's trace writes: the quick-start's 4 files of 4096 rows
     assert _fork._process_count(4, math.ceil(rows / 4096)) == 1
     assert _fork._process_count(2 * minimum - 1, minimum) == 1
     assert _fork._process_count(2 * minimum, minimum) == 2
-    assert _fork._process_count(1000, minimum) == min(64, 1000 // minimum)
+    # the benchmark's sweep: 1000 angles and the V arm
+    assert _fork._process_count(1001, minimum) == min(64, 1001 // minimum)
     _claim_cpus(monkeypatch, 1)
-    assert _fork._process_count(1000, minimum) == 1
+    assert _fork._process_count(1001, minimum) == 1
     _claim_cpus(monkeypatch, 2)
-    # the traces benchmark: 10 files of 2^16 rows
+    # the traces benchmark: 8 angles and 2 arms fitted, and 10 files written,
+    # of 2^16 samples each
+    assert _fork._process_count(10, _fits_per_process(2**16)) == 2
     assert _fork._process_count(10, math.ceil(rows / 2**16)) == 2
     monkeypatch.delattr(os, "fork")
-    assert _fork._process_count(1000, minimum) == 1
+    assert _fork._process_count(1001, minimum) == 1
 
 
 def test_one_process_where_fork_would_warn(monkeypatch):
     # Python >= 3.12 warns when a process with other threads forks
     _claim_cpus(monkeypatch, 2)
     monkeypatch.setattr(_fork, "_FORK_WARNS_WITH_THREADS", False)
-    assert _fork._process_count(1000, fastlight.cli._MIN_ANGLES_PER_PROCESS) == 2
+    assert _fork._process_count(1001, _fits_per_process(4096)) == 2
     monkeypatch.setattr(_fork, "_FORK_WARNS_WITH_THREADS", True)
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert _fork._process_count(1000, fastlight.cli._MIN_ANGLES_PER_PROCESS) == 1
+        assert _fork._process_count(1001, _fits_per_process(4096)) == 1
     finally:
         release.set()
         thread.join()
@@ -816,7 +853,8 @@ def test_split_sweep_writes_the_one_process_bytes(tmp_path, monkeypatch, cpus, c
     assert one.count(b"\n") == count + 1
 
 
-# 257 angles over 3 processes: chunks [0, 85), [85, 171) and [171, 257)
+# 257 angles and the V arm over 3 processes: chunks [0, 86), [86, 172) and
+# [172, 258), the last ending with the arm
 @pytest.mark.parametrize(
     "failing", [[150], [200, 100], [100, 10]], ids=["one_child", "two_children", "parent_first"]
 )
@@ -855,9 +893,10 @@ def test_killed_child_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
     out = tmp_path / "out"
     assert main(_sweep_argv(200, out)) == 3
     err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert err.startswith("error: the process fitting analyzer angles -44.6497 to -5 deg ")
-    assert err.endswith(" ended without a result (killed by signal 9)\n")
+    assert err == (
+        "error: the process fitting analyzer angles -44.6497 to -5 deg and the V arm"
+        " ended without a result (killed by signal 9)\n"
+    )
     assert not out.exists()
     _assert_no_child_left()
 
@@ -945,4 +984,78 @@ def test_killed_writer_child_exits_3_with_one_line(tmp_path, monkeypatch, capsys
         " ended without a result (killed by signal 9)\n"
     )
     assert not (out / "propagate_summary.csv").exists()
+    _assert_no_child_left()
+
+
+# propagate's fits on the same grid: 6 angles, then the V and H arms, and with
+# the fitted-samples threshold lowered to 2 fits' worth, 2 or 3 claimed CPUs
+# split them into chunks [0, 4) and [4, 8), or [0, 2), [2, 5) and [5, 8)
+def _split_fits(tmp_path, monkeypatch):
+    """The propagate arguments of SPLIT_TRACES, with both thresholds lowered."""
+    monkeypatch.setattr(fastlight.cli, "_MIN_FIT_SAMPLES_PER_PROCESS", 2 * 1024)
+    return _split_traces(tmp_path, monkeypatch)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_split_fits_propagate_writes_the_one_process_bytes(tmp_path, monkeypatch, capsys, cpus):
+    argv = _split_fits(tmp_path, monkeypatch)
+    _claim_cpus(monkeypatch, 1)
+    assert main([*argv, "--out", str(tmp_path / "one")]) == 0
+    printed = capsys.readouterr().out
+    assert printed.startswith("H advance ")
+    _claim_cpus(monkeypatch, cpus)
+    forks = _count_forks(monkeypatch)
+    assert main([*argv, "--out", str(tmp_path / "split")]) == 0
+    split = capsys.readouterr().out
+    assert split == printed.replace(str(tmp_path / "one"), str(tmp_path / "split"))
+    # one set of children for the fits, one for the trace writes
+    assert len(forks) == 2 * (cpus - 1)
+    _assert_no_child_left()
+    names = sorted(path.name for path in (tmp_path / "one").iterdir())
+    assert names == sorted([*TRACE_FILES, "propagate_summary.csv"])
+    assert sorted(path.name for path in (tmp_path / "split").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+def test_split_fits_propagate_raises_a_childs_fit_failure_and_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    argv = _split_fits(tmp_path, monkeypatch)
+    parent = os.getpid()
+    fit_gaussian = fastlight.cli.fit_gaussian
+
+    def fail_in_child(envelope):
+        if os.getpid() != parent:
+            raise FitFailureError("forced fit failure in a child", fallback=None)
+        return fit_gaussian(envelope)
+
+    monkeypatch.setattr(fastlight.cli, "fit_gaussian", fail_in_child)
+    _claim_cpus(monkeypatch, 2)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "error: forced fit failure in a child\n"
+    assert not out.exists()
+    _assert_no_child_left()
+
+
+def test_killed_fit_child_of_propagate_exits_3_naming_its_chunk(tmp_path, monkeypatch, capsys):
+    argv = _split_fits(tmp_path, monkeypatch)
+    parent = os.getpid()
+    fit_gaussian = fastlight.cli.fit_gaussian
+
+    def die_in_child(envelope):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fit_gaussian(envelope)
+
+    monkeypatch.setattr(fastlight.cli, "fit_gaussian", die_in_child)
+    _claim_cpus(monkeypatch, 2)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "error: the process fitting analyzer angles -20 to -10 deg and the V arm and the H arm"
+        " ended without a result (killed by signal 9)\n"
+    )
+    assert not out.exists()
     _assert_no_child_left()
