@@ -21,8 +21,8 @@ _EXPONENTS_FROM = -324  # the exponent table runs from e-324 to e+308
 # One cell: byte 0 the separator ("\n" before a row's first cell, "," before
 # the others), then the number's text from byte 1: the sign, the leading digit,
 # ".", twelve digits and from byte 16 "e" and the exponent, or at most 20 bytes
-# of `%` text.  Unused bytes are NUL; one bytes.translate deletes them from
-# the block's bytes.
+# of `%` text.  The cells of a block share one bytearray; unused bytes are
+# NUL, and one bytearray.translate deletes them from it.
 _CELL = np.frombuffer(b",\x000.000000000000".ljust(24, b"\x00"), dtype=np.uint8)
 
 
@@ -41,7 +41,16 @@ def _tables() -> tuple:
     return powers, words, np.array(exponents).view(np.uint64)
 
 
-def _format_rows(table: np.ndarray) -> bytes:
+def _split(m: np.ndarray, unit: float) -> tuple:
+    """floor(m / unit) and m - floor(m / unit) * unit, each exact for the
+    integer-valued m below 1e13 and the units of _format_rows (see there)."""
+    q = m / unit
+    np.floor(q, out=q)
+    rest = q * unit
+    return q, np.subtract(m, rest, out=rest)
+
+
+def _format_rows(table: np.ndarray) -> bytearray:
     """Each row of a 2-d float64 array as one "\n"-led line of comma-separated
     cells, every cell the bytes that ``NUMBER_FORMAT % x`` prints.
 
@@ -53,6 +62,15 @@ def _format_rows(table: np.ndarray) -> bytes:
     table.  hi and p are each rounded once, so with u = 2^-53, |p - v| <=
     (2u + u^2)/(1 - u)^2 p < 2.3e-16 p = _DOUBT p.  Where |p - rint(p)| <=
     1/2 - _DOUBT p, v lies less than 1/2 from rint(p), which is then M.
+    M's digits come from exact float splits (_split), with no integer
+    division: upper = floor(M / 1e8) and lower = M - upper 1e8, then
+    floor(upper / 1e4), floor(lower / 1e4) and the differences.  M is an
+    integer below 1e13 < 2^53 and each divisor d a power of ten, so each
+    quotient q < 1e5, rounded once, is within q 2^-53 < 2e-11 of its true
+    value.  A true value that is an integer is exact in a double, so q is
+    that integer; any other lies at least 1/d >= 1e-8 from every integer, so
+    its rounding never reaches one.  Every floor is therefore exact, and each
+    product and difference is an integer below 2^53, exact too.
     (2) Every other cell (nan, inf, a outside _REGULAR and the near-ties,
     about one in 700 of a propagated trace) is ``NUMBER_FORMAT % x``'s own
     text, written into the cell from byte 1.
@@ -73,25 +91,28 @@ def _format_rows(table: np.ndarray) -> bytes:
     p[off] = a[off] * powers[k[off]]
     m = np.rint(p)
     odd = np.flatnonzero(~(regular | zero) | (np.abs(p - m) > 0.5 - _DOUBT * p))
-    m = m.astype(np.int64)
-    carry = m == 10**13
-    m[carry] = 10**12
+    carry = m == 1e13
+    m[carry] = 1e12
     e += carry
-    m[zero] = 0
+    m[zero] = 0.0
+    upper, lower = _split(m, 1e8)  # M's first five digits and its last eight
+    lead, high = _split(upper, 1e4)
+    mid, low = _split(lower, 1e4)
 
-    cells = np.tile(_CELL, (x.size, 1))
+    buffer = bytearray(x.size * _CELL.size)
+    cells = np.frombuffer(buffer, dtype=np.uint8).reshape(x.size, _CELL.size)
+    cells[:] = _CELL
     cells[:: table.shape[1], 0] = ord("\n")
-    cells[:, 1] = np.where(np.signbit(x), ord("-"), 0)
-    lead, rest = np.divmod(m, 10**12)
+    np.multiply(np.signbit(x), np.uint8(ord("-")), out=cells[:, 1])
     cells[:, 2] += lead.astype(np.uint8)
     word = cells.view(np.uint32)
-    word[:, 1] = words[rest // 10**8]
-    word[:, 2] = words[rest // 10**4 % 10**4]
-    word[:, 3] = words[rest % 10**4]
+    word[:, 1] = words[high.astype(np.intp)]
+    word[:, 2] = words[mid.astype(np.intp)]
+    word[:, 3] = words[low.astype(np.intp)]
     cells.view(np.uint64)[:, 2] = exponents[e - _EXPONENTS_FROM]
     printed = [NUMBER_FORMAT % v for v in x[odd].tolist()]
     cells[odd, 1:] = np.array(printed, dtype="S23").view(np.uint8).reshape(-1, 23)
-    return cells.tobytes().translate(None, b"\0")
+    return buffer.translate(None, b"\0")
 
 
 def write_csv(path, columns: dict) -> None:
@@ -103,11 +124,12 @@ def write_csv(path, columns: dict) -> None:
     byte what Python's ``%`` prints.  Lines end in "\n" on every platform,
     so reruns are byte-identical.
     """
-    table = np.column_stack([np.asarray(column, dtype=float) for column in columns.values()])
+    arrays = [np.asarray(column, dtype=float) for column in columns.values()]
     with open(path, "wb") as fh:
         fh.write(",".join(columns).encode())
-        for start in range(0, len(table), _BLOCK_ROWS):
-            fh.write(_format_rows(table[start : start + _BLOCK_ROWS]))
+        for start in range(0, len(arrays[0]), _BLOCK_ROWS):
+            block = np.column_stack([a[start : start + _BLOCK_ROWS] for a in arrays])
+            fh.write(_format_rows(block))
         fh.write(b"\n")
 
 

@@ -119,37 +119,48 @@ def fit_gaussian(envelope: Envelope) -> ArrivalEstimate:
         )
     if seed.width <= 0.0:
         raise ParameterError("intensity profile has zero width; cannot fit")
-    tau = (envelope.times - seed.center) / seed.width
+    tau = envelope.times - seed.center
+    tau /= seed.width
     yn = y / ymax
-    # The model's terms, and its Jacobian once asked for, are kept for the
-    # last point evaluated: lmder asks for the Jacobian at the point it has
-    # just accepted, and leastsq checks both at x0 before lmder evaluates them
-    # there.  They are keyed on the exact parameter bits, so a call at any
-    # other point recomputes them.  The kept Jacobian is read-only: every
-    # caller shares that one array.
-    cache = {}
+    # Work arrays, allocated once per fit and refilled in place: the model's
+    # terms u = tau - m, u^2, e and a e, and the Jacobian, each keyed on the
+    # exact parameter bits of the point it holds (lmder asks for the Jacobian
+    # at the point it has just accepted, and leastsq checks both at x0 before
+    # lmder evaluates them there).  e stays outside the read-only Jacobian,
+    # which every caller shares, so a trial point's residual leaves it whole.
+    # Each residual is a new array: lmder keeps the first as its own fvec and
+    # copies later ones into it, so a reused buffer would overwrite it.
+    u, u2, e, ae = np.empty((4, tau.size))
+    jac = np.empty((3, tau.size))
+    held = [None, None]  # the parameter bits of the terms and of the Jacobian
 
     def terms(p):
         key = p.tobytes()
-        if key not in cache:
-            cache.clear()  # free the last point's arrays before building these
+        if held[0] != key:
             a, m, s = p
-            u = tau - m
-            u2 = u**2
-            e = np.exp(-u2 / (2 * s * s))
-            cache[key] = [s, u, u2, e, a * e, None]
-        return cache[key]
+            np.subtract(tau, m, out=u)
+            np.square(u, out=u2)
+            np.divide(np.negative(u2, out=e), 2 * s * s, out=e)
+            np.exp(e, out=e)
+            np.multiply(a, e, out=ae)
+            held[0] = key
+        return key
 
     def residual(p):
-        return terms(p)[4] - yn
+        terms(p)
+        return ae - yn
 
     def jacobian(p):  # one row per parameter: leastsq's col_deriv layout
-        kept = terms(p)
-        if kept[5] is None:
-            s, u, u2, e, ae, _ = kept
-            kept[5] = np.array([e, ae * u / (s * s), ae * u2 / (s**3)])
-            kept[5].flags.writeable = False
-        return kept[5]
+        key = terms(p)
+        if held[1] != key:
+            s = p[2]
+            jac.flags.writeable = True
+            jac[0] = e
+            np.divide(np.multiply(ae, u, out=jac[1]), s * s, out=jac[1])
+            np.divide(np.multiply(ae, u2, out=jac[2]), s**3, out=jac[2])
+            jac.flags.writeable = False
+            held[1] = key
+        return jac
 
     x, _, info, _, status = leastsq(
         residual,

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ApproximationWarning, NumericalError, ParameterError
-from .errors import check_nonnegative, check_number, check_positive
+from .errors import check_grid, check_nonnegative, check_number, check_positive
 
 C_LIGHT = 299792458.0  # speed of light in vacuum, m/s (exact SI value)
 
@@ -182,7 +182,8 @@ def chi_lorentzian(delta_prime, spec: MediumSpec):
     Requires |Delta| >= 10 Gamma (hard error); warns below 100 Gamma.
     """
     _require_far_detuned(spec, "chi_lorentzian")
-    out = _lorentzian(_chi_strength(spec), np.asarray(delta_prime, float), gamma_effective(spec))
+    delta_prime = np.asarray(check_grid("delta_prime", delta_prime), dtype=float)
+    out = _lorentzian(_chi_strength(spec), delta_prime, gamma_effective(spec))
     return out if out.ndim else complex(out)
 
 
@@ -208,7 +209,7 @@ def group_index(delta_prime, spec: MediumSpec):
     omega/gamma'^2 at line centre.  NumericalError if |delta'| or gamma' > ~1e77
     or gamma' < ~1e-81."""
     _require_far_detuned(spec, "group_index")
-    delta_prime = np.asarray(delta_prime, dtype=float)
+    delta_prime = np.asarray(check_grid("delta_prime", delta_prime), dtype=float)
     strength, gp = _chi_strength(spec), gamma_effective(spec)
     slope = _lorentzian_slope(strength, delta_prime, gp)  # refuses what chi would overflow on
     out = refractive_index(_lorentzian(strength, delta_prime, gp)).real + spec.omega0 / 2 * slope
@@ -258,7 +259,7 @@ def transfer_exponent(om, line: ReducedLine):
     the intensity transmission there is exp(-2 gamma' t0)).
     """
     _check_square("gamma_prime", line.gamma_prime, divides=True)  # the loss budget never squares it
-    return _lorentzian(line.t0 * line.gamma_prime**2, om, line.gamma_prime)
+    return _lorentzian(line.t0 * line.gamma_prime**2, check_grid("om", om), line.gamma_prime)
 
 
 def phase_slope(om, line: ReducedLine):
@@ -267,7 +268,7 @@ def phase_slope(om, line: ReducedLine):
     Equals ``line.t0`` at centre and changes sign at |Om| = gamma'.
     """
     _check_square("gamma_prime", line.gamma_prime, divides=True)
-    return _lorentzian_slope(line.t0 * line.gamma_prime**2, om, line.gamma_prime)
+    return _lorentzian_slope(line.t0 * line.gamma_prime**2, check_grid("om", om), line.gamma_prime)
 
 
 def _taper_ends(values: np.ndarray, fraction: float) -> np.ndarray:
@@ -308,7 +309,7 @@ def kramers_kronig_residual(delta_grid: np.ndarray, chi_values: np.ndarray) -> f
     shrinks as the grid span grows; Im(chi) == 0 with nonzero Re(chi) yields
     a residual of 1 (maximal inconsistency flag).
     """
-    delta_grid = np.asarray(delta_grid, dtype=float)
+    delta_grid = np.asarray(check_grid("delta_grid", delta_grid), dtype=float)
     chi_values = np.asarray(chi_values, dtype=complex)
     n = delta_grid.size
     if chi_values.size != n:
@@ -341,7 +342,7 @@ def kk_check(spec: MediumSpec, delta_prime_grid: np.ndarray) -> float:
     slowly, so truncation dominates the residual and widening the span
     improves it monotonically.
     """
-    grid = np.asarray(delta_prime_grid, dtype=float)
+    grid = np.asarray(check_grid("delta_prime_grid", delta_prime_grid), dtype=float)
     gp = gamma_effective(spec)
     if grid.size < _KK_MIN_POINTS:
         raise ParameterError(f"KK check needs >= {_KK_MIN_POINTS} points; got {grid.size}")

@@ -72,14 +72,15 @@ _DARK_PORT_GUARD_DEG = 0.01
 _MAX_SWEEP_COUNT = 1 << 20
 # Fewest fitted samples worth a process of their own; a fit of n_samples is
 # the unit, so each process gets at least ceil(this / n_samples) fits: 80 at
-# 4096 samples, 5 at 2^16.  Two processes against one, timed in one warm
-# process on a 2-CPU machine: at 4096 samples (sweep-theta's angles, medians
-# of 7 to 21 alternated pairs per session) 96 fits were slower in every
-# session, 128 in 2 of 5, and from 160 they took 0.66-0.73 of the time; at
-# 2^16 (post-select and fit, README medium, medians of 15 pairs) 2 fits took
-# 0.77 (faster in 10 pairs), 4 fits 0.61 and 6 to 10 fits 0.57-0.64 (faster
-# in all 15).  Below the break-even, the fork, the copy-on-write faults that
-# follow it and the pickled results cost about what the fits save.
+# 4096 samples, 5 at 2^16.  Two processes against one through ordered_map,
+# timed in one warm process on a 2-CPU machine (_angle_table, medians of 15
+# alternated pairs; the quick-start line, the README medium at 2^16): at 4096
+# samples 32 fits per process took 0.79 of the time (faster in 13 pairs) and
+# 48 to 96 fits 0.55-0.60 (faster in all 15); 1 fit per process took 1.03 at
+# 2^16 (faster in 2), 1.00 at 2^18 (in 6) and 0.78 at 2^19 (in 15); 2 to 4
+# fits of 2^16 took 0.60-0.76 (in 15).  A lower threshold would split runs
+# that are not faster in 9 of 10 pairs: 64 * 4096 splits 2 fits of 2^18, and
+# 32 * 4096 also 32 fits of 4096 per process.
 _MIN_FIT_SAMPLES_PER_PROCESS = 80 * 4096
 # Fewest trace CSV rows worth a process of their own; a file of n_samples
 # rows is the unit, so each process gets at least ceil(this / n_samples)
@@ -180,12 +181,8 @@ def _propagated_state(cfg: RunConfig):
         )
     source = make_gaussian(cfg.time_grid, cfg.pulse_sigma_s(), 0.0, cfg.pulse.amplitude)
     t_tilde = transmission(line)
-    state = prepare_input(source, t_tilde)
-    if cfg.propagation == "ideal":
-        propagated = propagate_ideal(state, line)
-    else:
-        propagated = propagate_lorentzian(state, line)
-    return line, t_tilde, propagated
+    propagate = propagate_ideal if cfg.propagation == "ideal" else propagate_lorentzian
+    return line, t_tilde, propagate(prepare_input(source, t_tilde), line)
 
 
 def _trace_names(thetas_deg) -> dict:

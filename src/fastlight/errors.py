@@ -10,6 +10,9 @@ numerical failure that carries data: the estimate a caller can fall back on.
 """
 
 import math
+import reprlib
+
+import numpy as np
 
 
 class ParameterError(ValueError):
@@ -42,6 +45,18 @@ def check_number(name: str, value) -> None:
         value < 0.0
     except TypeError:  # not a real number: the package's one place to refuse it
         raise ParameterError(f"{name}: must be a number; got {value!r}") from None
+
+
+def check_grid(name: str, values):
+    """Raise ParameterError naming ``name`` unless numpy reads ``values`` as real
+    numbers; return a number as it was given, anything else as numpy's array of
+    it (an array of numbers is returned uncopied)."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "biuf":
+        raise ParameterError(
+            f"{name}: must be a number or an array of numbers; got {reprlib.repr(values)}"
+        )
+    return values if array.ndim == 0 else array
 
 
 def check_positive(name: str, value: float) -> None:

@@ -140,7 +140,11 @@ class Envelope:
         return intensity
 
     def energy(self) -> float:
-        """Integrated intensity, trapezoidal rule."""
+        """Integrated intensity, trapezoidal rule, computed once as ``intensity`` is."""
+        return self._energy
+
+    @functools.cached_property
+    def _energy(self) -> float:
         return float(np.trapezoid(self.intensity, dx=self.grid.dt))
 
 
@@ -246,9 +250,11 @@ def _spectral_width(spectrum: np.ndarray, om: np.ndarray) -> float:
 def _filter_h(
     pulse: PolarizedPulse, spectrum: np.ndarray, transfer: np.ndarray, gain: float, context: str
 ) -> PolarizedPulse:
-    """Multiply ``spectrum``, the FFT of H, by ``transfer`` and the filtered H
-    by ``gain``; V and the reference energy pass through unchanged."""
-    h_out = np.fft.ifft(spectrum * transfer) * gain
+    """Multiply ``spectrum``, the FFT of H, by ``transfer`` in place and the
+    filtered H by ``gain``; V and the reference energy pass through unchanged."""
+    spectrum *= transfer
+    h_out = np.fft.ifft(spectrum)
+    h_out *= gain
     _check_no_wraparound(h_out, context)
     return PolarizedPulse(Envelope(pulse.h.grid, h_out), pulse.v, pulse.reference_energy)
 
@@ -296,7 +302,8 @@ def propagate_lorentzian(pulse: PolarizedPulse, line: ReducedLine) -> PolarizedP
             ApproximationWarning,
             stacklevel=2,
         )
-    return _filter_h(pulse, spectrum, np.exp(1j * phi), 1.0, "propagate_lorentzian")
+    phi *= 1j  # exp(i Phi), formed in Phi's own array
+    return _filter_h(pulse, spectrum, np.exp(phi, out=phi), 1.0, "propagate_lorentzian")
 
 
 def write_envelope_csv(envelope: Envelope, path) -> None:

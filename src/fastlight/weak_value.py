@@ -80,7 +80,8 @@ def post_select(pulse: PolarizedPulse, theta: float) -> PostSelectedPulse:
     if theta == 0.0:
         envelope = pulse.h
     else:
-        samples = np.cos(theta) * pulse.h.samples + np.sin(theta) * pulse.v.samples
+        samples = np.cos(theta) * pulse.h.samples
+        samples += np.sin(theta) * pulse.v.samples
         envelope = Envelope(pulse.h.grid, samples)
     _check_no_wraparound(envelope.samples, "post_select")
     throughput = min(envelope.energy() / pulse.reference_energy, 1.0)

@@ -238,6 +238,21 @@ def test_fit_matches_least_squares_bit_for_bit():
         )
 
 
+def test_fit_of_a_large_grid_matches_least_squares_bit_for_bit():
+    # fit_gaussian refills its work arrays in place and hands lmder a new
+    # residual array on every call; at 2^16 samples a residual buffer that
+    # was reused would move residual_rms off least_squares' value
+    config = parse_config({"medium": README_MEDIUM, "grid": {"n_samples": 1 << 16}})
+    _, _, propagated = _propagated_state(config)
+    envelopes = [propagated.h, propagated.v]
+    envelopes += [post_select(propagated, math.radians(deg)).envelope for deg in (-44.5, -40, 30)]
+    for envelope in envelopes:
+        fit = fit_gaussian(envelope)
+        assert (fit.center, fit.width, fit.amplitude, fit.residual_rms) == _least_squares_fit(
+            envelope
+        )
+
+
 def test_bare_line_advance_value():
     assert t_atom(0.05, 0.5) == pytest.approx(math.log(20.0), rel=1e-12)
     assert t_atom(1.0, 2.0e6) == 0.0

@@ -6,6 +6,7 @@ import pytest
 import scipy.constants
 import scipy.signal
 
+from fastlight import errors
 from fastlight import (
     ApproximationWarning,
     MediumSpec,
@@ -443,3 +444,45 @@ def test_transfer_exponent_is_the_susceptibility_of_the_cell():
     phi = transfer_exponent(delta, line)
     scaled = spec.omega0 * spec.length / (2 * C_LIGHT) * chi_lorentzian(delta, spec)
     np.testing.assert_allclose(phi, scaled, rtol=1e-12, atol=0.0)
+
+
+_LINE = ReducedLine(2.8e-7, 1.25e6)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda spec: transfer_exponent("a", _LINE), "om"),
+        (lambda spec: transfer_exponent(None, _LINE), "om"),
+        (lambda spec: phase_slope("a", _LINE), "om"),
+        (lambda spec: phase_slope(np.array([0.0, None]), _LINE), "om"),
+        (lambda spec: chi_lorentzian("a", spec), "delta_prime"),
+        (lambda spec: chi_lorentzian(None, spec), "delta_prime"),
+        (lambda spec: group_index([0.0, "a"], spec), "delta_prime"),
+        (lambda spec: kk_check(spec, "a"), "delta_prime_grid"),
+        (lambda spec: kramers_kronig_residual(None, np.zeros(16)), "delta_grid"),
+    ],
+    ids=[
+        "transfer_string", "transfer_none", "slope_string", "slope_object_array", "chi_string",
+        "chi_none", "group_index_row", "kk_check_string", "kk_residual_none",
+    ],
+)
+def test_a_non_number_grid_is_refused_by_name(demo_spec, call, name):
+    # the grid is checked by errors.check_grid from numpy's dtype kind: no
+    # TypeError, no numpy ValueError, and no nan behind a warning
+    with pytest.raises(ParameterError, match=f"^{name}: must be a number or an array of numbers"):
+        call(demo_spec)
+
+
+def test_a_grid_check_keeps_scalar_types_and_arrays(demo_spec):
+    om = np.linspace(-1e7, 1e7, 9)
+    assert errors.check_grid("om", om) is om  # the hot path's grids are not copied
+    assert errors.check_grid("om", 0.0) == 0.0
+    assert type(transfer_exponent(0.0, _LINE)) is complex
+    assert type(transfer_exponent(np.float64(0.0), _LINE)) is np.complex128
+    assert type(phase_slope(0.0, _LINE)) is float
+    assert type(chi_lorentzian(0.0, demo_spec)) is complex
+    assert type(group_index(0.0, demo_spec)) is float
+    # a list of numbers reads as its array
+    np.testing.assert_array_equal(transfer_exponent([0.0, 1e6], _LINE),
+                                  transfer_exponent(np.array([0.0, 1e6]), _LINE))

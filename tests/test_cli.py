@@ -818,6 +818,14 @@ def test_process_count_follows_cpus_chunk_size_and_fork(monkeypatch):
     # the traces benchmark: 8 angles and 2 arms fitted, and 10 files written,
     # of 2^16 samples each
     assert _fork._process_count(10, _fits_per_process(2**16)) == 2
+    # the threshold was re-measured and kept (see its comment): 128 fits of
+    # 4096 samples and 4 of 2^16 would run faster split, but a threshold low
+    # enough to split them also splits 2 fits of 2^18 or 64 of 4096, which
+    # were not faster in 9 of 10 pairs; 2 fits of 2^19 split and win
+    assert _fork._process_count(128, minimum) == 1
+    assert _fork._process_count(4, _fits_per_process(2**16)) == 1
+    assert _fork._process_count(2, _fits_per_process(2**18)) == 1
+    assert _fork._process_count(2, _fits_per_process(2**19)) == 2
     assert _fork._process_count(10, math.ceil(rows / 2**16)) == 2
     monkeypatch.delattr(os, "fork")
     assert _fork._process_count(1001, minimum) == 1

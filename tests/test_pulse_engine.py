@@ -346,6 +346,24 @@ def test_decimal_ties_format_like_python():
     _assert_formats_like_python([float(f"{d}5e{k}") for d, k in zip(digits, exponents)])
 
 
+def test_digit_split_boundaries_format_like_python():
+    # the 13-digit mantissa M is split by floats, floor(M / 1e8) and then by
+    # 1e4; check it where a split or its floor could slip: M = 1e12, the ends
+    # of the first 1e8 step, multiples of 1e4 and of 1e8, the largest M, and
+    # the carry of 9.9999999999995 to the next power of ten
+    mantissas = [10**12, 10**12 + 10**8 - 1, 10**12 + 10**8, 10**12 + 10**4 - 1, 10**12 + 10**4]
+    mantissas += [1234567890000, 9999999990000, 5000000010000, 2 * 10**12, 1234500000000]
+    mantissas += [9999900000000, 9999999900000, 9999999999999]
+    exponents = range(-300, 301)
+    texts = [f"{mantissa}e{exponent - 12}" for mantissa in mantissas for exponent in exponents]
+    texts += [f"{digits}e{exponent - 13}" for digits in (99999999999995, 99999999999999)
+              for exponent in exponents]
+    values = np.array([float(text) for text in texts])
+    values = np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+    # six cells a row: each value and its two neighbours, with both signs
+    _assert_formats_like_python(np.concatenate([values, -values]).reshape(-1, 6).tolist())
+
+
 # any float, or any 64-bit pattern read as float64: NaN payloads, subnormals, -0.0
 _CELLS = st.floats() | st.integers(0, 2**64 - 1).map(
     lambda bits: np.uint64(bits).view(np.float64).item()
