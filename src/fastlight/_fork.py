@@ -41,9 +41,10 @@ def ordered_map(fn, items: list, min_per_process: int, describe) -> list:
     first chunk failed.
 
     On Python >= 3.12 the split needs a process without other OS threads,
-    which NumPy's and SciPy's BLAS pools start on import: on a 2-CPU Linux
-    machine a process runs 1 thread, 2 after ``import numpy`` and 3 after
-    ``import scipy.optimize``, so every call stays in one process.
+    which NumPy's BLAS pool starts on import: on a 2-CPU Linux machine a
+    process runs 1 thread, and 2 after ``import numpy`` and after every fit
+    (MINPACK's extension starts none), so every call stays in one process
+    unless ``OPENBLAS_NUM_THREADS=1`` keeps the pool at 1.
     """
     n = _process_count(len(items), min_per_process)
     chunks = [items[len(items) * i // n : len(items) * (i + 1) // n] for i in range(n)]

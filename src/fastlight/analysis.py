@@ -3,8 +3,12 @@
 Estimation: the arrival of an intensity envelope |E(t)|^2 is located either
 by its centroid (exact for any profile, sensitive to tails) or by a Gaussian
 fit (matches how peak positions are read off in practice; robust to
-truncation, reports a residual as a distortion score).  The fit runs
-MINPACK's Levenberg-Marquardt ``lmder`` through ``scipy.optimize.leastsq``.
+truncation, reports a residual as a distortion score).  The fit calls
+MINPACK's Levenberg-Marquardt ``lmder`` as ``scipy.optimize.leastsq`` does,
+from scipy's extension ``scipy.optimize._minpack`` alone (``_lmder``): it
+loads in under a millisecond, its first call imports scipy's small callback
+module (about 20 ms), and neither starts a thread, where ``import
+scipy.optimize`` takes about 0.55 s and loads scipy.linalg.
 
 Loss budget: a bare line that transmits T advances the peak by
 t_atom = -ln(T) / (2 gamma').  Splitting the light into unequal H/V weights,
@@ -40,7 +44,11 @@ enters only when an advance is turned into seconds.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -97,18 +105,37 @@ def centroid(envelope: Envelope) -> ArrivalEstimate:
     )
 
 
+@functools.cache
+def _lmder():
+    """MINPACK's ``lmder`` from scipy's extension ``scipy.optimize._minpack``,
+    loaded once per process without ``import scipy.optimize``: the module in
+    ``sys.modules`` if there is one, else the extension in scipy's
+    ``optimize`` directory, registered so that scipy's own import shares it."""
+    name = "scipy.optimize._minpack"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        packages = scipy.submodule_search_locations if scipy else []
+        where = [os.path.join(package, "optimize") for package in packages]
+        spec = importlib.machinery.PathFinder.find_spec(name, where)
+        if spec is None:
+            raise ImportError(f"the Gaussian fit needs {name}, not found in {where}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name]._lmder
+
+
 def fit_gaussian(envelope: Envelope) -> ArrivalEstimate:
     """Least-squares Gaussian fit to the intensity profile.
 
     Model a exp(-(t-mu)^2/(2 w^2)), seeded from the centroid moments and
     solved in moment-normalized coordinates by MINPACK's Levenberg-Marquardt
-    ``lmder`` (through ``scipy.optimize.leastsq``) with an analytic Jacobian,
-    at most 100 residual evaluations.  Requires at least 10 samples above
-    half maximum (else the grid undersamples the peak).  On solver failure
-    raises FitFailureError carrying the centroid estimate as ``fallback``.
+    ``lmder`` with an analytic Jacobian, at most 100 residual evaluations,
+    called with the arguments ``scipy.optimize.leastsq`` passes it, so the
+    fit has leastsq's bits.  Requires at least 10 samples above half maximum
+    (else the grid undersamples the peak).  On solver failure raises
+    FitFailureError carrying the centroid estimate as ``fallback``.
     """
-    from scipy.optimize import leastsq  # imported here: no other command needs scipy
-
     seed = centroid(envelope)
     y = envelope.intensity
     ymax = seed.amplitude
@@ -123,16 +150,16 @@ def fit_gaussian(envelope: Envelope) -> ArrivalEstimate:
     tau /= seed.width
     yn = y / ymax
     # Work arrays, allocated once per fit and refilled in place: the model's
-    # terms u = tau - m, u^2, e and a e, and the Jacobian, each keyed on the
-    # exact parameter bits of the point it holds (lmder asks for the Jacobian
-    # at the point it has just accepted, and leastsq checks both at x0 before
-    # lmder evaluates them there).  e stays outside the read-only Jacobian,
-    # which every caller shares, so a trial point's residual leaves it whole.
-    # Each residual is a new array: lmder keeps the first as its own fvec and
-    # copies later ones into it, so a reused buffer would overwrite it.
+    # terms u = tau - m, u^2, e and a e, keyed on the exact parameter bits of
+    # the point they hold (lmder asks for each Jacobian, and at times a
+    # residual, at the point it has just evaluated), and the Jacobian.  e
+    # stays outside the read-only Jacobian, which every call returns, so a
+    # trial point's residual leaves it whole.  Each residual is a new array:
+    # lmder keeps the first as its own fvec and copies later ones into it, so
+    # a reused buffer would overwrite it.
     u, u2, e, ae = np.empty((4, tau.size))
     jac = np.empty((3, tau.size))
-    held = [None, None]  # the parameter bits of the terms and of the Jacobian
+    held = [None]  # the parameter bits of the terms
 
     def terms(p):
         key = p.tobytes()
@@ -144,34 +171,25 @@ def fit_gaussian(envelope: Envelope) -> ArrivalEstimate:
             np.exp(e, out=e)
             np.multiply(a, e, out=ae)
             held[0] = key
-        return key
 
     def residual(p):
         terms(p)
         return ae - yn
 
-    def jacobian(p):  # one row per parameter: leastsq's col_deriv layout
-        key = terms(p)
-        if held[1] != key:
-            s = p[2]
-            jac.flags.writeable = True
-            jac[0] = e
-            np.divide(np.multiply(ae, u, out=jac[1]), s * s, out=jac[1])
-            np.divide(np.multiply(ae, u2, out=jac[2]), s**3, out=jac[2])
-            jac.flags.writeable = False
-            held[1] = key
+    def jacobian(p):  # one row per parameter: lmder's col_deriv layout
+        terms(p)
+        s = p[2]
+        jac.flags.writeable = True
+        jac[0] = e
+        np.divide(np.multiply(ae, u, out=jac[1]), s * s, out=jac[1])
+        np.divide(np.multiply(ae, u2, out=jac[2]), s**3, out=jac[2])
+        jac.flags.writeable = False
         return jac
 
-    x, _, info, _, status = leastsq(
-        residual,
-        [1.0, 0.0, 1.0],
-        Dfun=jacobian,
-        col_deriv=True,
-        full_output=True,
-        ftol=1e-12,
-        xtol=1e-12,
-        gtol=1e-12,
-        maxfev=_MAX_EVALUATIONS,
+    # fcn, Dfun, x0, args, full_output, col_deriv, ftol, xtol, gtol, maxfev, factor, diag
+    x, info, status = _lmder()(
+        residual, jacobian, np.array([1.0, 0.0, 1.0]), (), 1, 1,
+        1e-12, 1e-12, 1e-12, _MAX_EVALUATIONS, 100.0, None,
     )
     if status not in _CONVERGED or not np.all(np.isfinite(x)):
         raise FitFailureError(

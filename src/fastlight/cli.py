@@ -7,9 +7,10 @@ Subcommands:
                   causality self-check
     propagate     synthesize the two-polarization pulse, pass H through the
                   line, post-select at the configured analyzer angles, and
-                  report fitted arrival shifts against the reference arm
+                  report fitted arrival shifts against the reference arm and
+                  against a bare line with the same loss
     sweep-theta   amplification versus analyzer angle compared with the
-                  weak-value prediction
+                  weak-value prediction and with a bare line
     loss-scaling  bare-line versus post-selected advance at equal throughput
     crossover     the throughput where the two schemes break even
 
@@ -70,31 +71,17 @@ _KK_HALF_SPAN = 40.0
 _KK_POINTS = 1 << 14
 _DARK_PORT_GUARD_DEG = 0.01
 _MAX_SWEEP_COUNT = 1 << 20
-# Fewest fitted samples worth a process of their own; a fit of n_samples is
-# the unit, so each process gets at least ceil(this / n_samples) fits: 80 at
-# 4096 samples, 5 at 2^16.  Two processes against one through ordered_map,
-# timed in one warm process on a 2-CPU machine (_angle_table, medians of 15
-# alternated pairs; the quick-start line, the README medium at 2^16): at 4096
-# samples 32 fits per process took 0.79 of the time (faster in 13 pairs) and
-# 48 to 96 fits 0.55-0.60 (faster in all 15); 1 fit per process took 1.03 at
-# 2^16 (faster in 2), 1.00 at 2^18 (in 6) and 0.78 at 2^19 (in 15); 2 to 4
-# fits of 2^16 took 0.60-0.76 (in 15).  A lower threshold would split runs
-# that are not faster in 9 of 10 pairs: 64 * 4096 splits 2 fits of 2^18, and
-# 32 * 4096 also 32 fits of 4096 per process.
+# Fewest fitted samples worth a process: ceil(this / n_samples) fits each, 80
+# at 4096 samples, 5 at 2^16; lower values newly split runs that were no faster.
 _MIN_FIT_SAMPLES_PER_PROCESS = 80 * 4096
-# Fewest trace CSV rows worth a process of their own; a file of n_samples
-# rows is the unit, so each process gets at least ceil(this / n_samples)
-# files.  Two processes against one, timed in one warm process on a 2-CPU
-# machine (medians of 9 to 15 alternated pairs, files of 1024 to 2^16 rows,
-# with and without 60 MB more of the parent's memory to copy on write): at
-# 2048 and 4096 rows each the split was 1.1-2.1 times as slow, at 8192 it
-# took 0.84-1.03 of the time, at 16384 0.68-0.79 and from 32768 0.54-0.79.
-# propagate's quick-start (4 files of 4096 rows) stays in one process.
+# Fewest trace CSV rows worth a process: ceil(this / n_samples) files each;
+# below about 2^14 rows a process, a fork costs more than it saves.
 _MIN_TRACE_ROWS_PER_PROCESS = 1 << 15
 # sweep_theta.csv and loss_scaling_summary.csv: subsets, in order, of the
 # propagate_summary.csv and crossover.csv quantities
 _SWEEP_COLUMNS = (
-    "theta_deg", "weak_value", "amplification_fitted", "relative_deviation", "throughput_measured"
+    "theta_deg", "weak_value", "amplification_fitted", "relative_deviation", "throughput_measured",
+    "advantage_over_bare",
 )
 _LOSS_SUMMARY_KEYS = (
     "crossover_transmission", "theta_opt_deg_at_crossover", "gamma_prime_rad_per_s"
@@ -207,7 +194,8 @@ def _angle_table(propagated, line, t_tilde, thetas_deg, arms=("V",)) -> tuple:
     the fits need the propagated pulse: the angles, then the arms, go through
     ``ordered_map``, a chunk of fits per process.  The amplification is the
     advance over the reference (V) arm in units of the line's own advance
-    ``line.t0``."""
+    ``line.t0``; ``advantage_over_bare`` is the advance over that of a bare
+    line passing the same measured throughput, ``t_atom(throughput)``."""
     envelopes = {"H": propagated.h, "V": propagated.v}
 
     def fit(item):
@@ -230,6 +218,9 @@ def _angle_table(propagated, line, t_tilde, thetas_deg, arms=("V",)) -> tuple:
     a_w = np.array([weak_value(theta) for theta in thetas])
     advance = centers["V"] - selected_centers
     amplification = advance / line.t0
+    bare_advance = np.array([t_atom(t, line.gamma_prime) for t in throughputs])
+    with np.errstate(divide="ignore", invalid="ignore"):  # a throughput of 1: inf or nan
+        advantage = advance / bare_advance
     table = {
         "theta_deg": thetas_deg,
         "weak_value": a_w,
@@ -241,6 +232,8 @@ def _angle_table(propagated, line, t_tilde, thetas_deg, arms=("V",)) -> tuple:
         "throughput_measured": throughputs,
         "throughput_predicted": [total_transmission(t_tilde, theta) for theta in thetas],
         "fit_residual_rms": residuals,
+        "bare_advance_same_loss_s": bare_advance,
+        "advantage_over_bare": advantage,
     }
     return table, centers
 

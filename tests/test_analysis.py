@@ -1,6 +1,8 @@
 """Arrival-time estimation and the loss-vs-advance trade-off."""
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
 import pickle
 import sys
@@ -8,7 +10,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares, leastsq
@@ -57,6 +58,8 @@ THETA_OPT_DEG = {
     0.9: 42.06515030201,
 }
 CROSSOVER_TRANSMISSION = 0.056596043051963384
+
+QUICK_START_LINE = {"line": {"t0_us": 0.28, "line_center_transmission": 0.5}}
 
 # The physical-mode example of the README.
 README_MEDIUM = {
@@ -155,11 +158,13 @@ def test_fit_on_distorted_pulse_regression():
 
 @pytest.mark.parametrize("status", [0, 5, 6, 7, 8])
 def test_every_minpack_failure_code_raises_fit_failure(monkeypatch, status):
-    def solve_then_fail(*args, **kwargs):
-        return (*leastsq(*args, **kwargs)[:4], status)
+    lmder = analysis._lmder()
 
-    # fit_gaussian imports leastsq when it runs, so the patch sits on scipy
-    monkeypatch.setattr(scipy.optimize, "leastsq", solve_then_fail)
+    def solve_then_fail(*args):
+        return (*lmder(*args)[:2], status)
+
+    # fit_gaussian looks lmder up through analysis._lmder, so the patch sits there
+    monkeypatch.setattr(analysis, "_lmder", lambda: solve_then_fail)
     pulse = _gaussian_pulse()
     with pytest.raises(FitFailureError, match=f"MINPACK status {status}") as excinfo:
         fit_gaussian(pulse)
@@ -167,22 +172,99 @@ def test_every_minpack_failure_code_raises_fit_failure(monkeypatch, status):
 
 
 def test_fit_shares_one_read_only_jacobian_per_point(monkeypatch):
-    # leastsq checks the Jacobian at x0, and lmder then asks for it there
-    # again: both calls get the same array, which nobody can write into
-    seen = []
+    # lmder asks for the Jacobian once per accepted point, always at the point
+    # it has just evaluated; every call gets the fit's one Jacobian array,
+    # which nobody can write into
+    lmder = analysis._lmder()
+    evaluated, seen = [], []
 
-    def spy(func, x0, Dfun=None, **kwargs):
+    def spy(func, dfun, x0, *rest):
+        def residual(p):
+            evaluated.append(p.tobytes())
+            return func(p)
+
         def jacobian(p):
-            seen.append((p.tobytes(), Dfun(p)))
-            return seen[-1][1]
+            seen.append((p.tobytes(), evaluated[-1], dfun(p)))
+            return seen[-1][2]
 
-        return leastsq(func, x0, Dfun=jacobian, **kwargs)
+        return lmder(residual, jacobian, x0, *rest)
 
-    monkeypatch.setattr(scipy.optimize, "leastsq", spy)
-    fit_gaussian(_gaussian_pulse())
-    assert len(seen) >= 2 and seen[0][0] == seen[1][0]
-    assert seen[1][1] is seen[0][1]
-    assert all(not jac.flags.writeable for _, jac in seen)
+    monkeypatch.setattr(analysis, "_lmder", lambda: spy)
+    fit_gaussian(_distorted_output()[0].h)  # a misfit that takes several steps
+    assert len(seen) >= 2
+    assert all(point == last for point, last, _ in seen)
+    assert len({point for point, _, _ in seen}) == len(seen)
+    assert all(jac is seen[0][2] for _, _, jac in seen)
+    assert all(not jac.flags.writeable for _, _, jac in seen)
+
+
+def _through_leastsq_and_lmder(envelope):
+    """``fit_gaussian``'s residual and Jacobian solved by its own ``_lmder``
+    call and again by ``scipy.optimize.leastsq``: (x, fvec, nfev, status) of
+    each, as bytes where they are arrays."""
+    lmder = analysis._lmder()
+    calls = []
+
+    def spy(*args):
+        calls.append((args, lmder(*args)))
+        return calls[-1][1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_lmder", lambda: spy)
+        try:
+            fit_gaussian(envelope)
+        except FitFailureError:  # a failure code must match too
+            pass
+    (args, (x, info, status)), = calls
+    residual, jacobian = args[:2]
+    x_ls, _, info_ls, _, status_ls = leastsq(
+        residual, [1.0, 0.0, 1.0], Dfun=jacobian, col_deriv=True, full_output=True,
+        ftol=1e-12, xtol=1e-12, gtol=1e-12, maxfev=analysis._MAX_EVALUATIONS,
+    )
+    own = (x.tobytes(), info["fvec"].tobytes(), info["nfev"], status)
+    return own, (x_ls.tobytes(), info_ls["fvec"].tobytes(), info_ls["nfev"], status_ls)
+
+
+@functools.cache
+def _quick_start_propagated(propagation):
+    config = parse_config({**QUICK_START_LINE, "propagation": propagation})
+    return _propagated_state(config)[2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    theta_deg=st.one_of(st.floats(-85.0, -5.0), st.floats(-45.5, -44.5)),
+    propagation=st.sampled_from(["spectral", "ideal"]),
+)
+@example(theta_deg=-44.51, propagation="spectral")
+@example(theta_deg=-45.02, propagation="ideal")
+def test_fit_through_lmder_has_leastsqs_bits(theta_deg, propagation):
+    # the solver is called as leastsq calls it, without leastsq's own checks
+    # at x0: the same x, residual vector, evaluation count and status, bit
+    # for bit, on both sides of the dark port and within 0.5 deg of it
+    selected = post_select(_quick_start_propagated(propagation), math.radians(theta_deg)).envelope
+    own, reference = _through_leastsq_and_lmder(selected)
+    assert own == reference
+
+
+def test_large_grid_fit_through_lmder_has_leastsqs_bits():
+    config = parse_config({"medium": README_MEDIUM, "grid": {"n_samples": 1 << 16}})
+    _, _, propagated = _propagated_state(config)
+    for envelope in (propagated.h, post_select(propagated, math.radians(-44.5)).envelope):
+        own, reference = _through_leastsq_and_lmder(envelope)
+        assert own == reference
+
+
+def test_a_missing_minpack_extension_is_an_import_error(monkeypatch, tmp_path):
+    # a scipy whose optimize directory lacks the extension: one ImportError
+    # naming the directory searched, and no fallback
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    monkeypatch.delitem(sys.modules, "scipy.optimize._minpack", raising=False)
+    with pytest.raises(ImportError, match="scipy.optimize._minpack") as excinfo:
+        analysis._lmder.__wrapped__()
+    assert str(tmp_path / "optimize") in str(excinfo.value)
 
 
 def _least_squares_fit(envelope):

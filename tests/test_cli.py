@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 import fastlight.cli
-from fastlight import FitFailureError, _fork, default_config, load_config, t_atom
+from fastlight import FitFailureError, _fork, default_config, load_config, parse_config, t_atom
 from fastlight.atomic_response import kramers_kronig_residual, transfer_exponent
-from fastlight.cli import main
+from fastlight.cli import _angle_table, _propagated_state, main
+from oracles import two_gaussian_centroid
 
 MEDIUM = {
     "beta_rad_per_us": 0.0022,
@@ -94,6 +95,54 @@ def test_quick_start_arrives_later_than_a_bare_line_with_the_same_loss(tmp_path)
     ratios = table["advance_s"] / bare
     assert ratios == pytest.approx([0.812, -0.684], abs=1e-3)
     assert np.all(ratios < 1)
+    # and the summary says so itself
+    assert table["advantage_over_bare"] == pytest.approx([0.812, -0.684], abs=1e-3)
+
+
+@pytest.mark.parametrize("propagation", ["spectral", "ideal"])
+def test_advantage_over_bare_is_the_advance_over_t_atom_of_the_measured_throughput(propagation):
+    # row by row and bit for bit, 0.5 deg either side of the dark port too
+    config = parse_config(dict(QUICK_START, propagation=propagation))
+    line, t_tilde, propagated = _propagated_state(config)
+    thetas = [-85.0, -50.0, -45.5, -44.5, -40.0, -5.0, 30.0, 90.0]
+    table, _ = _angle_table(propagated, line, t_tilde, thetas)
+    for i in range(len(thetas)):
+        bare = t_atom(table["throughput_measured"][i], line.gamma_prime)
+        assert table["bare_advance_same_loss_s"][i] == bare
+        assert table["advantage_over_bare"][i] == table["advance_s"][i] / bare
+
+
+def test_a_throughput_that_rounds_to_one_prints_an_infinite_advantage(tmp_path):
+    # a line of t0 = 1e-20 us passes T~ = 1.0 exactly, so at 45 deg the
+    # measured throughput is 1 and the bare line advances by 0: the column
+    # reads inf, without a numpy warning (pyproject.toml fails any warning)
+    cfg = _write_config(tmp_path, {"line": {"t0_us": 1e-20, "gamma_prime_rad_per_us": 1.0}})
+    sweep = ["sweep-theta", "--start", "44", "--stop", "46", "--count", "3"]
+    assert main(sweep + ["--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    swept = _csv_columns(tmp_path / "out" / "sweep_theta.csv")
+    assert swept["throughput_measured"][1] == "1.000000000000e+00"
+    assert swept["advantage_over_bare"][1] == "inf"
+
+
+def test_ideal_advantage_over_bare_is_the_weak_value_reading():
+    # under ideal propagation the post-selected field is a two-Gaussian sum
+    # with arm weights cos(theta), sin(theta): its centroid advance is A t0
+    # (A from oracles.two_gaussian_centroid) at the exact throughput
+    # T = T~ (1 + kappa sin 2 theta)/(1 + T~), so the ratio to a bare line
+    # that passes T is A ln T~ / ln T.  The fit reads a peak, not the
+    # centroid: at every whole degree at least 10 deg from the port the gap
+    # is at most 1.2e-4 relative (at -55 deg), so the tolerance is 2e-4.
+    config = parse_config(dict(QUICK_START, propagation="ideal"))
+    line, t_tilde, propagated = _propagated_state(config)
+    sigma = config.pulse_sigma_s()
+    kappa = math.exp(-(line.t0**2) / (8 * sigma**2))
+    thetas = [float(deg) for deg in range(-85, 90) if abs(deg + 45) >= 10]
+    table, _ = _angle_table(propagated, line, t_tilde, thetas)
+    for theta_deg, advantage in zip(thetas, table["advantage_over_bare"]):
+        theta = math.radians(theta_deg)
+        a = -two_gaussian_centroid(math.cos(theta), math.sin(theta), line.t0, sigma) / line.t0
+        throughput = t_tilde * (1 + kappa * math.sin(2 * theta)) / (1 + t_tilde)
+        assert advantage == pytest.approx(a * math.log(t_tilde) / math.log(throughput), rel=2e-4)
 
 
 def test_propagate_theta_zero_is_the_h_arm(tmp_path):
@@ -279,7 +328,7 @@ def test_sweep_theta_columns_are_propagate_columns(tmp_path):
     propagated = _csv_columns(out / "propagate_summary.csv")
     assert list(swept) == [
         "theta_deg", "weak_value", "amplification_fitted", "relative_deviation",
-        "throughput_measured",
+        "throughput_measured", "advantage_over_bare",
     ]
     assert [c for c in propagated if c in swept] == list(swept)
     for column, cells in swept.items():
@@ -707,7 +756,32 @@ loaded = [name for name in sys.modules if name == "scipy" or name.startswith("sc
 assert not loaded, f"{len(loaded)} scipy modules loaded, e.g. {sorted(loaded)[:3]}"
 sweep = ["sweep-theta", "--start", "-30", "--stop", "-10", "--count", "3"]
 assert main(sweep + ["--out", out + "/sweep"]) == 0
-assert "scipy.optimize" in sys.modules
+assert main(["propagate", "--out", out + "/propagate"]) == 0
+# the fits load MINPACK's extension, whose first call imports scipy's small
+# callback module, but neither scipy.optimize nor scipy.linalg
+assert "scipy.optimize._minpack" in sys.modules
+subpackages = ("scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.special")
+loaded = [name for name in sys.modules if name.startswith(subpackages)]
+assert loaded == ["scipy.optimize._minpack"], loaded
+"""
+
+# Run in a fresh interpreter: lmder loaded by the fit first, scipy.optimize after.
+_LMDER_THEN_SCIPY = """
+import importlib
+import sys
+from fastlight import analysis
+
+lmder = analysis._lmder()
+assert "scipy.optimize" not in sys.modules
+import scipy.optimize
+from scipy.optimize import _minpack_py
+
+minpack = importlib.import_module("scipy.optimize._minpack")
+assert minpack is sys.modules["scipy.optimize._minpack"] is _minpack_py._minpack
+assert minpack._lmder is lmder and analysis._lmder() is lmder
+identity = [[1.0, 0.0], [0.0, 1.0]]
+x, status = scipy.optimize.leastsq(lambda p: p - [1.0, 2.0], [0.0, 0.0], Dfun=lambda p: identity)
+assert status in (1, 2, 3, 4) and list(x) == [1.0, 2.0], (x, status)
 """
 
 
@@ -724,6 +798,11 @@ def _run_fresh(*argv):
 def test_fit_free_commands_load_no_scipy(tmp_path):
     medium = _write_config(tmp_path, {"medium": MEDIUM}, name="medium.json")
     child = _run_fresh("-c", _SCIPY_FREE_RUNS, str(tmp_path / "out"), medium)
+    assert child.returncode == 0, child.stderr
+
+
+def test_scipy_optimize_imported_after_a_fit_shares_its_minpack():
+    child = _run_fresh("-c", _LMDER_THEN_SCIPY)
     assert child.returncode == 0, child.stderr
 
 

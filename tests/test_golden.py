@@ -14,7 +14,13 @@ when the trace CSVs' ``intensity`` column moved from ``float_power(hypot(re,
 im), 2)`` to ``Envelope.intensity``, re*re + im*im, the |z|^2 that every fit
 and energy reads: ``QUICK_START_SHA256["trace_h.csv"]`` (2 of 4096 rows) and
 ``IDEAL_SHA256["trace_h.csv"]`` (1 row).  Only that column moved, and each
-moved cell is closer to the exact |z|^2 of its sample.
+moved cell is closer to the exact |z|^2 of its sample.  Five more were
+re-frozen when every angle row gained its comparison with a bare line at the
+same loss: the quick-start ``propagate_summary.csv`` and ``sweep_theta.csv``,
+``PHYSICAL_SHA256`` and ``IDEAL_SHA256``'s ``propagate_summary.csv``, and
+``DENSE_SWEEP_SHA256["sweep_theta.csv"]``.  Each gained columns at its end
+(``bare_advance_same_loss_s`` and ``advantage_over_bare`` in a summary,
+``advantage_over_bare`` in a sweep); every other column kept its bytes.
 
 The digests were taken with numpy 2.4.6 and scipy 1.17.1; another numpy or
 scipy build may round a last printed digit differently, in which case a
@@ -40,8 +46,8 @@ QUICK_START_SHA256 = {
     "trace_postselected_theta_-50.00.csv": (
         "dea35f755be5b463e4928589a71da671fe25236f7f50ad2e516d1fdb33e0d60d"
     ),
-    "propagate_summary.csv": "0ca8f7d490f9c8dbeeb2126ddccfac52bb208f011ae91169366d5f46c4944193",
-    "sweep_theta.csv": "beb786b3232ee7bdecdcbe698cdc6fa5237ce091b3e221e31906c8af064fb18b",
+    "propagate_summary.csv": "06246b94e0a59292fa904bb2e72d5808a1b7cf4cf7799cc5d792f63ecdbf1bf4",
+    "sweep_theta.csv": "f147043cca953f9ff3ca9cecc68beab8f32dfc1d7c539b6f8ac3d67925135f35",
     "loss_scaling.csv": "2ec7b6bef8591e6da441c17d8140cb3fd7f88b4c434078fb16a2767365e931e8",
     "loss_scaling_summary.csv": "64f2ef5234d9a9f0869e49214d1291bcb8247b3a461902fd508a50945ac82ff8",
     "crossover.csv": "6f59059ff9bf42756f9ed620e00756b8a5041a334ac403ff981ad7d195301a23",
@@ -71,7 +77,7 @@ PHYSICAL_SHA256 = {
     "trace_postselected_theta_-50.00.csv": (
         "40d0481ac1161bfbe30e30bb3440ce6c336802b9608228e054f9633618102507"
     ),
-    "propagate_summary.csv": "664eb972b5882b1aba478a6f2499e7915f9520c5e66f900eade54dc7456fdd28",
+    "propagate_summary.csv": "6aa572fa08064724bd8837bf43786c1c2c1f21aebbba87432763cfd0bb1233a7",
 }
 
 IDEAL = {"line": {"t0_us": 0.28, "line_center_transmission": 0.5}, "propagation": "ideal"}
@@ -87,7 +93,7 @@ IDEAL_SHA256 = {
     "trace_postselected_theta_-50.00.csv": (
         "a2c02c92d5ba34b7cb63d93a35fd7c6b35d053954286d4c77181605622774501"
     ),
-    "propagate_summary.csv": "7a7bc377a6aef3cafa016262e083fb993e1954c6d61e3e87656f09cdd541baf3",
+    "propagate_summary.csv": "062f3b9c4aa0a302df3b32aa6e9f0d9134739d3b81b327e1199edb23171b151e",
 }
 
 # 200 log-spaced transmissions over the range the loss-budget benchmark draws
@@ -112,7 +118,7 @@ DENSE_SWEEP = {
 }
 DENSE_SWEEP_ARGS = ["--start", "-85.3", "--stop", "-4.7", "--count", "1000"]
 DENSE_SWEEP_SHA256 = {
-    "sweep_theta.csv": "3eae6e56675442deecc018bb4baa5f7a849bc64543a801b23c3fd7dda6f5769b",
+    "sweep_theta.csv": "7695caba3e5f66e93eabb42de32e1509df2ddd3d9c452cca4e8bcf9681e15836",
 }
 
 
