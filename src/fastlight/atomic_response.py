@@ -40,6 +40,7 @@ All quantities are SI: angular rates in rad/s, times in s, lengths in m.
 
 from __future__ import annotations
 
+import contextlib
 import warnings
 from dataclasses import dataclass
 
@@ -152,22 +153,34 @@ def _require_far_detuned(spec: MediumSpec, what: str) -> None:
         )
 
 
+@contextlib.contextmanager
+def _in_float_range(message: str):
+    """numpy's raise mode: NumericalError with ``message``, not inf, 0 or nan behind a
+    warning, where a product or square overflows, a divisor underflows to 0 or x is inf."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except ArithmeticError:
+        raise NumericalError(message) from None
+
+
+@_in_float_range("line shape out of float range: |x| above ~1e154 or too strong a line")
 def _lorentzian(strength, x, gp):
     """The line shape both chi and Phi share: strength (x + i gp)/(x^2 + gp^2)."""
     return strength * (x + 1j * gp) / (x**2 + gp**2)
 
 
+@_in_float_range("line slope out of float range: |x| or gamma' above ~1e77, or gamma' below ~1e-81")
 def _lorentzian_slope(strength, x, gp):
-    """d/dx Re ``_lorentzian`` = strength (gp^2 - x^2)/(x^2 + gp^2)^2; NumericalError,
-    not a slope of 0 or nan, where a square overflows, (x^2 + gp^2)^2 underflows to 0
-    or x is infinite."""
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return strength * (gp**2 - x**2) / (x**2 + gp**2) ** 2
-    except ArithmeticError:
-        raise NumericalError(
-            "line slope out of float range: |x| or gamma' above ~1e77, or gamma' below ~1e-81"
-        ) from None
+    """d/dx Re ``_lorentzian`` = strength (gp^2 - x^2)/(x^2 + gp^2)^2."""
+    return strength * (gp**2 - x**2) / (x**2 + gp**2) ** 2
+
+
+def _as_given(given, out):
+    """``out`` in ``given``'s form: an array as it is, a number's row as a scalar of its kind."""
+    if np.ndim(given):
+        return out
+    return out[0] if isinstance(given, (np.generic, np.ndarray)) else out[0].item()
 
 
 def _chi_strength(spec: MediumSpec) -> float:
@@ -182,38 +195,24 @@ def chi_lorentzian(delta_prime, spec: MediumSpec):
     Requires |Delta| >= 10 Gamma (hard error); warns below 100 Gamma.
     """
     _require_far_detuned(spec, "chi_lorentzian")
-    delta_prime = np.asarray(check_grid("delta_prime", delta_prime), dtype=float)
-    out = _lorentzian(_chi_strength(spec), delta_prime, gamma_effective(spec))
-    return out if out.ndim else complex(out)
-
-
-def refractive_index(chi):
-    """Weak-susceptibility refractive index n = 1 + chi/2.
-
-    Valid only for |chi| < 0.5; beyond that the linearization of
-    sqrt(1 + chi) is not trustworthy and an error is raised.
-    """
-    chi = np.asarray(chi, dtype=complex)
-    if np.any(np.abs(chi) >= 0.5):
-        raise ParameterError(
-            "refractive_index expects |chi| < 0.5; the n = 1 + chi/2 "
-            f"linearization is invalid (max |chi| = {float(np.max(np.abs(chi))):.3g})"
-        )
-    out = 1.0 + chi / 2.0
-    return out if out.ndim else complex(out)
+    x = check_grid("delta_prime", delta_prime)
+    return _as_given(delta_prime, _lorentzian(_chi_strength(spec), x, gamma_effective(spec)))
 
 
 def group_index(delta_prime, spec: MediumSpec):
-    """Group index n_g = Re(n) + omega dRe(n)/d(delta'), with dRe(n)/d(delta')
-    half the slope of chi's Lorentzian: 1 + beta (|Omega_c|^2/8 Delta^2)
-    omega/gamma'^2 at line centre.  NumericalError if |delta'| or gamma' > ~1e77
-    or gamma' < ~1e-81."""
+    """Group index n_g = Re(n) + omega dRe(n)/d(delta') of n = 1 + chi/2, with dRe(n)/d(delta')
+    half the slope of chi's Lorentzian: 1 + beta (|Omega_c|^2/8 Delta^2) omega/gamma'^2 at line
+    centre.  ParameterError where |chi| >= 0.5, beyond which n = 1 + chi/2 is no linearization
+    of sqrt(1 + chi); NumericalError if |delta'| or gamma' > ~1e77 or gamma' < ~1e-81."""
     _require_far_detuned(spec, "group_index")
-    delta_prime = np.asarray(check_grid("delta_prime", delta_prime), dtype=float)
+    x = check_grid("delta_prime", delta_prime)
     strength, gp = _chi_strength(spec), gamma_effective(spec)
-    slope = _lorentzian_slope(strength, delta_prime, gp)  # refuses what chi would overflow on
-    out = refractive_index(_lorentzian(strength, delta_prime, gp)).real + spec.omega0 / 2 * slope
-    return out if out.ndim else float(out)
+    slope = _lorentzian_slope(strength, x, gp)  # refuses what chi would overflow on
+    chi = _lorentzian(strength, x, gp)
+    if np.any(np.abs(chi) >= 0.5):
+        raise ParameterError("group_index expects |chi| < 0.5; the n = 1 + chi/2 linearization "
+                             f"is invalid (max |chi| = {float(np.max(np.abs(chi))):.3g})")
+    return _as_given(delta_prime, 1.0 + chi.real / 2.0 + spec.omega0 / 2 * slope)
 
 
 def group_advance(spec: MediumSpec) -> ReducedLine:
@@ -259,7 +258,8 @@ def transfer_exponent(om, line: ReducedLine):
     the intensity transmission there is exp(-2 gamma' t0)).
     """
     _check_square("gamma_prime", line.gamma_prime, divides=True)  # the loss budget never squares it
-    return _lorentzian(line.t0 * line.gamma_prime**2, check_grid("om", om), line.gamma_prime)
+    out = _lorentzian(line.t0 * line.gamma_prime**2, check_grid("om", om), line.gamma_prime)
+    return _as_given(om, out)
 
 
 def phase_slope(om, line: ReducedLine):
@@ -268,7 +268,8 @@ def phase_slope(om, line: ReducedLine):
     Equals ``line.t0`` at centre and changes sign at |Om| = gamma'.
     """
     _check_square("gamma_prime", line.gamma_prime, divides=True)
-    return _lorentzian_slope(line.t0 * line.gamma_prime**2, check_grid("om", om), line.gamma_prime)
+    out = _lorentzian_slope(line.t0 * line.gamma_prime**2, check_grid("om", om), line.gamma_prime)
+    return _as_given(om, out)
 
 
 def _taper_ends(values: np.ndarray, fraction: float) -> np.ndarray:
@@ -309,7 +310,7 @@ def kramers_kronig_residual(delta_grid: np.ndarray, chi_values: np.ndarray) -> f
     shrinks as the grid span grows; Im(chi) == 0 with nonzero Re(chi) yields
     a residual of 1 (maximal inconsistency flag).
     """
-    delta_grid = np.asarray(check_grid("delta_grid", delta_grid), dtype=float)
+    delta_grid = check_grid("delta_grid", delta_grid)
     chi_values = np.asarray(chi_values, dtype=complex)
     n = delta_grid.size
     if chi_values.size != n:
@@ -342,7 +343,7 @@ def kk_check(spec: MediumSpec, delta_prime_grid: np.ndarray) -> float:
     slowly, so truncation dominates the residual and widening the span
     improves it monotonically.
     """
-    grid = np.asarray(check_grid("delta_prime_grid", delta_prime_grid), dtype=float)
+    grid = check_grid("delta_prime_grid", delta_prime_grid)
     gp = gamma_effective(spec)
     if grid.size < _KK_MIN_POINTS:
         raise ParameterError(f"KK check needs >= {_KK_MIN_POINTS} points; got {grid.size}")

@@ -47,16 +47,18 @@ def check_number(name: str, value) -> None:
         raise ParameterError(f"{name}: must be a number; got {value!r}") from None
 
 
-def check_grid(name: str, values):
-    """Raise ParameterError naming ``name`` unless numpy reads ``values`` as real
-    numbers; return a number as it was given, anything else as numpy's array of
-    it (an array of numbers is returned uncopied)."""
-    array = np.asarray(values)
-    if array.dtype.kind not in "biuf":
-        raise ParameterError(
-            f"{name}: must be a number or an array of numbers; got {reprlib.repr(values)}"
-        )
-    return values if array.ndim == 0 else array
+def check_grid(name: str, values) -> np.ndarray:
+    """Raise ParameterError naming ``name`` unless numpy reads ``values`` as real numbers (not
+    ragged rows); return numpy's float64 array of them, uncopied if it is one, and a number as
+    one row: numpy would treat a 0-d array as a scalar, with its own rounding."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged rows: numpy reads no array shape
+        array = None
+    if array is None or array.dtype.kind not in "biuf":
+        raise ParameterError(f"{name}: must be a number or an array of numbers; "
+                             f"got {reprlib.repr(values)}")
+    return np.atleast_1d(array.astype(float, copy=False))
 
 
 def check_positive(name: str, value: float) -> None:

@@ -152,9 +152,8 @@ class Envelope:
 class PolarizedPulse:
     """H and V envelope pair on one grid.
 
-    ``reference_energy`` is the total energy of the state when it was
-    assembled (before the medium); throughput downstream is measured against
-    it.
+    ``reference_energy``, finite and > 0, is the total energy of the state
+    when it was assembled (before the medium); throughput is measured against it.
     """
 
     h: Envelope
@@ -164,7 +163,7 @@ class PolarizedPulse:
     def __post_init__(self):
         if self.h.grid != self.v.grid:
             raise ParameterError("h and v must share the same time grid")
-        check_number("reference_energy", self.reference_energy)
+        check_positive("reference_energy", self.reference_energy)
 
 
 def _check_no_wraparound(samples: np.ndarray, context: str) -> None:

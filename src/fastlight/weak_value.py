@@ -75,8 +75,6 @@ def post_select(pulse: PolarizedPulse, theta: float) -> PostSelectedPulse:
     edge.
     """
     _check_angle(theta)
-    if pulse.reference_energy <= 0:
-        raise ParameterError("pulse.reference_energy must be positive")
     if theta == 0.0:
         envelope = pulse.h
     else:

@@ -476,19 +476,22 @@ def _full_grid(total):
     """The objective on 2000 evenly spaced angles phi = theta + pi/4 across
     the feasible interval, and those phi: the reference the root-find must
     match or beat.  A_w ln(2 sin^2(phi)/T - 1) is written in phi alone, as
-    (1 + cot phi)/2 log1p(2((1 - T) - cos^2 phi)/T), so each cell is the
-    objective at its float phi to rounding; cells that round outside the
-    interval read -inf.  T = 1 has the one feasible angle phi = pi/2."""
+    (1 + cot phi)/2 log1p(2 e/T), with e = sin^2 phi - T below T = 1/2 and
+    (1 - T) - cos^2 phi above, as in ``_objective``, where neither cancels,
+    so each cell is the objective at its float phi to rounding; cells that
+    round outside the interval read -inf.  T = 1 has the one feasible angle
+    phi = pi/2."""
     if total == 1.0:
         return np.zeros(1), np.array([math.pi / 2])
     rest = 1.0 - total
     lo = math.atan2(math.sqrt(total), math.sqrt(rest))
     phi = np.linspace(lo, min(3 * math.pi / 4, math.pi - lo), _GRID_CELLS)
-    cos = np.cos(phi)
-    arg = 2 * (rest - cos * cos) / total
+    cos, sin = np.cos(phi), np.sin(phi)
+    excess = sin * sin - total if total < 0.5 else rest - cos * cos
+    arg = 2 * excess / total
     feasible = arg >= 0.0
     h = np.log1p(np.where(feasible, arg, 0.0))
-    return np.where(feasible, (1.0 + cos / np.sin(phi)) / 2 * h, -np.inf), phi
+    return np.where(feasible, (1.0 + cos / sin) / 2 * h, -np.inf), phi
 
 
 def _assert_matches_full_grid(total, advance, theta):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -5,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.constants
 import scipy.signal
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fastlight import errors
 from fastlight import (
@@ -32,7 +35,6 @@ from fastlight.atomic_response import (
     light_shift,
     phase_slope,
     power_broadening,
-    refractive_index,
     transfer_exponent,
 )
 from fastlight.cli import _KK_HALF_SPAN, _KK_POINTS, _SPECTRUM_HALF_SPAN, main
@@ -141,14 +143,6 @@ def test_chi_full_degenerate_denominator():
         chi_full(0.0, spec)
 
 
-def test_refractive_index_value_and_domain():
-    assert refractive_index(0.02 + 0.04j) == pytest.approx(1.01 + 0.02j)
-    with pytest.raises(ParameterError, match=r"expects \|chi\| < 0.5"):
-        refractive_index(0.6)
-    with pytest.raises(ParameterError, match=r"expects \|chi\| < 0.5"):
-        refractive_index(np.array([0.01, 0.5j]))
-
-
 def test_group_index_closed_form_at_line_center(example_spec):
     gp = gamma_effective(example_spec)
     expected = 1.0 + example_spec.beta * (
@@ -171,6 +165,18 @@ def test_group_index_sign_flips_at_line_width(example_spec):
     assert group_index(0.9 * gp, example_spec) > 1.0
     assert group_index(1.1 * gp, example_spec) < 1.0
     assert group_index(-1.1 * gp, example_spec) < 1.0
+
+
+def test_group_index_refuses_a_susceptibility_of_half_or_more(example_spec):
+    # |chi| peaks at line centre, S/gamma' = 1e-4 beta here: n = 1 + chi/2
+    # linearizes sqrt(1 + chi) only while |chi| < 0.5
+    peak = abs(chi_lorentzian(0.0, example_spec))
+    below, at = (dataclasses.replace(example_spec, beta=k / peak) for k in (0.49, 0.5))
+    assert abs(chi_lorentzian(0.0, at)) >= 0.5 > abs(chi_lorentzian(0.0, below))
+    assert group_index(0.0, below) > 1.0
+    for delta_prime in (0.0, np.float64(0.0), [1e3, 0.0, -1e3]):  # one row is enough
+        with pytest.raises(ParameterError, match=r"^group_index expects \|chi\| < 0.5; .* = 0.5\)"):
+            group_index(delta_prime, at)
 
 
 def test_group_index_rejects_infinite_detuning(example_spec):
@@ -421,6 +427,31 @@ def test_physical_spectrum_prints_the_40_digit_lorentzian(tmp_path):
     assert printed == NUMBER_FORMAT % float(center) == "8.410501845088e+02"
 
 
+def test_spectrum_of_a_medium_with_a_susceptibility_of_half_or_more_exits_2(tmp_path, capsys):
+    # beta 2500 rad/us in place of 0.0022 lifts |chi| at line centre to about 1
+    path = tmp_path / "run.json"
+    medium = dict(README_MEDIUM["medium"], beta_rad_per_us=2500.0)
+    path.write_text(json.dumps({"medium": medium}), encoding="utf-8")
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: group_index expects |chi| < 0.5;")
+    assert not (tmp_path / "out").exists()
+
+
+def test_spectrum_of_a_medium_whose_chi_strength_overflows_exits_3(tmp_path, capsys):
+    # beta Omega_c^2 overflows (1e300 rad/s times 1e20) while the advance, which
+    # divides first, stays finite: chi's line shape refuses, not nan columns
+    medium = {
+        "beta_rad_per_us": 1e294, "gamma_rad_per_us": 1e6, "Gamma_mhz": 6.0,
+        "omega_c_rabi_rad_per_us": 1e4, "Delta_rad_per_us": 1e4, "length_m": 1e-20,
+        "omega0_rad_per_us": 1e-12,
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"medium": medium}), encoding="utf-8")
+    assert main(["spectrum", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith("error: line shape out of float range")
+    assert not (tmp_path / "out").exists()
+
+
 def test_hilbert_matches_scipy_on_readme_medium():
     """The tapered Im chi that spectrum's kk_residual transforms."""
     cfg = parse_config(README_MEDIUM)
@@ -461,15 +492,20 @@ _LINE = ReducedLine(2.8e-7, 1.25e6)
         (lambda spec: group_index([0.0, "a"], spec), "delta_prime"),
         (lambda spec: kk_check(spec, "a"), "delta_prime_grid"),
         (lambda spec: kramers_kronig_residual(None, np.zeros(16)), "delta_grid"),
+        (lambda spec: transfer_exponent([[1.0, 2.0], [3.0]], _LINE), "om"),
+        (lambda spec: phase_slope([0.0, [1.0, 2.0]], _LINE), "om"),
+        (lambda spec: group_index([[0.0], []], spec), "delta_prime"),
+        (lambda spec: kk_check(spec, [np.zeros(4096), np.zeros(3)]), "delta_prime_grid"),
     ],
     ids=[
         "transfer_string", "transfer_none", "slope_string", "slope_object_array", "chi_string",
-        "chi_none", "group_index_row", "kk_check_string", "kk_residual_none",
+        "chi_none", "group_index_row", "kk_check_string", "kk_residual_none", "transfer_ragged",
+        "slope_ragged", "group_index_ragged", "kk_check_ragged",
     ],
 )
 def test_a_non_number_grid_is_refused_by_name(demo_spec, call, name):
-    # the grid is checked by errors.check_grid from numpy's dtype kind: no
-    # TypeError, no numpy ValueError, and no nan behind a warning
+    # the grid is checked by errors.check_grid from numpy's dtype kind and
+    # shape: no TypeError, no numpy ValueError, and no nan behind a warning
     with pytest.raises(ParameterError, match=f"^{name}: must be a number or an array of numbers"):
         call(demo_spec)
 
@@ -477,12 +513,61 @@ def test_a_non_number_grid_is_refused_by_name(demo_spec, call, name):
 def test_a_grid_check_keeps_scalar_types_and_arrays(demo_spec):
     om = np.linspace(-1e7, 1e7, 9)
     assert errors.check_grid("om", om) is om  # the hot path's grids are not copied
-    assert errors.check_grid("om", 0.0) == 0.0
+    for number in (0.0, 0, np.float64(0.0), np.int32(0), np.array(0.0)):  # one row, of float64
+        row = errors.check_grid("om", number)
+        assert (type(row), row.dtype, row.shape, row[0]) == (np.ndarray, np.float64, (1,), 0.0)
+    # a number comes back as a scalar of its kind: Python's for a Python number,
+    # numpy's for a numpy scalar
     assert type(transfer_exponent(0.0, _LINE)) is complex
     assert type(transfer_exponent(np.float64(0.0), _LINE)) is np.complex128
     assert type(phase_slope(0.0, _LINE)) is float
+    assert type(phase_slope(np.float64(0.0), _LINE)) is np.float64
     assert type(chi_lorentzian(0.0, demo_spec)) is complex
+    assert type(chi_lorentzian(np.float64(0.0), demo_spec)) is np.complex128
     assert type(group_index(0.0, demo_spec)) is float
+    assert type(group_index(0, demo_spec)) is float
+    assert type(group_index(np.float64(0.0), demo_spec)) is np.float64
     # a list of numbers reads as its array
     np.testing.assert_array_equal(transfer_exponent([0.0, 1e6], _LINE),
                                   transfer_exponent(np.array([0.0, 1e6]), _LINE))
+
+
+# Each line function as a function of the detuning alone, on the README medium
+# and its reduced line.
+_README_SPEC = parse_config(README_MEDIUM).medium.medium_spec()
+_README_LINE = group_advance(_README_SPEC)
+_LINE_FUNCTIONS = {
+    "chi_lorentzian": lambda x: chi_lorentzian(x, _README_SPEC),
+    "group_index": lambda x: group_index(x, _README_SPEC),
+    "transfer_exponent": lambda x: transfer_exponent(x, _README_LINE),
+    "phase_slope": lambda x: phase_slope(x, _README_LINE),
+}
+_GP = _README_LINE.gamma_prime
+
+
+@pytest.mark.parametrize("name", _LINE_FUNCTIONS)
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.sampled_from([0.0, -0.0, _GP, -_GP]), st.floats(-1e4 * _GP, 1e4 * _GP)))
+@example(x=-2309291.202062021).via("a Python float's group index once left its row")
+@example(x=-564256031.0610065).via("and its phase slope")
+@example(x=379402139.10321045).via("and its transfer exponent")
+def test_a_number_gets_the_bits_of_its_row_in_an_array(name, x):
+    # one route: a Python float and its numpy scalar each give exactly what
+    # the same detuning gives as one row among others
+    line_function = _LINE_FUNCTIONS[name]
+    rows = line_function(np.array([-3 * _GP, x, 0.5 * _GP]))
+    for number in (x, np.float64(x)):
+        value = line_function(number)
+        assert np.array([value]).tobytes() == rows[1:2].tobytes(), (number, value, rows[1])
+
+
+@pytest.mark.parametrize("name", ["transfer_exponent", "chi_lorentzian"])
+@pytest.mark.parametrize("om", [1e200, -1e200, np.float64(1e200), [0.0, 1e200], np.array([1e200])],
+                         ids=["number", "negative", "numpy_scalar", "list", "array"])
+def test_the_line_shape_refuses_detunings_beyond_float_squares_without_warning(name, om):
+    # the shape's kernel runs under the slope's guard: one NumericalError for
+    # a number and for an array, not a bare OverflowError or an inf behind a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="^line shape out of float range"):
+            _LINE_FUNCTIONS[name](om)

@@ -17,7 +17,7 @@ from fastlight import (
     transmission,
 )
 from fastlight.atomic_response import C_LIGHT
-from fastlight.config import GridConfig, LineConfig, MediumConfig, PulseConfig, RunConfig
+from fastlight.config import _ALIASES, GridConfig, LineConfig, MediumConfig, PulseConfig, RunConfig
 
 _REDUCED = {"line": {"t0_us": 0.28, "gamma_prime_rad_per_us": 1.25}}
 _ONE_SECTION = r"config: give exactly one of line \(reduced\) or medium \(physical\)"
@@ -61,10 +61,32 @@ def test_parse_infers_reduced_mode_and_transmission_spelling():
     assert cfg.line.gamma_prime_rad_per_us == -math.log(0.5) / (2 * 0.28)
 
 
+# a value in each alternate unit for the table's every alternate spelling
+_ALTERNATE_VALUES = {
+    "beta_mhz": 0.00035, "gamma_mhz": 0.1955, "Gamma_mhz": 6.0, "omega_c_rabi_mhz": 40.0,
+    "Delta_mhz": 900.0, "length_cm": 10.0, "omega0_mhz": 3.771e8, "wavelength_nm": 794.98,
+    "line_center_transmission": 0.5,
+}
+
+
 def test_parse_unit_alternates_match_canonical_keys():
     canonical = parse_config({"medium": dict(_MEDIUM_CANONICAL)})
     alternate = parse_config({"medium": dict(_MEDIUM_ALTERNATE)})
     assert canonical == alternate
+    # each alternate in the table, alone in place of its key in the canonical
+    # section, parses to its converter's value and leaves the other keys as given
+    sections = {"medium": _MEDIUM_CANONICAL, "line": _REDUCED["line"]}
+    for key, alternates in _ALIASES.items():
+        (section_name,) = [name for name, section in sections.items() if key in section]
+        section = sections[section_name]
+        for spelling, convert in alternates.items():
+            given = {k: v for k, v in section.items() if k != key}
+            given[spelling] = value = _ALTERNATE_VALUES[spelling]
+            parsed = getattr(parse_config({section_name: given}), section_name)
+            assert getattr(parsed, key) == convert(value, section), spelling
+            assert {k: getattr(parsed, k) for k in given if k != spelling} == {
+                k: v for k, v in given.items() if k != spelling
+            }, spelling
 
 
 def test_physical_line_comes_from_the_medium():

@@ -23,7 +23,7 @@ from fastlight import (
 from fastlight import _csvout
 from fastlight._csvout import NUMBER_FORMAT, write_csv
 from fastlight.atomic_response import transfer_exponent
-from fastlight.pulse_engine import Envelope, TimeGrid, write_envelope_csv
+from fastlight.pulse_engine import Envelope, PolarizedPulse, TimeGrid, write_envelope_csv
 
 SIGMA = 28e-6
 
@@ -124,6 +124,15 @@ def test_prepare_input_rejects_bad_transmission(t_tilde):
     source = make_gaussian(grid, SIGMA, 0.0, 1.0)
     with pytest.raises(ParameterError):
         prepare_input(source, t_tilde)
+
+
+@pytest.mark.parametrize("energy", [np.nan, np.inf, 0.0, -1.0])
+def test_a_state_refuses_a_reference_energy_that_is_not_finite_and_positive(energy):
+    # throughput is measured against it: nan would give a nan throughput and
+    # inf a throughput of 0, so the state refuses both when it is built
+    _, state = _quick_state()
+    with pytest.raises(ParameterError, match="^reference_energy: must be finite and > 0$"):
+        PolarizedPulse(state.h, state.v, energy)
 
 
 def test_ideal_zero_advance_is_identity():
