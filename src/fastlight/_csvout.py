@@ -21,8 +21,8 @@ _EXPONENTS_FROM = -324  # the exponent table runs from e-324 to e+308
 # One cell: byte 0 the separator ("\n" before a row's first cell, "," before
 # the others), then the number's text from byte 1: the sign, the leading digit,
 # ".", twelve digits and from byte 16 "e" and the exponent, or at most 20 bytes
-# of `%` text.  The cells of a block share one bytearray; unused bytes are
-# NUL, and one bytearray.translate deletes them from it.
+# of `%` text.  The cells of a block share one bytearray, laid once per file;
+# unused bytes are NUL, and one bytearray.translate deletes them from it.
 _CELL = np.frombuffer(b",\x000.000000000000".ljust(24, b"\x00"), dtype=np.uint8)
 
 
@@ -50,9 +50,21 @@ def _split(m: np.ndarray, unit: float) -> tuple:
     return q, np.subtract(m, rest, out=rest)
 
 
-def _format_rows(table: np.ndarray) -> bytearray:
+def _layout(rows: int, columns: int) -> tuple:
+    """A bytearray of rows x columns cells, each laid from _CELL with its
+    separator, and the (cells, 24) uint8 view of it that _format_rows fills."""
+    buffer = bytearray(rows * columns * _CELL.size)
+    cells = np.frombuffer(buffer, dtype=np.uint8).reshape(rows * columns, _CELL.size)
+    cells[:] = _CELL
+    cells[::columns, 0] = ord("\n")
+    return buffer, cells
+
+
+def _format_rows(table: np.ndarray, laid: tuple) -> bytearray:
     """Each row of a 2-d float64 array as one "\n"-led line of comma-separated
-    cells, every cell the bytes that ``NUMBER_FORMAT % x`` prints.
+    cells, every cell the bytes that ``NUMBER_FORMAT % x`` prints.  ``laid``
+    is a _layout of as many columns and at least as many rows; every byte
+    after a cell's separator is rewritten.
 
     Each cell takes one of two routes.  (1) The table route: a zero prints
     with M = 0, E = 0; a finite nonzero x with a = |x| inside _REGULAR prints
@@ -77,6 +89,8 @@ def _format_rows(table: np.ndarray) -> bytearray:
     """
     powers, words, exponents = _tables()
     x = table.ravel()
+    buffer, cells = laid
+    cells = cells[: x.size]
     zero = x == 0.0
     a = np.abs(x)
     regular = (a > _REGULAR[0]) & (a < _REGULAR[1])
@@ -99,12 +113,9 @@ def _format_rows(table: np.ndarray) -> bytearray:
     lead, high = _split(upper, 1e4)
     mid, low = _split(lower, 1e4)
 
-    buffer = bytearray(x.size * _CELL.size)
-    cells = np.frombuffer(buffer, dtype=np.uint8).reshape(x.size, _CELL.size)
-    cells[:] = _CELL
-    cells[:: table.shape[1], 0] = ord("\n")
     np.multiply(np.signbit(x), np.uint8(ord("-")), out=cells[:, 1])
-    cells[:, 2] += lead.astype(np.uint8)
+    np.add(lead, ord("0"), out=cells[:, 2], casting="unsafe")
+    cells[:, 3] = ord(".")
     word = cells.view(np.uint32)
     word[:, 1] = words[high.astype(np.intp)]
     word[:, 2] = words[mid.astype(np.intp)]
@@ -112,7 +123,7 @@ def _format_rows(table: np.ndarray) -> bytearray:
     cells.view(np.uint64)[:, 2] = exponents[e - _EXPONENTS_FROM]
     printed = [NUMBER_FORMAT % v for v in x[odd].tolist()]
     cells[odd, 1:] = np.array(printed, dtype="S23").view(np.uint8).reshape(-1, 23)
-    return buffer.translate(None, b"\0")
+    return (buffer if cells.size == len(buffer) else buffer[: cells.size]).translate(None, b"\0")
 
 
 def write_csv(path, columns: dict) -> None:
@@ -122,14 +133,20 @@ def write_csv(path, columns: dict) -> None:
     ``columns`` maps each name to a column of numbers, all of one length.
     Every cell is the value as float64 printed in NUMBER_FORMAT, byte for
     byte what Python's ``%`` prints.  Lines end in "\n" on every platform,
-    so reruns are byte-identical.
+    so reruns are byte-identical.  The rows go out a block at a time,
+    through one block array and one laid cell buffer per file.
     """
     arrays = [np.asarray(column, dtype=float) for column in columns.values()]
+    n = len(arrays[0])
+    block = np.empty((min(n, _BLOCK_ROWS), len(arrays)))
+    laid = _layout(*block.shape)
     with open(path, "wb") as fh:
         fh.write(",".join(columns).encode())
-        for start in range(0, len(arrays[0]), _BLOCK_ROWS):
-            block = np.column_stack([a[start : start + _BLOCK_ROWS] for a in arrays])
-            fh.write(_format_rows(block))
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = min(n - start, _BLOCK_ROWS)
+            for j, array in enumerate(arrays):
+                block[:rows, j] = array[start : start + rows]
+            fh.write(_format_rows(block[:rows], laid))
         fh.write(b"\n")
 
 

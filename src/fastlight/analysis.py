@@ -60,7 +60,7 @@ from .errors import (
     check_positive,
     check_transmission,
 )
-from .pulse_engine import Envelope
+from .pulse_engine import Envelope, _trapezoid
 
 _NEWTON_STEPS = 6  # Newton steps in c per t_wva row
 _CROSSOVER_START = 0.05  # first T of crossover's Newton steps
@@ -94,8 +94,8 @@ def centroid(envelope: Envelope) -> ArrivalEstimate:
     if not np.isfinite(total) or total <= 0.0:
         raise ParameterError("envelope carries no energy; no arrival to locate")
     t = envelope.times
-    mean = float(np.trapezoid(t * y, dx=dt) / total)
-    var = float(np.trapezoid((t - mean) ** 2 * y, dx=dt) / total)
+    mean = _trapezoid(t * y, dt) / total
+    var = _trapezoid((t - mean) ** 2 * y, dt) / total
     return ArrivalEstimate(
         center=mean,
         width=math.sqrt(max(var, 0.0)),
@@ -167,7 +167,7 @@ def fit_gaussian(envelope: Envelope) -> ArrivalEstimate:
             a, m, s = p
             np.subtract(tau, m, out=u)
             np.square(u, out=u2)
-            np.divide(np.negative(u2, out=e), 2 * s * s, out=e)
+            np.divide(u2, -(2 * s * s), out=e)  # RN is odd: -(u2 / x) bit for bit
             np.exp(e, out=e)
             np.multiply(a, e, out=ae)
             held[0] = key
@@ -202,9 +202,15 @@ def fit_gaussian(envelope: Envelope) -> ArrivalEstimate:
         center=seed.center + m * seed.width,
         width=abs(s) * seed.width,
         amplitude=a * ymax,
-        residual_rms=float(np.sqrt(np.mean(info["fvec"] ** 2))),
+        residual_rms=_rms(info["fvec"]),
         method="gaussian_fit",
     )
+
+
+def _rms(r: np.ndarray) -> float:
+    """``float(np.sqrt(np.mean(r ** 2)))`` bit for bit, without np.mean's set-up:
+    numpy's pairwise sum of the squares over the count, and a rounded root."""
+    return math.sqrt(np.add.reduce(np.square(r)) / r.size)
 
 
 def t_atom(transmission: float, gamma_prime: float) -> float:

@@ -244,9 +244,11 @@ def transmission(line: ReducedLine) -> float:
     """Line-centre intensity transmission T = exp(-2 gamma' t0).
 
     For a line derived from a MediumSpec this must match exp(-2 alpha L)
-    computed independently via ``absorption`` to 1e-12 relative.
+    computed independently via ``absorption`` to 1e-12 relative.  gamma' t0
+    is formed first, so that an overflow of 2 gamma' alone never reads as an
+    opaque line.
     """
-    return float(np.exp(-2.0 * line.gamma_prime * line.t0))
+    return float(np.exp(-2.0 * (line.gamma_prime * line.t0)))
 
 
 def transfer_exponent(om, line: ReducedLine):

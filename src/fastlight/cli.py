@@ -42,6 +42,7 @@ from ._csvout import write_csv, write_kv
 from ._fork import ordered_map
 from .analysis import crossover, fit_gaussian, t_atom, t_wva
 from .atomic_response import (
+    ReducedLine,
     absorption,
     chi_lorentzian,
     group_index,
@@ -120,18 +121,20 @@ def cmd_spectrum(args) -> int:
         "phase_rad": phi.real,
         "group_advance_s": slope,
     }
-    summary = {
-        "mode": cfg.mode,
-        "t0_s": line.t0,
-        "gamma_prime_rad_per_s": gp,
-        "line_center_transmission": transmission(line),
-    }
     if cfg.mode == "physical":
         spec = cfg.medium.medium_spec()
         chi = chi_lorentzian(delta, spec)
         columns["chi_im"] = chi.imag
         columns["re_n_minus_1"] = chi.real / 2
         columns["group_index"] = group_index(delta, spec)
+    summary = {
+        "mode": cfg.mode,
+        "t0_s": line.t0,
+        "gamma_prime_rad_per_s": gp,
+        # after group_index, which refuses a medium too dense for the line shape first
+        "line_center_transmission": _line_transmission(cfg, line),
+    }
+    if cfg.mode == "physical":
         summary["kk_residual"] = kk_check(spec, kk_grid)
         summary["light_shift_rad_per_s"] = light_shift(spec)
         summary["power_broadening_rad_per_s"] = power_broadening(spec)
@@ -158,6 +161,19 @@ def _check_analyzer_angles(thetas_deg) -> None:
             )
 
 
+def _line_transmission(cfg: RunConfig, line: ReducedLine) -> float:
+    """The line-centre transmission exp(-2 gamma' t0), refused where it
+    underflows to 0: such a line passes no light to measure."""
+    t_tilde = transmission(line)
+    if t_tilde == 0.0:
+        raise ParameterError(
+            f"{'line' if cfg.medium is None else 'medium'}: t0 = {line.t0 * 1e6:.3e} us and "
+            f"gamma' = {line.gamma_prime * 1e-6:.3e} rad/us give a line-centre transmission "
+            "exp(-2 gamma' t0) that underflows to 0"
+        )
+    return t_tilde
+
+
 def _propagated_state(cfg: RunConfig):
     """Common propagate/sweep front end: the line, its centre transmission
     and the propagated two-arm state."""
@@ -167,7 +183,7 @@ def _propagated_state(cfg: RunConfig):
             "line advance t0 must be > 0 to measure an arrival shift"
         )
     source = make_gaussian(cfg.time_grid, cfg.pulse_sigma_s(), 0.0, cfg.pulse.amplitude)
-    t_tilde = transmission(line)
+    t_tilde = _line_transmission(cfg, line)
     propagate = propagate_ideal if cfg.propagation == "ideal" else propagate_lorentzian
     return line, t_tilde, propagate(prepare_input(source, t_tilde), line)
 

@@ -145,7 +145,17 @@ class Envelope:
 
     @functools.cached_property
     def _energy(self) -> float:
-        return float(np.trapezoid(self.intensity, dx=self.grid.dt))
+        return _trapezoid(self.intensity, self.grid.dt)
+
+
+def _trapezoid(y: np.ndarray, dx: float) -> float:
+    """``float(np.trapezoid(y, dx=dx))`` bit for bit for a 1-d float64 ``y`` of
+    at least 2 samples, without its set-up: the same ufuncs in the same
+    order, (dx * (y[1:] + y[:-1])) / 2 summed by numpy's pairwise add."""
+    s = np.add(y[1:], y[:-1])
+    s *= dx
+    s /= 2.0
+    return float(np.add.reduce(s))
 
 
 @dataclass(frozen=True, eq=False)

@@ -571,3 +571,9 @@ def test_the_line_shape_refuses_detunings_beyond_float_squares_without_warning(n
         warnings.simplefilter("error")
         with pytest.raises(NumericalError, match="^line shape out of float range"):
             _LINE_FUNCTIONS[name](om)
+
+
+def test_transmission_of_a_line_whose_doubled_width_overflows():
+    # 2 gamma' = 2e308 rad/s is no float, but gamma' t0 = 100 is: T = e^-200, not 0
+    line = ReducedLine(t0=1e-306, gamma_prime=1e308)
+    assert transmission(line) == pytest.approx(np.exp(-200.0), rel=1e-13)

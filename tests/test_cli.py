@@ -1146,3 +1146,29 @@ def test_killed_fit_child_of_propagate_exits_3_naming_its_chunk(tmp_path, monkey
     )
     assert not out.exists()
     _assert_no_child_left()
+
+
+@pytest.mark.parametrize(
+    "section,data",
+    [
+        ("line", {"line": {"t0_us": 1e300, "gamma_prime_rad_per_us": 1e-10}}),
+        # a 1000 km cell: t0 = 2.8 s at gamma' = 1.24 rad/us, with chi as in the README
+        ("medium", {"medium": dict(MEDIUM, length_cm=1e8)}),
+    ],
+)
+def test_a_line_that_passes_no_light_is_refused_alike_by_each_command(
+    tmp_path, capsys, section, data
+):
+    # exp(-2 gamma' t0) underflows to 0: each command refuses the line with
+    # one message in t0 and gamma' that names the section that gave them
+    config = _write_config(tmp_path, data)
+    messages = set()
+    for command in ("spectrum", "propagate", "sweep-theta"):
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == 2
+        messages.add(capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+    (message,) = messages
+    assert message.startswith(f"error: {section}: t0 = ") and message.count("\n") == 1
+    assert message.endswith(
+        "rad/us give a line-centre transmission exp(-2 gamma' t0) that underflows to 0\n"
+    )

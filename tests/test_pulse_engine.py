@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fastlight import (
@@ -20,7 +21,7 @@ from fastlight import (
     propagate_lorentzian,
     transmission,
 )
-from fastlight import _csvout
+from fastlight import _csvout, pulse_engine
 from fastlight._csvout import NUMBER_FORMAT, write_csv
 from fastlight.atomic_response import transfer_exponent
 from fastlight.pulse_engine import Envelope, PolarizedPulse, TimeGrid, write_envelope_csv
@@ -339,7 +340,7 @@ def _assert_formats_like_python(values) -> None:
     """``values`` is one column of numbers or a list of equal-length rows."""
     table = np.array(values, dtype=float).reshape(len(values), -1)
     lines = ("\n" + ",".join(NUMBER_FORMAT % x for x in row) for row in table.tolist())
-    assert _csvout._format_rows(table) == "".join(lines).encode()
+    assert _csvout._format_rows(table, _csvout._layout(*table.shape)) == "".join(lines).encode()
 
 
 def test_hard_cases_format_like_python():
@@ -420,3 +421,90 @@ def test_powers_of_ten_are_correctly_rounded(work):
             p = work(a) * work(h)
             error = abs(Fraction(*p.as_integer_ratio()) - Fraction(a) * Fraction(10) ** k)
             assert error <= doubt * Fraction(*p.as_integer_ratio()), (k, a)
+
+
+def test_reused_cell_buffer_prints_each_block_afresh(tmp_path):
+    # write_csv lays one cell buffer per file and refills it block by block;
+    # odd cells (the `%` route, or a sign, exponent width or zero that
+    # differs) sit where the next block has ordinary cells, and the reverse,
+    # and a short last block leaves stale cells behind it in the buffer
+    block = _csvout._BLOCK_ROWS
+    rows = 2 * block + 5
+    odd = [np.nan, -np.inf, 1e-300, 1e300, 1234567890123.5, -0.0, np.inf, -1.5e-150]
+    rng = np.random.default_rng(41)
+    table = rng.standard_normal((rows, 3)) * 10.0 ** rng.integers(-20, 20, (rows, 3))
+    for i, value in enumerate(odd):
+        table[i, i % 3] = value  # block 0 odd, block 1 ordinary at the same cell
+        table[block + 8 + i, i % 3] = value  # block 1 odd where block 0 is ordinary
+        table[2 * block + i % 5, (i + 1) % 3] = value  # the short last block
+    # and the reverse sign and exponent width at the cells block 1 reuses
+    table[block : block + 8, :] = -np.abs(table[block : block + 8, :]) * 1e-130
+    path = tmp_path / "table.csv"
+    write_csv(path, {"a": table[:, 0], "b": table[:, 1], "c": table[:, 2]})
+    assert path.read_bytes() == _rowwise_csv(["a", "b", "c"], table.tolist())
+
+
+def _bits(x) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    n=st.integers(2, 1 << 16),
+    seed=st.integers(0, 2**32 - 1),
+    lo=st.integers(-300, 300),
+    span=st.integers(0, 600),
+    zeros=st.floats(0.0, 1.0),
+    special=st.sampled_from([None, np.nan, np.inf, -np.inf]),
+    dx=st.floats(1e-300, 1e300),
+)
+# subnormal products, where halving dx first or the sum last would round twice
+@example(n=1000, seed=1, lo=-300, span=2, zeros=0.0, special=None, dx=1e-20)
+def test_trapezoid_is_numpys_bit_for_bit(n, seed, lo, span, zeros, special, dx):
+    rng = np.random.default_rng(seed)
+    y = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, min(lo + span, 300), n)
+    y[rng.random(n) < zeros] = 0.0
+    if special is not None:
+        y[rng.integers(0, n, 1 + n // 1000)] = special
+    with np.errstate(all="ignore"):  # both overflow, or meet inf - inf, alike
+        assert _bits(pulse_engine._trapezoid(y, dx)) == _bits(np.trapezoid(y, dx=dx))
+
+
+def _numpy_centroid(envelope):
+    """Envelope.energy and analysis.centroid as np.trapezoid computes them."""
+    y, dt, t = envelope.intensity, envelope.grid.dt, envelope.times
+    total = float(np.trapezoid(y, dx=dt))
+    mean = float(np.trapezoid(t * y, dx=dt) / total)
+    var = float(np.trapezoid((t - mean) ** 2 * y, dx=dt) / total)
+    return total, mean, math.sqrt(max(var, 0.0))
+
+
+@pytest.mark.parametrize("grid", ["quick-start", "README medium"])
+def test_energy_and_centroid_keep_numpys_trapezoid_bits(grid, quick_line, demo_spec):
+    if grid == "quick-start":
+        line, n_samples = quick_line, 4096
+    else:
+        line, n_samples = group_advance(demo_spec), 1 << 16
+    _, state = _quick_state(transmission(line), n_samples=n_samples)
+    out = propagate_lorentzian(state, line)
+    selected = [post_select(out, np.deg2rad(theta)).envelope for theta in (-40.0, -50.0)]
+    for envelope in [out.h, out.v, *selected]:
+        estimate = centroid(envelope)
+        ours = (envelope.energy(), estimate.center, estimate.width)
+        assert list(map(_bits, ours)) == list(map(_bits, _numpy_centroid(envelope)))
+
+
+def test_post_select_owns_a_read_only_projection(quick_line):
+    _, state = _quick_state(transmission(quick_line))
+    out = propagate_lorentzian(state, quick_line)
+    samples = post_select(out, np.deg2rad(-40.0)).envelope.samples
+    assert not samples.flags.writeable
+    with pytest.raises(ValueError):
+        samples[0] = 0.0
+    assert not np.shares_memory(samples, out.h.samples)
+    assert not np.shares_memory(samples, out.v.samples)
+    # the public constructor still copies what it is given, and leaves it writable
+    given_samples = np.array(samples)
+    envelope = Envelope(out.h.grid, given_samples)
+    assert not np.shares_memory(envelope.samples, given_samples)
+    assert given_samples.flags.writeable and not envelope.samples.flags.writeable
