@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +73,10 @@ _KK_HALF_SPAN = 40.0
 _KK_POINTS = 1 << 14
 _DARK_PORT_GUARD_DEG = 0.01
 _MAX_SWEEP_COUNT = 1 << 20
+# Fewest pulse widths in t0 that the fits resolve: at 4096 and 2^16 samples a fitted
+# advance rounds by up to 1e-15 sigma per unit A_w (2.7e-16 where |A_w| >= 0.5), under
+# 1e-3 of each row's advance from t0 = 1e-12 sigma up.
+_MIN_RESOLVED_T0_SIGMAS = 1e-12
 # Fewest fitted samples worth a process: ceil(this / n_samples) fits each, 80
 # at 4096 samples, 5 at 2^16; lower values newly split runs that were no faster.
 _MIN_FIT_SAMPLES_PER_PROCESS = 80 * 4096
@@ -107,8 +112,7 @@ def _load(args) -> RunConfig:
     return load_config(args.config) if args.config is not None else default_config()
 
 
-def cmd_spectrum(args) -> int:
-    cfg = _load(args)
+def cmd_spectrum(cfg: RunConfig, args) -> None:
     line = cfg.reduced_line()
     gp = line.gamma_prime
     delta = np.linspace(-_SPECTRUM_HALF_SPAN * gp, _SPECTRUM_HALF_SPAN * gp, cfg.spectrum_points)
@@ -146,7 +150,6 @@ def cmd_spectrum(args) -> int:
     write_csv(out / "spectrum.csv", columns)
     write_kv(out / "spectrum_summary.csv", summary)
     print(f"wrote {out / 'spectrum.csv'} and {out / 'spectrum_summary.csv'}")
-    return 0
 
 
 def _check_analyzer_angles(thetas_deg) -> None:
@@ -176,16 +179,26 @@ def _line_transmission(cfg: RunConfig, line: ReducedLine) -> float:
 
 def _propagated_state(cfg: RunConfig):
     """Common propagate/sweep front end: the line, its centre transmission
-    and the propagated two-arm state."""
+    and the propagated two-arm state; warns, once the propagation's own
+    refusals have passed, where t0 is below what the fits resolve."""
     line = cfg.reduced_line()
     if not (line.t0 > 0):
         raise ParameterError(
             "line advance t0 must be > 0 to measure an arrival shift"
         )
-    source = make_gaussian(cfg.time_grid, cfg.pulse_sigma_s(), 0.0, cfg.pulse.amplitude)
+    sigma = cfg.pulse_sigma_s()
+    source = make_gaussian(cfg.time_grid, sigma, 0.0, cfg.pulse.amplitude)
     t_tilde = _line_transmission(cfg, line)
     propagate = propagate_ideal if cfg.propagation == "ideal" else propagate_lorentzian
-    return line, t_tilde, propagate(prepare_input(source, t_tilde), line)
+    propagated = propagate(prepare_input(source, t_tilde), line)
+    if line.t0 < _MIN_RESOLVED_T0_SIGMAS * sigma:
+        warnings.warn(
+            f"line advance t0 = {line.t0:.3e} s is below {_MIN_RESOLVED_T0_SIGMAS:g} pulse widths "
+            f"({_MIN_RESOLVED_T0_SIGMAS * sigma:.3e} s), where the fitted advances can round by "
+            "more than 1e-3 of themselves",
+            ApproximationWarning,
+        )
+    return line, t_tilde, propagated
 
 
 def _trace_names(thetas_deg) -> dict:
@@ -276,8 +289,7 @@ def _write_traces(propagated, angle_of: dict, out: Path) -> list:
     return ordered_map(write, [*arms, *angle_of], files_per_process, describe)
 
 
-def cmd_propagate(args) -> int:
-    cfg = _load(args)
+def cmd_propagate(cfg: RunConfig, args) -> None:
     thetas = [args.theta] if args.theta is not None else list(cfg.theta_list_deg)
     _check_analyzer_angles(thetas)
     trace_names = _trace_names(thetas)
@@ -299,11 +311,9 @@ def cmd_propagate(args) -> int:
         f"H advance {centers['V'] - centers['H']:.6e} s over t0 {line.t0:.6e} s; "
         f"wrote {', '.join(written)} in {out}"
     )
-    return 0
 
 
-def cmd_sweep_theta(args) -> int:
-    cfg = _load(args)
+def cmd_sweep_theta(cfg: RunConfig, args) -> None:
     if args.count < 2:
         raise ParameterError("--count: must be at least 2")
     if args.count > _MAX_SWEEP_COUNT:
@@ -317,7 +327,6 @@ def cmd_sweep_theta(args) -> int:
     out = _out_dir(cfg, args)
     write_csv(out / "sweep_theta.csv", {key: table[key] for key in _SWEEP_COLUMNS})
     print(f"wrote {out / 'sweep_theta.csv'} ({args.count} angles)")
-    return 0
 
 
 def _crossover_summary(gp: float) -> dict:
@@ -334,8 +343,7 @@ def _crossover_summary(gp: float) -> dict:
     }
 
 
-def cmd_loss_scaling(args) -> int:
-    cfg = _load(args)
+def cmd_loss_scaling(cfg: RunConfig, args) -> None:
     gp = cfg.reduced_line().gamma_prime
     advances_wva, thetas = t_wva(cfg.transmission_list, gp)
     advances_atom = np.array([t_atom(t, gp) for t in cfg.transmission_list])
@@ -352,17 +360,14 @@ def cmd_loss_scaling(args) -> int:
     write_csv(out / "loss_scaling.csv", columns)
     write_kv(out / "loss_scaling_summary.csv", {key: summary[key] for key in _LOSS_SUMMARY_KEYS})
     print(f"wrote {out / 'loss_scaling.csv'} and {out / 'loss_scaling_summary.csv'}")
-    return 0
 
 
-def cmd_crossover(args) -> int:
-    cfg = _load(args)
+def cmd_crossover(cfg: RunConfig, args) -> None:
     summary = _crossover_summary(cfg.reduced_line().gamma_prime)
     out = _out_dir(cfg, args)
     write_kv(out / "crossover.csv", summary)
     print(f"crossover transmission: {summary['crossover_transmission']:.6f}")
     print(f"wrote {out / 'crossover.csv'}")
-    return 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -412,7 +417,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(_load(args), args)
     except (ParameterError, ApproximationWarning, OSError) as exc:
         # OSError: an unusable --out or --config; ApproximationWarning: under -W error
         print(f"error: {exc}", file=sys.stderr)
@@ -420,6 +425,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

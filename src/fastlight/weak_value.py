@@ -69,18 +69,15 @@ def post_select(pulse: PolarizedPulse, theta: float) -> PostSelectedPulse:
     """Project onto cos(theta)|H> + sin(theta)|V> without renormalizing.
 
     Throughput is the projected energy over the pulse's reference energy
-    (clamped to 1.0 against rounding).  theta = 0.0 passes H through exactly.
-    Near the dark port the peaks of the two arms cancel while their edge
-    tails need not, so raises NumericalError if what passes reaches the grid
-    edge.
+    (clamped to 1.0 against rounding).  At theta = 0, cos 0 = 1 and sin 0 = 0
+    exactly, so H's samples pass (an H sample of -0.0 over V >= +0 reads +0.0).
+    Near the dark port the peaks of the two arms cancel while their edge tails
+    need not, so raises NumericalError if what passes reaches the grid edge.
     """
     _check_angle(theta)
-    if theta == 0.0:
-        envelope = pulse.h
-    else:
-        samples = np.cos(theta) * pulse.h.samples
-        samples += np.sin(theta) * pulse.v.samples
-        envelope = Envelope(pulse.h.grid, samples)
+    samples = np.cos(theta) * pulse.h.samples
+    samples += np.sin(theta) * pulse.v.samples
+    envelope = Envelope(pulse.h.grid, samples)
     _check_no_wraparound(envelope.samples, "post_select")
     throughput = min(envelope.energy() / pulse.reference_energy, 1.0)
     return PostSelectedPulse(envelope=envelope, throughput=throughput)

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 import fastlight.cli
-from fastlight import FitFailureError, _fork, default_config, load_config, parse_config, t_atom
+from fastlight import (
+    ApproximationWarning, FitFailureError, _fork, default_config, load_config, parse_config, t_atom
+)
 from fastlight.atomic_response import kramers_kronig_residual, transfer_exponent
 from fastlight.cli import _angle_table, _propagated_state, main
 from oracles import two_gaussian_centroid
@@ -115,10 +117,12 @@ def test_advantage_over_bare_is_the_advance_over_t_atom_of_the_measured_throughp
 def test_a_throughput_that_rounds_to_one_prints_an_infinite_advantage(tmp_path):
     # a line of t0 = 1e-20 us passes T~ = 1.0 exactly, so at 45 deg the
     # measured throughput is 1 and the bare line advances by 0: the column
-    # reads inf, without a numpy warning (pyproject.toml fails any warning)
+    # reads inf, without a numpy warning (pyproject.toml fails any warning);
+    # such a t0 is far below what the fits resolve, which the run says
     cfg = _write_config(tmp_path, {"line": {"t0_us": 1e-20, "gamma_prime_rad_per_us": 1.0}})
     sweep = ["sweep-theta", "--start", "44", "--stop", "46", "--count", "3"]
-    assert main(sweep + ["--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    with pytest.warns(ApproximationWarning):
+        assert main(sweep + ["--config", cfg, "--out", str(tmp_path / "out")]) == 0
     swept = _csv_columns(tmp_path / "out" / "sweep_theta.csv")
     assert swept["throughput_measured"][1] == "1.000000000000e+00"
     assert swept["advantage_over_bare"][1] == "inf"
@@ -561,6 +565,50 @@ def test_approximation_warning_as_error_exits_2_with_one_line(tmp_path, command,
     argv = [command, "--config", _write_config(tmp_path, config), "--out", str(out)]
     child = _run_fresh("-W", "error", "-m", "fastlight.cli", *argv)
     assert (child.returncode, child.stderr) == (2, message)
+    assert not out.exists()
+
+
+ANGLE_COMMANDS = (["propagate"], ["sweep-theta", "--count", "4"])
+
+
+def _sub_resolution_line(t0_over_sigma):
+    """A quick-start line whose advance is ``t0_over_sigma`` of the 28 us pulse."""
+    return {"line": {"t0_us": t0_over_sigma * 28.0, "gamma_prime_rad_per_us": 1.2}}
+
+
+@pytest.mark.parametrize("command", ANGLE_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("t0_over_sigma", [1e-15, 1e-18, 1e-22])
+def test_an_advance_below_the_fit_resolution_warns_once(tmp_path, command, t0_over_sigma):
+    # the fitted centres round at about 1e-16 sigma, so such an advance is
+    # mostly rounding; the run still writes its files and exits 0
+    cfg = _write_config(tmp_path, _sub_resolution_line(t0_over_sigma))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert [w.category for w in caught] == [ApproximationWarning]
+    assert "is below 1e-12 pulse widths" in str(caught[0].message)
+
+
+@pytest.mark.parametrize("command", ANGLE_COMMANDS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("config", [QUICK_START, {"medium": MEDIUM}], ids=["quick-start", "medium"])
+def test_a_resolved_advance_does_not_warn(tmp_path, command, config):
+    # t0/sigma = 0.01 in the quick start and the README medium
+    cfg = _write_config(tmp_path, config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command", ANGLE_COMMANDS, ids=lambda argv: argv[0])
+def test_an_unresolved_advance_under_warnings_as_errors_exits_2(tmp_path, command):
+    out = tmp_path / "out"
+    argv = [*command, "--config", _write_config(tmp_path, _sub_resolution_line(1e-15))]
+    child = _run_fresh("-W", "error", "-m", "fastlight.cli", *argv, "--out", str(out))
+    assert (child.returncode, child.stderr) == (
+        2,
+        "error: line advance t0 = 2.800e-20 s is below 1e-12 pulse widths (2.800e-17 s), "
+        "where the fitted advances can round by more than 1e-3 of themselves\n",
+    )
     assert not out.exists()
 
 

@@ -8,12 +8,14 @@ from fastlight import (
     centroid,
     default_grid,
     make_gaussian,
+    parse_config,
     post_select,
     prepare_input,
     propagate_ideal,
     transmission,
     weak_value,
 )
+from fastlight.cli import _propagated_state
 from fastlight.pulse_engine import Envelope, PolarizedPulse, _check_no_wraparound
 from fastlight.weak_value import total_transmission
 from oracles import two_gaussian_centroid
@@ -63,11 +65,32 @@ def test_weak_value_domain():
     assert abs(weak_value(-np.pi / 4 + 1e-6)) > 1e5
 
 
-def test_post_select_at_zero_passes_h_exactly(quick_line):
-    grid = default_grid(28e-6)
-    state = prepare_input(make_gaussian(grid, 28e-6, 0.0, 1.0), 0.5)
-    selected = post_select(state, 0.0)
-    assert selected.envelope is state.h
+# The physical-mode example of the README.
+README_MEDIUM = {
+    "beta_rad_per_us": 0.0022,
+    "gamma_rad_per_us": 1.2285,
+    "Gamma_mhz": 6.0,
+    "omega_c_rabi_mhz": 40.0,
+    "Delta_mhz": 900.0,
+    "length_cm": 10.0,
+    "wavelength_nm": 794.98,
+}
+
+
+def test_post_select_at_zero_passes_h_exactly():
+    # theta = 0 takes the one projection cos(0) h + sin(0) v, which gives H's
+    # samples byte for byte, signed zeros included, on the propagated
+    # quick-start, ideal and README-medium states (4096 and 2^16 samples)
+    quick_start = {"line": {"t0_us": 0.28, "line_center_transmission": 0.5}}
+    for config in (
+        quick_start,
+        dict(quick_start, propagation="ideal"),
+        {"medium": README_MEDIUM},
+        {"medium": README_MEDIUM, "grid": {"n_samples": 1 << 16}},
+    ):
+        _, _, state = _propagated_state(parse_config(config))
+        selected = post_select(state, 0.0)
+        assert selected.envelope.samples.tobytes() == state.h.samples.tobytes()
 
 
 def test_dark_port_nulls_balanced_input():
