@@ -20,9 +20,9 @@ directory (--out overrides the configured one).  Output is byte-identical
 across reruns of the same configuration: fixed column orders, every number
 in ``%.12e`` (13 significant digits), no timestamps.
 
-Exit codes: 0 success, 2 invalid parameters or config (a ParameterError, an
-unusable --out or --config path, or an ApproximationWarning that Python's
-warnings filter, e.g. ``-W error``, raises as an exception), 3 a
+Exit codes: 0 success, 2 invalid parameters or config (a ParameterError, a
+usage error, an unusable --out or --config path, or an ApproximationWarning
+that Python's warnings filter, e.g. ``-W error``, raises as an exception), 3 a
 NumericalError.  Every result is computed before the output directory is
 created, so a bad input or a failed computation writes nothing.  A failed
 write (exit 2) or a propagate writer process that dies (exit 3) leaves the
@@ -43,6 +43,7 @@ from ._csvout import write_csv, write_kv
 from ._fork import ordered_map
 from .analysis import crossover, fit_gaussian, t_atom, t_wva
 from .atomic_response import (
+    _KK_MIN_HALF_SPAN,
     ReducedLine,
     absorption,
     chi_lorentzian,
@@ -69,13 +70,14 @@ from .pulse_engine import (
 from .weak_value import post_select, total_transmission, weak_value
 
 _SPECTRUM_HALF_SPAN = 10.0  # spectrum grid extends +- this many gamma'
-_KK_HALF_SPAN = 40.0
+_KK_HALF_SPAN = _KK_MIN_HALF_SPAN  # the least span kk_check accepts
 _KK_POINTS = 1 << 14
 _DARK_PORT_GUARD_DEG = 0.01
 _MAX_SWEEP_COUNT = 1 << 20
-# Fewest pulse widths in t0 that the fits resolve: at 4096 and 2^16 samples a fitted
-# advance rounds by up to 1e-15 sigma per unit A_w (2.7e-16 where |A_w| >= 0.5), under
-# 1e-3 of each row's advance from t0 = 1e-12 sigma up.
+# Fewest pulse widths in t0, and in |A_w| t0 where |A_w| < 1, that the fits resolve: at 4096
+# and 2^16 samples a fitted advance rounds by up to 1e-15 sigma per unit A_w (2.7e-16 where
+# |A_w| >= 0.5, about 1e-16 sigma where |A_w| is small), under 1e-3 of each row's advance
+# from min(1, |A_w|) t0 = 1e-12 sigma up.
 _MIN_RESOLVED_T0_SIGMAS = 1e-12
 # Fewest fitted samples worth a process: ceil(this / n_samples) fits each, 80
 # at 4096 samples, 5 at 2^16; lower values newly split runs that were no faster.
@@ -100,16 +102,6 @@ def _out_dir(cfg: RunConfig, args) -> Path:
     out = Path(args.out if args.out is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _load(args) -> RunConfig:
-    """--config's run or the quick-start; an empty path would be the working directory."""
-    for flag, path in (("--config", args.config), ("--out", args.out)):
-        if path == "":
-            raise ParameterError(f"{flag}: must be a non-empty path")
-    if args.out is not None:
-        check_path("--out", args.out)
-    return load_config(args.config) if args.config is not None else default_config()
 
 
 def cmd_spectrum(cfg: RunConfig, args) -> None:
@@ -153,9 +145,8 @@ def cmd_spectrum(cfg: RunConfig, args) -> None:
 
 
 def _check_analyzer_angles(thetas_deg) -> None:
-    """Reject angles outside (-90, 90] deg and at the dark port."""
+    """Reject angles at the dark port; each input's range is checked where it enters."""
     for theta_deg in thetas_deg:
-        check_angle_deg("analyzer angle", theta_deg)
         if abs(theta_deg - (-45.0)) < _DARK_PORT_GUARD_DEG:
             raise ParameterError(
                 f"analyzer angle {float(theta_deg)!r} deg is within "
@@ -177,10 +168,11 @@ def _line_transmission(cfg: RunConfig, line: ReducedLine) -> float:
     return t_tilde
 
 
-def _propagated_state(cfg: RunConfig):
+def _propagated_state(cfg: RunConfig, thetas_deg=()):
     """Common propagate/sweep front end: the line, its centre transmission
     and the propagated two-arm state; warns, once the propagation's own
-    refusals have passed, where t0 is below what the fits resolve."""
+    refusals have passed, where t0, or min(1, |A_w|) t0 at any of
+    ``thetas_deg``, is below what the fits resolve."""
     line = cfg.reduced_line()
     if not (line.t0 > 0):
         raise ParameterError(
@@ -191,11 +183,17 @@ def _propagated_state(cfg: RunConfig):
     t_tilde = _line_transmission(cfg, line)
     propagate = propagate_ideal if cfg.propagation == "ideal" else propagate_lorentzian
     propagated = propagate(prepare_input(source, t_tilde), line)
-    if line.t0 < _MIN_RESOLVED_T0_SIGMAS * sigma:
+    floor_s = _MIN_RESOLVED_T0_SIGMAS * sigma
+    advance, theta_deg = line.t0, None
+    if line.t0 >= floor_s and thetas_deg:  # the least predicted row advance, |A_w| t0
+        advance, theta_deg = min((abs(weak_value(np.deg2rad(t))) * line.t0, t) for t in thetas_deg)
+    if advance < floor_s:
+        name = "line advance t0" if theta_deg is None else (
+            f"predicted advance |A_w| t0 at analyzer angle {float(theta_deg)!r} deg")
         warnings.warn(
-            f"line advance t0 = {line.t0:.3e} s is below {_MIN_RESOLVED_T0_SIGMAS:g} pulse widths "
-            f"({_MIN_RESOLVED_T0_SIGMAS * sigma:.3e} s), where the fitted advances can round by "
-            "more than 1e-3 of themselves",
+            f"{name} = {advance:.3e} s is below {_MIN_RESOLVED_T0_SIGMAS:g} pulse widths "
+            f"({floor_s:.3e} s), where the fitted advances can round by more than 1e-3 of "
+            "themselves",
             ApproximationWarning,
         )
     return line, t_tilde, propagated
@@ -290,10 +288,12 @@ def _write_traces(propagated, angle_of: dict, out: Path) -> list:
 
 
 def cmd_propagate(cfg: RunConfig, args) -> None:
+    if args.theta is not None:
+        check_angle_deg("--theta", args.theta)
     thetas = [args.theta] if args.theta is not None else list(cfg.theta_list_deg)
     _check_analyzer_angles(thetas)
     trace_names = _trace_names(thetas)
-    line, t_tilde, propagated = _propagated_state(cfg)
+    line, t_tilde, propagated = _propagated_state(cfg, thetas)
     # every fit, the two arms' included, runs before any file is written, so a
     # failed one leaves no partial output; the post-selected envelopes are
     # rebuilt for writing rather than held, one grid-sized array per angle
@@ -322,7 +322,7 @@ def cmd_sweep_theta(cfg: RunConfig, args) -> None:
     check_angle_deg("--stop", args.stop)
     thetas = [float(t) for t in np.linspace(args.start, args.stop, args.count)]
     _check_analyzer_angles(thetas)
-    line, t_tilde, propagated = _propagated_state(cfg)
+    line, t_tilde, propagated = _propagated_state(cfg, thetas)
     table, _ = _angle_table(propagated, line, t_tilde, thetas)
     out = _out_dir(cfg, args)
     write_csv(out / "sweep_theta.csv", {key: table[key] for key in _SWEEP_COLUMNS})
@@ -370,8 +370,28 @@ def cmd_crossover(cfg: RunConfig, args) -> None:
     print(f"wrote {out / 'crossover.csv'}")
 
 
+# each subcommand: name, function, help and its own (flag, type, default, help) options
+_COMMANDS = (
+    ("spectrum", cmd_spectrum, "line transfer function on a detuning grid", ()),
+    ("propagate", cmd_propagate, "propagate and post-select a pulse", [
+        ("--theta", float, None, "single analyzer angle in degrees (overrides the config list)")]),
+    ("sweep-theta", cmd_sweep_theta, "amplification versus analyzer angle", [
+        ("--start", float, -85.0, "first angle (deg)"), ("--stop", float, -5.0, "last angle (deg)"),
+        ("--count", int, 40, "number of angles")]),
+    ("loss-scaling", cmd_loss_scaling, "advance-at-fixed-loss comparison", ()),
+    ("crossover", cmd_crossover, "break-even throughput of the two schemes", ()),
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors reach ``main`` as a ParameterError: one ``error:`` line, exit 2."""
+
+    def error(self, message):
+        raise ParameterError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fastlight",
         description=(
             "Pulse advancement through an absorbing line and its "
@@ -379,45 +399,26 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, func, text, options in _COMMANDS:
+        p = sub.add_parser(name, help=text)  # a _Parser too
         p.add_argument("--config", help="JSON config file (default: built-in quick-start)")
         p.add_argument("--out", help="output directory (overrides the config)")
-
-    p = sub.add_parser("spectrum", help="line transfer function on a detuning grid")
-    add_common(p)
-    p.set_defaults(func=cmd_spectrum)
-
-    p = sub.add_parser("propagate", help="propagate and post-select a pulse")
-    add_common(p)
-    p.add_argument(
-        "--theta",
-        type=float,
-        help="single analyzer angle in degrees (overrides the config list)",
-    )
-    p.set_defaults(func=cmd_propagate)
-
-    p = sub.add_parser("sweep-theta", help="amplification versus analyzer angle")
-    add_common(p)
-    p.add_argument("--start", type=float, default=-85.0, help="first angle (deg)")
-    p.add_argument("--stop", type=float, default=-5.0, help="last angle (deg)")
-    p.add_argument("--count", type=int, default=40, help="number of angles")
-    p.set_defaults(func=cmd_sweep_theta)
-
-    p = sub.add_parser("loss-scaling", help="advance-at-fixed-loss comparison")
-    add_common(p)
-    p.set_defaults(func=cmd_loss_scaling)
-
-    p = sub.add_parser("crossover", help="break-even throughput of the two schemes")
-    add_common(p)
-    p.set_defaults(func=cmd_crossover)
+        for flag, kind, default, flag_text in options:
+            p.add_argument(flag, type=kind, default=default, help=flag_text)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        args.func(_load(args), args)
+        args = _build_parser().parse_args(argv)
+        # an empty path would be the working directory
+        for flag, path in (("--config", args.config), ("--out", args.out)):
+            if path == "":
+                raise ParameterError(f"{flag}: must be a non-empty path")
+        if args.out is not None:
+            check_path("--out", args.out)
+        args.func(load_config(args.config) if args.config is not None else default_config(), args)
     except (ParameterError, ApproximationWarning, OSError) as exc:
         # OSError: an unusable --out or --config; ApproximationWarning: under -W error
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ from fastlight import (
     ApproximationWarning, FitFailureError, _fork, default_config, load_config, parse_config, t_atom
 )
 from fastlight.atomic_response import kramers_kronig_residual, transfer_exponent
-from fastlight.cli import _angle_table, _propagated_state, main
+from fastlight.cli import _angle_table, _build_parser, _propagated_state, cmd_sweep_theta, main
 from oracles import two_gaussian_centroid
 
 MEDIUM = {
@@ -612,6 +612,52 @@ def test_an_unresolved_advance_under_warnings_as_errors_exits_2(tmp_path, comman
     assert not out.exists()
 
 
+# theta = 90 deg: A_w = cos(theta) / (sin(theta) + cos(theta)) = 6.1e-17, so
+# the quick start's predicted advance, 1.7e-23 s, is mostly rounding
+AT_90_DEG = (["propagate", "--theta", "90"], ["sweep-theta", "--start", "89", "--stop", "90",
+                                              "--count", "2"])
+AT_90_DEG_WARNING = (
+    "predicted advance |A_w| t0 at analyzer angle 90.0 deg = 1.715e-23 s is below 1e-12 pulse "
+    "widths (2.800e-17 s), where the fitted advances can round by more than 1e-3 of themselves"
+)
+
+
+@pytest.mark.parametrize("command", AT_90_DEG, ids=lambda argv: argv[0])
+def test_a_row_advance_below_the_fit_resolution_warns_once_naming_the_angle(tmp_path, command):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([*command, "--out", str(tmp_path / "out")]) == 0
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (ApproximationWarning, AT_90_DEG_WARNING)
+    ]
+
+
+@pytest.mark.parametrize("command", AT_90_DEG, ids=lambda argv: argv[0])
+def test_a_row_advance_below_the_fit_resolution_under_warnings_as_errors_exits_2(
+    tmp_path, command
+):
+    out = tmp_path / "out"
+    child = _run_fresh("-W", "error", "-m", "fastlight.cli", *command, "--out", str(out))
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == f"error: {AT_90_DEG_WARNING}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", [QUICK_START, {"medium": MEDIUM}], ids=["quick-start", "medium"])
+@pytest.mark.parametrize(
+    "command",
+    [["propagate"], ["sweep-theta", "--start", "-85", "--stop", "89.99", "--count", "2"]],
+    ids=lambda argv: argv[0],
+)
+def test_rows_near_the_ends_of_the_range_do_not_warn(tmp_path, config, command):
+    # |A_w| is 0.096 at -85 deg and 1.7e-4 at 89.99 deg: with t0/sigma = 0.01
+    # the predicted advance stays far above 1e-12 pulse widths
+    cfg = _write_config(tmp_path, dict(config, theta_list_deg=[-85.0, 89.99]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
 GRID_LIMITS = (
     "error: grid: span must be below 1e+150 s and step at least 1e-150 s, so that squares "
     "stay finite; got span {span} s, step {step} s, from pulse.sigma_us = {sigma} and "
@@ -742,6 +788,13 @@ def test_nul_in_the_output_directory_exits_2_before_computing(
     assert sorted(tmp_path.iterdir()) == before
 
 
+def test_theta_out_of_range_is_named_by_its_flag(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["propagate", "--theta", "100", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --theta: must lie in (-90, 90] deg; got 100.0 deg\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--start", "--stop"])
 def test_sweep_bound_out_of_range_is_named_by_its_flag(tmp_path, capsys, flag):
     out = tmp_path / "out"
@@ -782,9 +835,49 @@ def test_fit_failure_in_propagate_writes_nothing(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-def test_unknown_command_is_a_usage_error():
-    with pytest.raises(SystemExit):
-        main(["warp-speed"])
+def test_unknown_command_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # argparse's own usage errors go through main like every other bad input:
+    # no usage lines, no SystemExit, and not even the config's output_dir
+    monkeypatch.chdir(tmp_path)
+    assert main(["warp-speed"]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: argument command: invalid choice: 'warp-speed' (choose from "
+        "'spectrum', 'propagate', 'sweep-theta', 'loss-scaling', 'crossover')\n"))
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["crossover", "--bogus"], "unrecognized arguments: --bogus"),
+        (["sweep-theta", "--count", "abc"], "argument --count: invalid int value: 'abc'"),
+        (["propagate", "--theta"], "argument --theta: expected one argument"),
+    ],
+    ids=["no-command", "unknown-flag", "count-abc", "theta-without-value"],
+)
+def test_other_usage_errors_exit_2_with_one_line_and_no_output(
+    tmp_path, capsys, monkeypatch, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep-theta", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: fastlight sweep-theta [-h]")
+
+
+def test_parsed_defaults():
+    parser = _build_parser()
+    sweep = parser.parse_args(["sweep-theta"])
+    assert (sweep.start, sweep.stop, sweep.count) == (-85.0, -5.0, 40)
+    assert sweep.func is cmd_sweep_theta and sweep.config is None and sweep.out is None
+    assert parser.parse_args(["propagate"]).theta is None
 
 
 # Run in a fresh interpreter: this test session has scipy loaded already.
