@@ -149,41 +149,38 @@ def fit_gaussian(envelope: Envelope) -> ArrivalEstimate:
     tau = envelope.times - seed.center
     tau /= seed.width
     yn = y / ymax
-    # Work arrays, allocated once per fit and refilled in place: the model's
-    # terms u = tau - m, u^2, e and a e, keyed on the exact parameter bits of
-    # the point they hold (lmder asks for each Jacobian, and at times a
-    # residual, at the point it has just evaluated), and the Jacobian.  e
-    # stays outside the read-only Jacobian, which every call returns, so a
-    # trial point's residual leaves it whole.  Each residual is a new array:
-    # lmder keeps the first as its own fvec and copies later ones into it, so
-    # a reused buffer would overwrite it.
-    u, u2, e, ae = np.empty((4, tau.size))
-    jac = np.empty((3, tau.size))
-    held = [None]  # the parameter bits of the terms
+    # The fit works in u = tau - m and in the Jacobian itself: u and e, the
+    # Jacobian's first row, are keyed on the exact parameter bits of the point
+    # they hold, and the other two rows are written when the Jacobian is asked
+    # for.  lmder copies each Jacobian it is handed, and keeps the first
+    # residual as its own fvec, so each residual is a new array.
+    u = np.empty(tau.size)
+    jac = np.empty((3, tau.size))  # one row per parameter: lmder's col_deriv layout
+    e = jac[0]
+    held = [None]  # the parameter bits of u and e
 
     def terms(p):
         key = p.tobytes()
         if held[0] != key:
-            a, m, s = p
-            np.subtract(tau, m, out=u)
-            np.square(u, out=u2)
-            np.divide(u2, -(2 * s * s), out=e)  # RN is odd: -(u2 / x) bit for bit
+            s = p[2]
+            np.subtract(tau, p[1], out=u)
+            np.square(u, out=e)
+            np.divide(e, -(2 * s * s), out=e)  # RN is odd: -(u^2 / x) bit for bit
             np.exp(e, out=e)
-            np.multiply(a, e, out=ae)
             held[0] = key
 
     def residual(p):
         terms(p)
-        return ae - yn
+        r = np.multiply(p[0], e)
+        r -= yn
+        return r
 
-    def jacobian(p):  # one row per parameter: lmder's col_deriv layout
+    def jacobian(p):
         terms(p)
-        s = p[2]
-        jac.flags.writeable = True
-        jac[0] = e
+        a, _, s = p
+        ae = np.multiply(a, e, out=jac[1])
+        np.divide(np.multiply(ae, np.square(u, out=jac[2]), out=jac[2]), s**3, out=jac[2])
         np.divide(np.multiply(ae, u, out=jac[1]), s * s, out=jac[1])
-        np.divide(np.multiply(ae, u2, out=jac[2]), s**3, out=jac[2])
-        jac.flags.writeable = False
         return jac
 
     # fcn, Dfun, x0, args, full_output, col_deriv, ftol, xtol, gtol, maxfev, factor, diag

@@ -6,6 +6,7 @@ import importlib.util
 import math
 import pickle
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -171,41 +172,14 @@ def test_every_minpack_failure_code_raises_fit_failure(monkeypatch, status):
     assert excinfo.value.fallback == centroid(pulse)
 
 
-def test_fit_shares_one_read_only_jacobian_per_point(monkeypatch):
-    # lmder asks for the Jacobian once per accepted point, always at the point
-    # it has just evaluated; every call gets the fit's one Jacobian array,
-    # which nobody can write into
-    lmder = analysis._lmder()
-    evaluated, seen = [], []
-
-    def spy(func, dfun, x0, *rest):
-        def residual(p):
-            evaluated.append(p.tobytes())
-            return func(p)
-
-        def jacobian(p):
-            seen.append((p.tobytes(), evaluated[-1], dfun(p)))
-            return seen[-1][2]
-
-        return lmder(residual, jacobian, x0, *rest)
-
-    monkeypatch.setattr(analysis, "_lmder", lambda: spy)
-    fit_gaussian(_distorted_output()[0].h)  # a misfit that takes several steps
-    assert len(seen) >= 2
-    assert all(point == last for point, last, _ in seen)
-    assert len({point for point, _, _ in seen}) == len(seen)
-    assert all(jac is seen[0][2] for _, _, jac in seen)
-    assert all(not jac.flags.writeable for _, _, jac in seen)
-
-
-def _through_leastsq_and_lmder(envelope):
-    """``fit_gaussian``'s residual and Jacobian solved by its own ``_lmder``
-    call and again by ``scipy.optimize.leastsq``: (x, fvec, nfev, status) of
-    each, as bytes where they are arrays."""
+def _own_lmder_call(envelope, spy_on=lambda *args: args):
+    """``fit_gaussian``'s own ``_lmder`` call, taken by a spy: its arguments,
+    passed through ``spy_on`` first, and what lmder returned."""
     lmder = analysis._lmder()
     calls = []
 
     def spy(*args):
+        args = spy_on(*args)
         calls.append((args, lmder(*args)))
         return calls[-1][1]
 
@@ -215,14 +189,125 @@ def _through_leastsq_and_lmder(envelope):
             fit_gaussian(envelope)
         except FitFailureError:  # a failure code must match too
             pass
-    (args, (x, info, status)), = calls
-    residual, jacobian = args[:2]
+    (call,) = calls
+    return call
+
+
+def _solved(x, info, status):
+    """(x, fvec, nfev, status) of an lmder solve, as bytes where they are arrays."""
+    return x.tobytes(), info["fvec"].tobytes(), info["nfev"], status
+
+
+@functools.cache
+def _large_readme_medium():
+    config = parse_config({"medium": README_MEDIUM, "grid": {"n_samples": 1 << 16}})
+    return _propagated_state(config)[2]
+
+
+def _several_step_fits():
+    # a quick-start angle 0.49 deg from the dark port at 4096 samples, and the
+    # README medium at 2^16: misfits that take lmder several steps
+    quick = post_select(_quick_start_propagated("spectral"), math.radians(-44.51)).envelope
+    return [quick, post_select(_large_readme_medium(), math.radians(-44.5)).envelope]
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["quick_start_4096", "readme_medium_2_16"])
+def test_lmder_copies_the_one_jacobian_it_gets_at_each_point(which):
+    # lmder asks for the Jacobian at the point it has just evaluated, and gets
+    # the fit's one Jacobian array, whose first row the next residual
+    # overwrites; the solve must be the one that private copies give
+    envelope = _several_step_fits()[which]
+    evaluated, seen = [], []
+
+    def watch(func, dfun, x0, *rest):
+        def residual(p):
+            evaluated.append(p.tobytes())
+            return func(p)
+
+        def jacobian(p):
+            seen.append((p.tobytes(), evaluated[-1], dfun(p)))
+            return seen[-1][2]
+
+        return (residual, jacobian, x0, *rest)
+
+    (_, _, _, *rest), own = _own_lmder_call(envelope, watch)
+    assert len(seen) >= 2
+    assert all(point == last for point, last, _ in seen)
+    assert len({point for point, _, _ in seen}) == len(seen)
+    assert all(jac is seen[0][2] for _, _, jac in seen)
+
+    # lmder solves in x0's own array, so the copied run starts from a new one
+    (residual, jacobian, *_), _ = _own_lmder_call(envelope)
+    copied = analysis._lmder()(
+        lambda p: residual(p).copy(),
+        lambda p: jacobian(p).copy(),
+        np.array([1.0, 0.0, 1.0]),
+        *rest,
+    )
+    assert _solved(*own) == _solved(*copied)
+
+
+@pytest.mark.parametrize("which", [0, 1], ids=["quick_start_4096", "readme_medium_2_16"])
+def test_fit_callbacks_hold_their_point_in_any_call_order(which):
+    # e lives in the Jacobian's first row, which the Jacobian rewrites in
+    # place; every residual and Jacobian must still be the textbook one at its
+    # own point, in each order lmder can call them, and a residual must stay
+    # whole after the calls that follow it (lmder keeps the first as fvec)
+    envelope = _several_step_fits()[which]
+    # the pulse's magnitude as a real field: its intensity is the textbook's
+    # |z|^2 bit for bit, where a complex field's may differ in the last place
+    envelope = Envelope(envelope.grid, np.sqrt(envelope.intensity))
+    (residual, jacobian, *_), (x, _, _) = _own_lmder_call(envelope)
+    _, _, textbook_residual, textbook_jacobian = _textbook_model(envelope)
+    p, q = x, np.array([1.0, 0.0, 1.0])
+
+    def expected(call, point):
+        if call is residual:
+            return textbook_residual(point).tobytes()
+        return np.ascontiguousarray(textbook_jacobian(point).T).tobytes()
+
+    orders = [
+        [(residual, p), (jacobian, p), (jacobian, p), (residual, p)],
+        [(residual, p), (residual, q), (jacobian, q), (jacobian, p)],
+    ]
+    for order in orders:
+        residuals = []
+        for call, point in order:
+            out = call(point)
+            assert out.tobytes() == expected(call, point)
+            if call is residual:
+                residuals.append((out, point))
+        assert residuals[0][0] is not residuals[1][0]
+        assert all(out.tobytes() == expected(residual, point) for out, point in residuals)
+
+
+def test_a_large_grid_fit_peaks_within_twelve_grid_arrays():
+    # the fit's working set is u and the (3, n) Jacobian beside tau, yn, each
+    # new residual and MINPACK's own copies: about 11 float64 arrays of the
+    # grid above what the envelope already holds
+    envelope = post_select(_large_readme_medium(), math.radians(-44.5)).envelope
+    envelope.intensity, envelope.energy(), envelope.times  # computed once per envelope
+    fit_gaussian(_gaussian_pulse())  # loads MINPACK and its callback module
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        fit_gaussian(envelope)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - entry) / (8 * envelope.grid.n_samples) <= 12
+
+
+def _through_leastsq_and_lmder(envelope):
+    """``fit_gaussian``'s residual and Jacobian solved by its own ``_lmder``
+    call and again by ``scipy.optimize.leastsq``: (x, fvec, nfev, status) of
+    each, as bytes where they are arrays."""
+    (residual, jacobian, *_), own = _own_lmder_call(envelope)
     x_ls, _, info_ls, _, status_ls = leastsq(
         residual, [1.0, 0.0, 1.0], Dfun=jacobian, col_deriv=True, full_output=True,
         ftol=1e-12, xtol=1e-12, gtol=1e-12, maxfev=analysis._MAX_EVALUATIONS,
     )
-    own = (x.tobytes(), info["fvec"].tobytes(), info["nfev"], status)
-    return own, (x_ls.tobytes(), info_ls["fvec"].tobytes(), info_ls["nfev"], status_ls)
+    return _solved(*own), _solved(x_ls, info_ls, status_ls)
 
 
 @functools.cache
@@ -267,9 +352,9 @@ def test_a_missing_minpack_extension_is_an_import_error(monkeypatch, tmp_path):
     assert str(tmp_path / "optimize") in str(excinfo.value)
 
 
-def _least_squares_fit(envelope):
-    """The Gaussian fit solved by least_squares(method="lm"): the same MINPACK
-    lmder solve, with the residual and Jacobian written out in full."""
+def _textbook_model(envelope):
+    """The Gaussian fit's centroid seed, peak intensity, residual and
+    Jacobian (one row per sample), written out in full."""
     seed = centroid(envelope)
     y = np.abs(envelope.samples) ** 2
     ymax = float(y.max())
@@ -286,6 +371,13 @@ def _least_squares_fit(envelope):
         e = np.exp(-(u**2) / (2 * s * s))
         return np.stack([e, a * e * u / (s * s), a * e * u**2 / (s**3)], axis=1)
 
+    return seed, ymax, residual, jacobian
+
+
+def _least_squares_fit(envelope):
+    """The Gaussian fit solved by least_squares(method="lm"): the same MINPACK
+    lmder solve, with the residual and Jacobian written out in full."""
+    seed, ymax, residual, jacobian = _textbook_model(envelope)
     result = least_squares(
         residual,
         [1.0, 0.0, 1.0],
