@@ -6,9 +6,12 @@ fit (matches how peak positions are read off in practice; robust to
 truncation, reports a residual as a distortion score).  The fit calls
 MINPACK's Levenberg-Marquardt ``lmder`` as ``scipy.optimize.leastsq`` does,
 from scipy's extension ``scipy.optimize._minpack`` alone (``_lmder``): it
-loads in under a millisecond, its first call imports scipy's small callback
-module (about 20 ms), and neither starts a thread, where ``import
-scipy.optimize`` takes about 0.55 s and loads scipy.linalg.
+loads in under a millisecond.  Its first call imports the ``scipy`` package
+itself through ``scipy._lib._ccallback``, 22 modules, among them
+``scipy.__config__``, ``scipy._lib._testutils``, ``subprocess`` and
+``sysconfig``; the first quick-start fit in a fresh interpreter takes 10-16
+ms.  Neither starts a thread, where ``import scipy.optimize`` takes about
+0.55 s and loads scipy.linalg.
 
 Loss budget: a bare line that transmits T advances the peak by
 t_atom = -ln(T) / (2 gamma').  Splitting the light into unequal H/V weights,

@@ -144,17 +144,6 @@ def cmd_spectrum(cfg: RunConfig, args) -> None:
     print(f"wrote {out / 'spectrum.csv'} and {out / 'spectrum_summary.csv'}")
 
 
-def _check_analyzer_angles(thetas_deg) -> None:
-    """Reject angles at the dark port; each input's range is checked where it enters."""
-    for theta_deg in thetas_deg:
-        if abs(theta_deg - (-45.0)) < _DARK_PORT_GUARD_DEG:
-            raise ParameterError(
-                f"analyzer angle {float(theta_deg)!r} deg is within "
-                f"{_DARK_PORT_GUARD_DEG:g} deg of the dark port at -45 deg, where "
-                "the weak value diverges; move the angle away from -45 deg"
-            )
-
-
 def _line_transmission(cfg: RunConfig, line: ReducedLine) -> float:
     """The line-centre transmission exp(-2 gamma' t0), refused where it
     underflows to 0: such a line passes no light to measure."""
@@ -168,35 +157,16 @@ def _line_transmission(cfg: RunConfig, line: ReducedLine) -> float:
     return t_tilde
 
 
-def _propagated_state(cfg: RunConfig, thetas_deg=()):
+def _propagated_state(cfg: RunConfig):
     """Common propagate/sweep front end: the line, its centre transmission
-    and the propagated two-arm state; warns, once the propagation's own
-    refusals have passed, where t0, or min(1, |A_w|) t0 at any of
-    ``thetas_deg``, is below what the fits resolve."""
+    and the propagated two-arm state."""
     line = cfg.reduced_line()
     if not (line.t0 > 0):
-        raise ParameterError(
-            "line advance t0 must be > 0 to measure an arrival shift"
-        )
-    sigma = cfg.pulse_sigma_s()
-    source = make_gaussian(cfg.time_grid, sigma, 0.0, cfg.pulse.amplitude)
+        raise ParameterError("line advance t0 must be > 0 to measure an arrival shift")
+    source = make_gaussian(cfg.time_grid, cfg.pulse_sigma_s(), 0.0, cfg.pulse.amplitude)
     t_tilde = _line_transmission(cfg, line)
     propagate = propagate_ideal if cfg.propagation == "ideal" else propagate_lorentzian
-    propagated = propagate(prepare_input(source, t_tilde), line)
-    floor_s = _MIN_RESOLVED_T0_SIGMAS * sigma
-    advance, theta_deg = line.t0, None
-    if line.t0 >= floor_s and thetas_deg:  # the least predicted row advance, |A_w| t0
-        advance, theta_deg = min((abs(weak_value(np.deg2rad(t))) * line.t0, t) for t in thetas_deg)
-    if advance < floor_s:
-        name = "line advance t0" if theta_deg is None else (
-            f"predicted advance |A_w| t0 at analyzer angle {float(theta_deg)!r} deg")
-        warnings.warn(
-            f"{name} = {advance:.3e} s is below {_MIN_RESOLVED_T0_SIGMAS:g} pulse widths "
-            f"({floor_s:.3e} s), where the fitted advances can round by more than 1e-3 of "
-            "themselves",
-            ApproximationWarning,
-        )
-    return line, t_tilde, propagated
+    return line, t_tilde, propagate(prepare_input(source, t_tilde), line)
 
 
 def _trace_names(thetas_deg) -> dict:
@@ -215,14 +185,40 @@ def _trace_names(thetas_deg) -> dict:
     return names
 
 
-def _angle_table(propagated, line, t_tilde, thetas_deg, arms=("V",)) -> tuple:
-    """The ``propagate_summary.csv`` columns, a row per analyzer angle, and
-    ``{arm: fitted centre}`` for each of ``arms`` ("V", and "H" if named).  Only
-    the fits need the propagated pulse: the angles, then the arms, go through
-    ``ordered_map``, a chunk of fits per process.  The amplification is the
-    advance over the reference (V) arm in units of the line's own advance
+def _angle_table(cfg: RunConfig, thetas_deg, arms=("V",)) -> tuple:
+    """The one per-angle pass of propagate and sweep-theta: refuse the dark
+    port, build ``_propagated_state(cfg)``, evaluate each angle's ``A_w`` once,
+    warn where t0, or else the least min(1, |A_w|) t0, is below what the fits
+    resolve, then fit.  Returns the line, the propagated state, the
+    ``propagate_summary.csv`` columns (a row per angle) and ``{arm: fitted
+    centre}`` for each of ``arms`` ("V", and "H" if named).  The angles, then
+    the arms, are fitted by ``ordered_map``, a chunk of fits per process.  The
+    amplification is the advance over the reference (V) arm in units of
     ``line.t0``; ``advantage_over_bare`` is the advance over that of a bare
     line passing the same measured throughput, ``t_atom(throughput)``."""
+    for theta_deg in thetas_deg:  # each angle's range is checked where it enters
+        if abs(theta_deg - (-45.0)) < _DARK_PORT_GUARD_DEG:
+            raise ParameterError(
+                f"analyzer angle {float(theta_deg)!r} deg is within "
+                f"{_DARK_PORT_GUARD_DEG:g} deg of the dark port at -45 deg, where "
+                "the weak value diverges; move the angle away from -45 deg"
+            )
+    line, t_tilde, propagated = _propagated_state(cfg)
+    thetas = [np.deg2rad(theta_deg) for theta_deg in thetas_deg]
+    a_w = np.array([weak_value(theta) for theta in thetas])
+    floor_s = _MIN_RESOLVED_T0_SIGMAS * cfg.pulse_sigma_s()
+    advance, theta_deg = line.t0, None
+    if line.t0 >= floor_s:  # the least predicted row advance, |A_w| t0
+        advance, theta_deg = min(zip(np.abs(a_w) * line.t0, thetas_deg))
+    if advance < floor_s:
+        name = "line advance t0" if theta_deg is None else (
+            f"predicted advance |A_w| t0 at analyzer angle {float(theta_deg)!r} deg")
+        warnings.warn(
+            f"{name} = {advance:.3e} s is below {_MIN_RESOLVED_T0_SIGMAS:g} pulse widths "
+            f"({floor_s:.3e} s), where the fitted advances can round by more than 1e-3 of "
+            "themselves",
+            ApproximationWarning,
+        )
     envelopes = {"H": propagated.h, "V": propagated.v}
 
     def fit(item):
@@ -241,8 +237,6 @@ def _angle_table(propagated, line, t_tilde, thetas_deg, arms=("V",)) -> tuple:
     fits = ordered_map(fit, [*thetas_deg, *arms], fits_per_process, describe)
     centers = dict(zip(arms, fits[len(thetas_deg):]))
     selected_centers, residuals, throughputs = np.array(fits[: len(thetas_deg)]).T
-    thetas = [np.deg2rad(theta_deg) for theta_deg in thetas_deg]
-    a_w = np.array([weak_value(theta) for theta in thetas])
     advance = centers["V"] - selected_centers
     amplification = advance / line.t0
     bare_advance = np.array([t_atom(t, line.gamma_prime) for t in throughputs])
@@ -262,7 +256,7 @@ def _angle_table(propagated, line, t_tilde, thetas_deg, arms=("V",)) -> tuple:
         "bare_advance_same_loss_s": bare_advance,
         "advantage_over_bare": advantage,
     }
-    return table, centers
+    return line, propagated, table, centers
 
 
 def _write_traces(propagated, angle_of: dict, out: Path) -> list:
@@ -291,13 +285,11 @@ def cmd_propagate(cfg: RunConfig, args) -> None:
     if args.theta is not None:
         check_angle_deg("--theta", args.theta)
     thetas = [args.theta] if args.theta is not None else list(cfg.theta_list_deg)
-    _check_analyzer_angles(thetas)
-    trace_names = _trace_names(thetas)
-    line, t_tilde, propagated = _propagated_state(cfg, thetas)
+    trace_names = _trace_names(thetas)  # before any work, the dark-port refusal included
     # every fit, the two arms' included, runs before any file is written, so a
     # failed one leaves no partial output; the post-selected envelopes are
     # rebuilt for writing rather than held, one grid-sized array per angle
-    table, centers = _angle_table(propagated, line, t_tilde, thetas, ("V", "H"))
+    line, propagated, table, centers = _angle_table(cfg, thetas, ("V", "H"))
 
     out = _out_dir(cfg, args)
     # a failed write (exit 2) or a writer process that dies (exit 3) leaves no
@@ -321,9 +313,7 @@ def cmd_sweep_theta(cfg: RunConfig, args) -> None:
     check_angle_deg("--start", args.start)
     check_angle_deg("--stop", args.stop)
     thetas = [float(t) for t in np.linspace(args.start, args.stop, args.count)]
-    _check_analyzer_angles(thetas)
-    line, t_tilde, propagated = _propagated_state(cfg, thetas)
-    table, _ = _angle_table(propagated, line, t_tilde, thetas)
+    _, _, table, _ = _angle_table(cfg, thetas)
     out = _out_dir(cfg, args)
     write_csv(out / "sweep_theta.csv", {key: table[key] for key in _SWEEP_COLUMNS})
     print(f"wrote {out / 'sweep_theta.csv'} ({args.count} angles)")

@@ -20,6 +20,7 @@ from fastlight import (
 )
 from fastlight.atomic_response import kramers_kronig_residual, transfer_exponent
 from fastlight.cli import _angle_table, _build_parser, _propagated_state, cmd_sweep_theta, main
+from fastlight.weak_value import weak_value
 from oracles import two_gaussian_centroid
 
 MEDIUM = {
@@ -105,9 +106,9 @@ def test_quick_start_arrives_later_than_a_bare_line_with_the_same_loss(tmp_path)
 def test_advantage_over_bare_is_the_advance_over_t_atom_of_the_measured_throughput(propagation):
     # row by row and bit for bit, 0.5 deg either side of the dark port too
     config = parse_config(dict(QUICK_START, propagation=propagation))
-    line, t_tilde, propagated = _propagated_state(config)
     thetas = [-85.0, -50.0, -45.5, -44.5, -40.0, -5.0, 30.0, 90.0]
-    table, _ = _angle_table(propagated, line, t_tilde, thetas)
+    with pytest.warns(ApproximationWarning, match="at analyzer angle 90.0 deg"):
+        line, _, table, _ = _angle_table(config, thetas)
     for i in range(len(thetas)):
         bare = t_atom(table["throughput_measured"][i], line.gamma_prime)
         assert table["bare_advance_same_loss_s"][i] == bare
@@ -141,7 +142,7 @@ def test_ideal_advantage_over_bare_is_the_weak_value_reading():
     sigma = config.pulse_sigma_s()
     kappa = math.exp(-(line.t0**2) / (8 * sigma**2))
     thetas = [float(deg) for deg in range(-85, 90) if abs(deg + 45) >= 10]
-    table, _ = _angle_table(propagated, line, t_tilde, thetas)
+    _, _, table, _ = _angle_table(config, thetas)
     for theta_deg, advantage in zip(thetas, table["advantage_over_bare"]):
         theta = math.radians(theta_deg)
         a = -two_gaussian_centroid(math.cos(theta), math.sin(theta), line.t0, sigma) / line.t0
@@ -656,6 +657,35 @@ def test_rows_near_the_ends_of_the_range_do_not_warn(tmp_path, config, command):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_sweep_theta_evaluates_each_weak_value_once(tmp_path, monkeypatch):
+    # the resolution warning and the table read the same A_w row by row
+    calls = []
+
+    def counted(theta):
+        calls.append(theta)
+        return weak_value(theta)
+
+    monkeypatch.setattr(fastlight.cli, "weak_value", counted)
+    assert main(["sweep-theta", "--count", "200", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 200
+
+
+def test_the_propagated_state_alone_never_warns(tmp_path):
+    # t0 = 1e-20 us is far below what the fits resolve: building the state
+    # says nothing, and the angle pass that fits it warns once
+    line = {"line": {"t0_us": 1e-20, "gamma_prime_rad_per_us": 1.0}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line_model, _, _ = _propagated_state(parse_config(line))
+    assert line_model.t0 == pytest.approx(1e-26)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        argv = ["sweep-theta", "--config", _write_config(tmp_path, line)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+    assert [w.category for w in caught] == [ApproximationWarning]
+    assert str(caught[0].message).startswith("line advance t0 = 1.000e-26 s is below")
 
 
 GRID_LIMITS = (
